@@ -10,22 +10,22 @@ block-structured state every signed term takes the value +1, so the quantum
 value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
-significant base-4 digit) and never materialized as a whole.
+significant base-4 digit) and never materialized as a whole: the exact
+evaluator works through them in fixed-size chunks of numpy arrays.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .pauli import Observable, PauliOp, _xz_exponent, pauli_to_string
+import numpy as np
+
+from .pauli import Observable, PauliOp, _xz_exponent
 from .state import (
-    DENSE_BLOCK_CAP,
+    EXACT_BLOCK_CAP,
     LetterPair,
-    StabilizerState,
-    _expect_xz,
+    _expect_xz_batch,
     block_operator,
     build_state,
     dense_expectation,
@@ -85,8 +85,20 @@ class MeasurementSetting:
             yield from group
 
 
+# terms per numpy pass of the exact evaluator; keeps its memory flat in N
+EVAL_CHUNK = 4096
+
+
 def n_terms(n_blocks: int) -> int:
     return 4**n_blocks
+
+
+def _digits(n_blocks: int, index: int | np.ndarray) -> tuple:
+    """Per-block menu choices of a term index, block 1 first (base-4 decode).
+
+    Works alike on a Python int and on a numpy integer array of indices.
+    """
+    return tuple((index >> 2 * (n_blocks - 1 - block)) & 3 for block in range(n_blocks))
 
 
 def _block_tables(n_blocks: int) -> list[list[tuple[int, int, int]]]:
@@ -105,16 +117,10 @@ def _block_tables(n_blocks: int) -> list[list[tuple[int, int, int]]]:
 
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
-    """The index-th term of the lexicographic stream (base-4 decode)."""
+    """The index-th term of the lexicographic stream."""
     if not 0 <= index < n_terms(n_blocks):
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
-    digits = []
-    rest = index
-    for _ in range(n_blocks):
-        rest, d = divmod(rest, 4)
-        digits.append(d)
-    choices = tuple(reversed(digits))
-    return _make_term(n_blocks, index, choices, _block_tables(n_blocks))
+    return _make_term(n_blocks, index, _digits(n_blocks, index), _block_tables(n_blocks))
 
 
 def _make_term(
@@ -146,19 +152,8 @@ def enumerate_terms(
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad term range [{start}, {stop}) for {n_blocks} blocks")
     tables = _block_tables(n_blocks)
-    rest = start
-    digits = []
-    for _ in range(n_blocks):
-        rest, d = divmod(rest, 4)
-        digits.append(d)
-    choices = list(reversed(digits))
     for index in range(start, stop):
-        yield _make_term(n_blocks, index, tuple(choices), tables)
-        for pos in range(n_blocks - 1, -1, -1):  # base-4 increment
-            choices[pos] += 1
-            if choices[pos] < 4:
-                break
-            choices[pos] = 0
+        yield _make_term(n_blocks, index, _digits(n_blocks, index), tables)
 
 
 def settings_for_term(term: BellTerm) -> tuple[MeasurementSetting, MeasurementSetting]:
@@ -177,49 +172,45 @@ def settings_for_term(term: BellTerm) -> tuple[MeasurementSetting, MeasurementSe
     return settings[0], settings[1]
 
 
-def _evaluate_range(
-    n_blocks: int,
-    start: int,
-    stop: int,
-    rows: list[tuple[int, int, int, int, int]],
-    tables: list[list[tuple[int, int, int]]],
-) -> tuple[int, list[tuple[int, int]]]:
-    """Sum of signed expectations over a term-index range, plus any non-+1 terms.
+def _signed_chunks(
+    n_blocks: int, rows: list[tuple[int, int, int, int, int]], start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Signed expectations of terms [start, stop), EVAL_CHUNK terms at a time.
 
-    Works in X^x Z^z normal form throughout; blocks sit on disjoint qubits,
-    so masks OR together and exponents add with no cross phase.
+    Yields (first index, values).  Works in X^x Z^z normal form throughout;
+    blocks sit on disjoint qubits, so masks OR together and exponents add
+    with no cross phase.
     """
-    signs = [t.sign for t in BLOCK_TERM_MENU]
-    rest = start
-    digits = []
-    for _ in range(n_blocks):
-        rest, d = divmod(rest, 4)
-        digits.append(d)
-    choices = list(reversed(digits))
-    total = 0
-    bad: list[tuple[int, int]] = []
-    for index in range(start, stop):
-        x = z = e = 0
-        sign = 1
-        for block, c in enumerate(choices):
-            bx, bz, be = tables[block][c]
-            x |= bx
-            z |= bz
-            e += be
-            sign *= signs[c]
-        signed = sign * _expect_xz(rows, x, z, e % 4)
-        total += signed
-        if signed != 1:
-            bad.append((index, signed))
-        for pos in range(n_blocks - 1, -1, -1):
-            choices[pos] += 1
-            if choices[pos] < 4:
-                break
-            choices[pos] = 0
-    return total, bad
+    tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
+    exps = tables[..., 2].astype(np.int64)
+    signs = np.array([t.sign for t in BLOCK_TERM_MENU])
+    for lo in range(start, stop, EVAL_CHUNK):
+        index = np.arange(lo, min(lo + EVAL_CHUNK, stop))
+        x = np.zeros(index.size, dtype=np.uint64)
+        z = np.zeros(index.size, dtype=np.uint64)
+        e = np.zeros(index.size, dtype=np.int64)
+        sign = np.ones(index.size, dtype=np.int64)
+        for block, choice in enumerate(_digits(n_blocks, index)):
+            x |= np.take(tables[block, :, 0], choice)
+            z |= np.take(tables[block, :, 1], choice)
+            e += np.take(exps[block], choice)
+            sign *= np.take(signs, choice)
+        yield lo, sign * _expect_xz_batch(rows, x, z, e)
 
 
-def quantum_value(n_blocks: int, backend: str = "stabilizer", threads: int = 1) -> int:
+def _dense_signed(n_blocks: int) -> np.ndarray:
+    """Signed expectations of every term on the explicit statevector."""
+    psi = dense_state(n_blocks)
+    signed = []
+    for term in enumerate_terms(n_blocks):
+        value = term.sign * dense_expectation(psi, term.operator)
+        if abs(value - round(value)) > 1e-12:
+            raise AssertionError(f"non-integer term expectation: {value}")
+        signed.append(round(value))
+    return np.array(signed, dtype=np.int64)
+
+
+def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     """Exact value of the Bell expression on the state: 4**N.
 
     Evaluates every expanded term individually and requires each signed
@@ -227,52 +218,27 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer", threads: int = 1) 
     """
     if backend not in ("stabilizer", "dense"):
         raise ValueError(f"unknown backend {backend!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    total_terms = n_terms(n_blocks)
+    if n_blocks > EXACT_BLOCK_CAP:
+        raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
     if backend == "dense":
-        if n_blocks > DENSE_BLOCK_CAP:
-            raise ValueError(f"dense backend capped at {DENSE_BLOCK_CAP} blocks")
-        psi = dense_state(n_blocks)
-        total = 0
-        bad = []
-        for term in enumerate_terms(n_blocks):
-            val = dense_expectation(psi, term.operator)
-            signed = term.sign * val
-            if abs(signed - round(signed)) > 1e-12:
-                raise AssertionError(f"non-integer term expectation: {signed}")
-            signed = int(round(signed))
-            total += signed
-            if signed != 1:
-                bad.append((term.index, signed))
-        _raise_if_bad(bad)
-        return total
-
-    state = build_state(n_blocks)
-    tables = _block_tables(n_blocks)
-    if threads == 1:
-        total, bad = _evaluate_range(n_blocks, 0, total_terms, state._rows, tables)
+        chunks: Iterable[tuple[int, np.ndarray]] = [(0, _dense_signed(n_blocks))]
     else:
-        chunk = math.ceil(total_terms / threads)
-        ranges = [
-            (lo, min(lo + chunk, total_terms)) for lo in range(0, total_terms, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _evaluate_range(n_blocks, r[0], r[1], state._rows, tables),
-                    ranges,
-                )
-            )
-        total = sum(p[0] for p in parts)
-        bad = [b for p in parts for b in p[1]]
-    _raise_if_bad(bad)
+        chunks = _signed_chunks(n_blocks, build_state(n_blocks)._rows, 0, n_terms(n_blocks))
+    total = n_bad = 0
+    head: list[tuple[int, int]] = []
+    for lo, signed in chunks:
+        total += int(signed.sum())
+        bad = np.flatnonzero(signed != 1)
+        n_bad += bad.size
+        head += [(lo + int(i), int(signed[i])) for i in bad[: 5 - len(head)]]
+    _raise_if_bad(n_bad, head)
     return total
 
 
-def _raise_if_bad(bad: list[tuple[int, int]]) -> None:
-    if bad:
-        head = ", ".join(f"term {i} -> {v:+d}" for i, v in bad[:5])
+def _raise_if_bad(n_bad: int, head: list[tuple[int, int]]) -> None:
+    """Fail on any term that is not +1; ``head`` holds the first five, in order."""
+    if n_bad:
+        listed = ", ".join(f"term {i} -> {v:+d}" for i, v in head)
         raise ValueError(
-            f"{len(bad)} expanded terms do not contribute +1 ({head}{', ...' if len(bad) > 5 else ''})"
+            f"{n_bad} expanded terms do not contribute +1 ({listed}{', ...' if n_bad > 5 else ''})"
         )

@@ -9,9 +9,9 @@ Output is JSON by default; tabular commands also emit CSV (fixed column
 order, a leading ``#`` metadata line, shortest round-trip float formatting).
 Exit codes: 0 success, 1 verification failure or no violation possible,
 2 usage error.  Commands are deterministic: repeating one with the same seed
-and any ``--threads`` value produces byte-identical output.  If the
+produces byte-identical output.  ``simulate`` alone takes a seed; if the
 ``HYPERBELL_SEED`` environment variable is set it overrides the default
-seed 0; an explicit ``--seed`` beats both.
+seed 0, and an explicit ``--seed`` beats both.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .efficiency import (
 from .lhv import BRUTE_FORCE_BLOCK_CAP, brute_force_bound, factored_bound
 from .montecarlo import estimate_beta
 from .pauli import pauli_to_string
-from .state import verify_perfect_correlations
+from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 
 SEED_ENV_VAR = "HYPERBELL_SEED"
 DUMP_TERMS_CAP = 6
@@ -144,6 +144,10 @@ def _output_row(n: int, eps: float, p: float, eta: float) -> dict[str, Any]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
+    if n > EXACT_BLOCK_CAP:
+        raise _usage_error(
+            f"verify supports up to {EXACT_BLOCK_CAP} blocks ({4**EXACT_BLOCK_CAP} terms)"
+        )
     report = verify_perfect_correlations(n)
     failures = [
         {"block": c.block, "label": c.label, "expected": c.expected, "actual": c.actual}
@@ -151,7 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     term_failures: list[str] = []
     try:
-        beta_qm = quantum_value(n, threads=args.threads)
+        beta_qm = quantum_value(n)
     except ValueError as exc:
         beta_qm = None
         term_failures.append(str(exc))
@@ -282,14 +286,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
-    estimate = estimate_beta(
-        args.n,
-        args.shots,
-        noise,
-        seed=args.seed,
-        term_budget=args.term_budget,
-        threads=args.threads,
-    )
+    seed = _default_seed() if args.seed is None else args.seed
+    estimate = estimate_beta(args.n, args.shots, noise, seed=seed, term_budget=args.term_budget)
     _emit(_json_text(estimate.to_json_dict()), args.out)
     return 0
 
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-derive the exact correlations and bounds")
     p_verify.add_argument("--n", type=_positive_int, required=True, help="number of blocks")
-    p_verify.add_argument("--threads", type=_positive_int, default=1)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -368,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=_positive_int, required=True)
     p_sim.add_argument("--shots", type=_positive_int, required=True, help="runs per term")
     _add_noise_flags(p_sim)
-    p_sim.add_argument("--seed", type=_nonnegative_int, default=_default_seed(), help=f"master seed (default 0, or ${SEED_ENV_VAR})")
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=None, help=f"master seed (default 0, or ${SEED_ENV_VAR})")
     p_sim.add_argument("--term-budget", type=_positive_int, default=4096)
-    p_sim.add_argument("--threads", type=_positive_int, default=1)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .bell import BLOCK_TERM_MENU
+from .bell import BLOCK_TERM_MENU, _digits
 from .pauli import Observable
 from .state import LetterPair
 
@@ -130,13 +130,8 @@ def evaluate(assignment: LhvAssignment, n_blocks: int | None = None) -> int:
 def _evaluate_by_terms(assignment: LhvAssignment, n_blocks: int) -> int:
     total = 0
     for index in range(4**n_blocks):
-        rest = index
-        digits = []
-        for _ in range(n_blocks):
-            rest, d = divmod(rest, 4)
-            digits.append(d)
         value = 1
-        for block, c in enumerate(reversed(digits), start=1):
+        for block, c in enumerate(_digits(n_blocks, index), start=1):
             term = BLOCK_TERM_MENU[c]
             value *= term.sign
             for letter, particle in term.observables:

@@ -17,14 +17,13 @@ which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
 All randomness flows through numpy Generators.  For multi-term estimates the
-per-term streams are derived from the master seed by fixed indexing, so the
-result is byte-identical for any worker count.
+per-term streams are derived from the master seed by term index, so the
+result is byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
@@ -237,7 +236,7 @@ def estimate_term(
 
 
 def _term_rng(seed: int, term_index: int) -> np.random.Generator:
-    # fixed indexing off the master seed; worker partitioning cannot change it
+    # fixed indexing off the master seed; the order terms run in cannot change it
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, term_index)))
 
 
@@ -280,7 +279,6 @@ def estimate_beta(
     noise: NoiseParams,
     seed: int,
     term_budget: int = 4096,
-    threads: int = 1,
 ) -> BetaEstimate:
     """Estimate the Bell-expression value from simulated runs.
 
@@ -292,8 +290,6 @@ def estimate_beta(
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     if term_budget < 1:
         raise ValueError(f"term_budget must be >= 1, got {term_budget}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     total = n_terms(n_blocks)
     exhaustive = total <= term_budget
     if exhaustive:
@@ -307,14 +303,10 @@ def estimate_beta(
             chosen.add(j if t in chosen else t)
         indices = sorted(chosen)
 
-    def worker(t: int) -> TermEstimate:
-        return estimate_term(term_at(n_blocks, t), noise, shots_per_term, _term_rng(seed, t))
-
-    if threads == 1:
-        estimates = [worker(t) for t in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(worker, indices))
+    estimates = [
+        estimate_term(term_at(n_blocks, t), noise, shots_per_term, _term_rng(seed, t))
+        for t in indices
+    ]
 
     values = np.array([e.signed_value for e in estimates])
     measurement_var = float(sum(e.stderr**2 for e in estimates))

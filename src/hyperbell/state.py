@@ -24,6 +24,10 @@ import numpy as np
 from .pauli import Observable, PauliOp, _xz_exponent, identity, pauli_mul, pauli_to_string
 
 DENSE_BLOCK_CAP = 5
+# Exact evaluation visits all 4**N Bell terms, about 15 s at N=12 on a 2-core
+# machine and four times that per further block; 4N <= 64 also keeps every
+# Pauli mask within one uint64 word.
+EXACT_BLOCK_CAP = 12
 
 LetterPair = tuple[str, int]
 
@@ -183,6 +187,25 @@ def _expect_xz(rows: list[tuple[int, int, int, int, int]], ax: int, az: int, ae:
     if ae & 1:  # impossible for a Hermitian operator; guards the phase algebra
         raise AssertionError("odd phase after elimination of a Hermitian operator")
     return 1 if ae == 0 else -1
+
+
+def _expect_xz_batch(
+    rows: list[tuple[int, int, int, int, int]], ax: np.ndarray, az: np.ndarray, ae: np.ndarray
+) -> np.ndarray:
+    """``_expect_xz`` across arrays of uint64 masks and int64 exponents at once.
+
+    Updates the arrays in place and returns the expectations as int64.
+    """
+    for xsel, zsel, px, pz, pe in rows:
+        hit = ((ax & np.uint64(xsel)) | (az & np.uint64(zsel))) != 0
+        ae[hit] += pe + 2 * (np.bitwise_count(az[hit] & np.uint64(px)) & 1)
+        ax[hit] ^= np.uint64(px)
+        az[hit] ^= np.uint64(pz)
+    cleared = (ax | az) == 0
+    ae %= 4
+    if np.any(ae[cleared] & 1):
+        raise AssertionError("odd phase after elimination of a Hermitian operator")
+    return np.where(cleared, 1 - (ae & 2), 0)
 
 
 def expectation(state: StabilizerState, op: PauliOp) -> int:

@@ -7,9 +7,12 @@ from itertools import product
 
 import pytest
 
+import hyperbell.bell
 import hyperbell.state
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
+    EVAL_CHUNK,
+    _signed_chunks,
     enumerate_terms,
     n_terms,
     quantum_value,
@@ -18,6 +21,7 @@ from hyperbell.bell import (
 )
 from hyperbell.pauli import commutes, identity, pauli_mul
 from hyperbell.state import (
+    EXACT_BLOCK_CAP,
     block_operator,
     build_state,
     dense_expectation,
@@ -198,25 +202,54 @@ class TestQuantumValue:
         for n in (1, 2, 3):
             assert quantum_value(n, backend="dense") == 4**n
 
-    def test_thread_count_is_invariant(self):
-        want = quantum_value(3)
-        for threads in (2, 3, 8):
-            assert quantum_value(3, threads=threads) == want
+    def test_chunks_match_scalar_reference(self, monkeypatch):
+        # the one-term-at-a-time elimination in expectation() is the reference;
+        # a chunk of 7 makes ranges span several chunks with unaligned bounds
+        for chunk in (EVAL_CHUNK, 7):
+            monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
+            for n in range(1, 6):
+                state = build_state(n)
+                want = [t.sign * expectation(state, t.operator) for t in enumerate_terms(n)]
+                total = n_terms(n)
+                for start, stop in ((0, total), (1, total - 2), (total // 3, 2 * total // 3 + 1), (2, 2)):
+                    chunks = list(_signed_chunks(n, state._rows, start, stop))
+                    assert [lo for lo, _ in chunks] == list(range(start, stop, chunk))
+                    got = [int(v) for _, values in chunks for v in values]
+                    assert got == want[start:stop], (chunk, n, start, stop)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):
             quantum_value(2, backend="symbolic")
-        with pytest.raises(ValueError, match="threads"):
-            quantum_value(2, threads=0)
         with pytest.raises(ValueError, match="capped"):
             quantum_value(6, backend="dense")
+        with pytest.raises(ValueError, match="capped"):
+            quantum_value(EXACT_BLOCK_CAP + 1)
 
     def test_wrong_state_is_a_hard_failure(self, monkeypatch):
         # flipping one generator sign makes some expanded terms -1, which
-        # must raise instead of silently lowering the sum
+        # must raise instead of silently lowering the sum, and name the same
+        # terms as the one-term-at-a-time reference
         flipped = ((-1,) + hyperbell.state.BLOCK_GENERATORS[0][1:],) + (
             hyperbell.state.BLOCK_GENERATORS[1:]
         )
         monkeypatch.setattr(hyperbell.state, "BLOCK_GENERATORS", flipped)
-        with pytest.raises(ValueError, match="do not contribute"):
-            quantum_value(2)
+        monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", 7)
+        for n in (1, 2, 3):
+            state = build_state(n)
+            want = []
+            for term in enumerate_terms(n):
+                signed = term.sign * expectation(state, term.operator)
+                if signed != 1:
+                    want.append((term.index, signed))
+            got = [
+                (lo + i, int(v))
+                for lo, values in _signed_chunks(n, state._rows, 0, n_terms(n))
+                for i, v in enumerate(values)
+                if v != 1
+            ]
+            assert got == want
+            head = ", ".join(f"term {i} -> {v:+d}" for i, v in want[:5])
+            message = f"{len(want)} expanded terms do not contribute +1 ({head}{', ...' if len(want) > 5 else ''})"
+            with pytest.raises(ValueError) as excinfo:
+                quantum_value(n)
+            assert str(excinfo.value) == message

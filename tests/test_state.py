@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperbell.pauli import PauliOp, commutes, identity, named_observable, pauli_mul
+from hyperbell.pauli import PauliOp, _xz_exponent, commutes, identity, named_observable, pauli_mul
 from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
@@ -17,6 +17,7 @@ from hyperbell.state import (
     BellScenario,
     DenseState,
     StabilizerState,
+    _expect_xz_batch,
     block_operator,
     build_state,
     dense_expectation,
@@ -167,6 +168,31 @@ class TestExpectation:
             op = block_operator(+1, letters, 1, 1)
             assert expectation(state, op) == sign
             assert expectation(state, -op) == -sign
+
+    def test_batch_matches_one_operator_elimination(self):
+        # random Paulis (mostly outside the group, so 0) and random signed
+        # group elements (+-1), eliminated as one batch and one at a time
+        rng = np.random.default_rng(11)
+        state = build_state(2)
+        ops = [random_hermitian(rng, 8) for _ in range(200)]
+        for _ in range(200):
+            mask = int(rng.integers(0, 1 << 8))
+            chosen = [g for i, g in enumerate(state.generators) if (mask >> i) & 1]
+            op = reduce(pauli_mul, chosen, identity(8))
+            ops.append(-op if rng.integers(0, 2) else op)
+        want = [expectation(state, op) for op in ops]
+        got = _expect_xz_batch(
+            state._rows,
+            np.array([op.x for op in ops], dtype=np.uint64),
+            np.array([op.z for op in ops], dtype=np.uint64),
+            np.array([_xz_exponent(op) for op in ops], dtype=np.int64),
+        )
+        assert got.tolist() == want
+        assert set(want) == {-1, 0, 1}
+        # i * identity is not Hermitian: its phase stays odd after elimination
+        zeros = np.zeros(1, dtype=np.uint64)
+        with pytest.raises(AssertionError, match="odd phase"):
+            _expect_xz_batch(state._rows, zeros, zeros.copy(), np.ones(1, dtype=np.int64))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
