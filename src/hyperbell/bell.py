@@ -11,12 +11,15 @@ value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
 significant base-4 digit) and never materialized as a whole: the exact
-evaluator works through them in fixed-size chunks of numpy arrays.
+evaluator works through them in fixed-size chunks of numpy arrays.  Both it
+and the one-term path ``term_at`` assemble terms from the per-block table of
+4N operators, which is built once per N and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -101,38 +104,32 @@ def _digits(n_blocks: int, index: int | np.ndarray) -> tuple:
     return tuple((index >> 2 * (n_blocks - 1 - block)) & 3 for block in range(n_blocks))
 
 
-def _block_tables(n_blocks: int) -> list[list[tuple[int, int, int]]]:
-    """Raw (x, z, e) of every menu choice placed on every block.
+@cache
+def _block_tables(n_blocks: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Raw (x, z, e) of every menu choice placed on every block, built once per N.
 
     Blocks occupy disjoint qubits, so a term's operator is the OR of its
     block masks and its phase exponent is the sum of the block exponents.
+    Tuples keep the shared cached table immutable.
     """
     tables = []
     for block in range(1, n_blocks + 1):
         ops = [
             block_operator(+1, t.observables, block, n_blocks) for t in BLOCK_TERM_MENU
         ]
-        tables.append([(op.x, op.z, _xz_exponent(op)) for op in ops])
-    return tables
+        tables.append(tuple((op.x, op.z, _xz_exponent(op)) for op in ops))
+    return tuple(tables)
 
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
     """The index-th term of the lexicographic stream."""
     if not 0 <= index < n_terms(n_blocks):
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
-    return _make_term(n_blocks, index, _digits(n_blocks, index), _block_tables(n_blocks))
-
-
-def _make_term(
-    n_blocks: int,
-    index: int,
-    choices: tuple[int, ...],
-    tables: list[list[tuple[int, int, int]]],
-) -> BellTerm:
+    choices = _digits(n_blocks, index)
     x = z = e = 0
     sign = 1
-    for block, c in enumerate(choices):
-        bx, bz, be = tables[block][c]
+    for row, c in zip(_block_tables(n_blocks), choices):
+        bx, bz, be = row[c]
         x |= bx
         z |= bz
         e += be
@@ -151,9 +148,8 @@ def enumerate_terms(
         stop = total
     if not (0 <= start <= stop <= total):
         raise ValueError(f"bad term range [{start}, {stop}) for {n_blocks} blocks")
-    tables = _block_tables(n_blocks)
     for index in range(start, stop):
-        yield _make_term(n_blocks, index, _digits(n_blocks, index), tables)
+        yield term_at(n_blocks, index)
 
 
 def settings_for_term(term: BellTerm) -> tuple[MeasurementSetting, MeasurementSetting]:

@@ -7,9 +7,10 @@ and detection efficiency, ``simulate`` runs the finite-statistics model, and
 
 Output is JSON by default; tabular commands also emit CSV (fixed column
 order, a leading ``#`` metadata line, shortest round-trip float formatting).
-Exit codes: 0 success, 1 verification failure or no violation possible,
-2 usage error.  Commands are deterministic: repeating one with the same seed
-produces byte-identical output.  ``simulate`` alone takes a seed; if the
+Exit codes: 0 success, 1 verification failure, no violation possible or no
+detection to estimate from (reported as a JSON ``error``), 2 usage error.
+Commands are deterministic: repeating one with the same seed produces
+byte-identical output.  ``simulate`` alone takes a seed; if the
 ``HYPERBELL_SEED`` environment variable is set it overrides the default
 seed 0, and an explicit ``--seed`` beats both.
 """
@@ -22,10 +23,11 @@ import io
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .bell import enumerate_terms, n_terms, quantum_value
 from .efficiency import (
+    BoundsReport,
     NoViolationError,
     NoiseParams,
     bounds_report,
@@ -33,7 +35,7 @@ from .efficiency import (
     visibility_factor,
 )
 from .lhv import BRUTE_FORCE_BLOCK_CAP, brute_force_bound, factored_bound
-from .montecarlo import estimate_beta
+from .montecarlo import UndefinedEstimateError, estimate_beta
 from .pauli import pauli_to_string
 from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 
@@ -52,34 +54,28 @@ OUTPUT_COLUMNS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _arg_type(
+    convert: Callable[[str], Any], noun: str, rule: str, ok: Callable[[Any], bool]
+) -> Callable[[str], Any]:
+    """argparse type: ``convert`` the text, then require ``ok`` (described by ``rule``)."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+_positive_int = _arg_type(int, "an integer", ">= 1", lambda v: v >= 1)
+_nonnegative_int = _arg_type(int, "an integer", ">= 0", lambda v: v >= 0)
+_unit_interval = _arg_type(float, "a number", "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+# detection efficiency: NoiseParams and visibility_factor need eta > 0
+_efficiency = _arg_type(float, "a number", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -128,8 +124,7 @@ def _csv_text(columns: tuple[str, ...], rows: list[dict[str, Any]], meta: dict[s
     return buffer.getvalue()
 
 
-def _output_row(n: int, eps: float, p: float, eta: float) -> dict[str, Any]:
-    report = bounds_report(n, eps, p)
+def _output_row(report: BoundsReport, eta: float) -> dict[str, Any]:
     return {
         "n": report.n_blocks,
         "beta_epr": report.beta_epr,
@@ -252,7 +247,7 @@ def cmd_min_n(args: argparse.Namespace) -> int:
         }
         _emit(_json_text(doc), args.out)
         return 1
-    rows = [_output_row(r.n_blocks, args.eps, args.p, args.eta) for r in result.table]
+    rows = [_output_row(report, args.eta) for report in result.table]
     meta = {
         "eta": args.eta,
         "eps": args.eps,
@@ -272,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise _usage_error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rows = [
-        _output_row(n, args.eps, args.p, args.eta)
+        _output_row(bounds_report(n, args.eps, args.p), args.eta)
         for n in range(args.n_min, args.n_max + 1)
     ]
     meta = {"n_min": args.n_min, "n_max": args.n_max, "eta": args.eta, "eps": args.eps, "p": args.p}
@@ -287,7 +282,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
-    estimate = estimate_beta(args.n, args.shots, noise, seed=seed, term_budget=args.term_budget)
+    try:
+        estimate = estimate_beta(args.n, args.shots, noise, seed=seed, term_budget=args.term_budget)
+    except UndefinedEstimateError as exc:
+        doc = {
+            "schema_version": 1,
+            "n": args.n,
+            "shots_per_term": args.shots,
+            "eta": args.eta,
+            "eps": args.eps,
+            "p": args.p,
+            "seed": seed,
+            "error": str(exc),
+        }
+        _emit(_json_text(doc), args.out)
+        return 1
     _emit(_json_text(estimate.to_json_dict()), args.out)
     return 0
 
@@ -319,7 +328,7 @@ def _add_noise_flags(parser: argparse.ArgumentParser, with_eta: bool = True) -> 
     parser.add_argument("--eps", type=_unit_interval, default=0.15, help="certainty-relation error tolerance (default 0.15)")
     parser.add_argument("--p", type=_unit_interval, default=0.98, help="intended-state weight in the prepared mixture (default 0.98)")
     if with_eta:
-        parser.add_argument("--eta", type=_unit_interval, default=0.33, help="detection efficiency per particle (default 0.33)")
+        parser.add_argument("--eta", type=_efficiency, default=0.33, help="detection efficiency per particle (default 0.33)")
 
 
 def build_parser() -> argparse.ArgumentParser:

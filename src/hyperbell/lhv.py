@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .bell import BLOCK_TERM_MENU, _digits
+from .bell import BLOCK_TERM_MENU, enumerate_terms
 from .pauli import Observable
 from .state import LetterPair
 
@@ -128,16 +128,10 @@ def evaluate(assignment: LhvAssignment, n_blocks: int | None = None) -> int:
 
 
 def _evaluate_by_terms(assignment: LhvAssignment, n_blocks: int) -> int:
-    total = 0
-    for index in range(4**n_blocks):
-        value = 1
-        for block, c in enumerate(_digits(n_blocks, index), start=1):
-            term = BLOCK_TERM_MENU[c]
-            value *= term.sign
-            for letter, particle in term.observables:
-                value *= assignment[Observable(letter, particle, block)]
-        total += value
-    return total
+    return sum(
+        term.sign * prod(assignment[o] for o in term.observables())
+        for term in enumerate_terms(n_blocks)
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,7 @@ result is byte-identical for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -71,14 +71,7 @@ class CountsTable:
         )
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "n_total": self.n_total,
-            "n_pp": self.n_pp,
-            "n_mm": self.n_mm,
-            "n_single_1": self.n_single_1,
-            "n_single_2": self.n_single_2,
-            "n_00": self.n_00,
-        }
+        return asdict(self)  # keys in field order
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,8 +221,12 @@ def estimate_term(
 ) -> TermEstimate:
     """Correlation estimate for one term with a binomial-style standard error."""
     counts = counts_for_term(term, noise, shots, rng)
-    corr = estimate_correlation(counts)
     denom = counts.n_total - counts.n_00
+    if denom == 0:
+        raise UndefinedEstimateError(
+            f"term {term.index}: no runs with at least one detection out of {shots}"
+        )
+    corr = estimate_correlation(counts)
     second_moment = (counts.n_pp + counts.n_mm) / denom
     variance = max(second_moment - corr * corr, 0.0)
     return TermEstimate(term.index, term.sign, corr, math.sqrt(variance / denom), counts)

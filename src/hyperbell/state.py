@@ -11,7 +11,8 @@ Two backends are provided.  The stabilizer backend represents the state by
 4N signed commuting generators and evaluates Pauli expectations exactly over
 the integers via GF(2) elimination with phase tracking.  The dense backend
 builds the 2**(4N) statevector (capped at N <= 5) and serves as an
-independent cross-check oracle.
+independent cross-check oracle; its expectations sum over the 4**N nonzero
+amplitudes only.
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ class DenseState:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
         self.amplitudes = amplitudes
         self.n = n
+        self.support = np.flatnonzero(amplitudes).astype(np.uint64)
 
 
 def dense_state(n_blocks: int) -> DenseState:
@@ -265,16 +267,15 @@ def dense_state(n_blocks: int) -> DenseState:
 
 
 def dense_expectation(state: DenseState, op: PauliOp) -> float:
-    """<psi| op |psi> evaluated on the statevector; exact to 1e-12."""
+    """<psi| op |psi> summed over the state's nonzero amplitudes; exact to 1e-12."""
     if op.n != state.n:
         raise ValueError(f"register size mismatch: {op.n} vs {state.n}")
     if not op.is_hermitian:
         raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
     n = state.n
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
+    idx = state.support
     # parity of (basis index AND zmask); flat qubit q sits at index bit n-1-q
-    par = np.zeros(dim, dtype=np.uint64)
+    par = np.zeros(idx.size, dtype=np.uint64)
     z = op.z
     while z:
         q = (z & -z).bit_length() - 1

@@ -127,6 +127,29 @@ class TestEnumeration:
             )
             assert term.operator.is_hermitian
 
+    def test_block_table_is_built_once_per_n(self, monkeypatch):
+        calls = 0
+        real = hyperbell.bell.block_operator
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(hyperbell.bell, "block_operator", counting)
+        hyperbell.bell._block_tables.cache_clear()
+        try:
+            for i in range(n_terms(3)):
+                term_at(3, i)
+            for _ in enumerate_terms(3):
+                pass
+            assert calls == 4 * 3  # one operator per menu choice per block
+            tables = hyperbell.bell._block_tables(3)
+            assert isinstance(tables, tuple)
+            assert all(isinstance(row, tuple) for row in tables)
+        finally:
+            hyperbell.bell._block_tables.cache_clear()
+
     def test_observables_iterate_in_block_order(self):
         term = term_at(2, 0b0111)  # choices (1, 3): YYz then YxXy
         got = [(str(o)) for o in term.observables()]
@@ -199,7 +222,7 @@ class TestQuantumValue:
             assert quantum_value(n) == 4**n
 
     def test_dense_backend_agrees(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             assert quantum_value(n, backend="dense") == 4**n
 
     def test_chunks_match_scalar_reference(self, monkeypatch):

@@ -218,6 +218,18 @@ class TestSimulate:
         assert doc["exhaustive"] is True
         assert doc["counts_summary"]["n_total"] == 800
 
+    def test_undefined_estimate_is_a_json_error(self):
+        # one shot at eta = 0.01 detects nothing, so term 0 has no estimate
+        proc = run_cli("simulate", "--n", "1", "--shots", "1", "--eta", "0.01")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert list(doc) == [
+            "schema_version", "n", "shots_per_term", "eta", "eps", "p", "seed", "error",
+        ]
+        assert (doc["n"], doc["shots_per_term"], doc["eta"], doc["seed"]) == (1, 1, 0.01, 0)
+        assert doc["error"].startswith("term 0: ")
+
 
 # ═══════════════════════════════════════════════════════════════════════════
 # dump-terms, --out, usage errors
@@ -257,6 +269,10 @@ class TestUsageErrors:
             ("simulate", "--n", "1", "--shots", "100", "--eta", "1.5"),
             ("bounds", "--n", "2", "--eps", "-0.1"),
             ("no-such-command",),
+            ("simulate", "--n", "1", "--shots", "100", "--eta", "0"),
+            ("sweep", "--n-max", "3", "--eta", "0"),
+            ("min-n", "--eta", "0"),
         ):
             proc = run_cli(*args)
             assert proc.returncode == 2, args
+            assert "Traceback" not in proc.stderr, args
