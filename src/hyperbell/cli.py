@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 from .bell import enumerate_terms, n_terms, quantum_value
 from .efficiency import (
+    FLOAT_BLOCK_CAP,
     BoundsReport,
     NoViolationError,
     NoiseParams,
@@ -74,13 +75,21 @@ def _arg_type(
 _positive_int = _arg_type(int, "an integer", ">= 1", lambda v: v >= 1)
 _nonnegative_int = _arg_type(int, "an integer", ">= 0", lambda v: v >= 0)
 _unit_interval = _arg_type(float, "a number", "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-# detection efficiency: NoiseParams and visibility_factor need eta > 0
-_efficiency = _arg_type(float, "a number", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+# detection efficiency (NoiseParams and visibility_factor need eta > 0), and
+# min-n's mixture weight p, which min_blocks divides by
+_positive_unit = _arg_type(float, "a number", "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 def _usage_error(message: str) -> SystemExit:
     sys.stderr.write(f"error: {message}\n")
     return SystemExit(2)
+
+
+def _require_finite_bounds(command: str, n: int) -> None:
+    if n > FLOAT_BLOCK_CAP:
+        raise _usage_error(
+            f"{command} supports up to {FLOAT_BLOCK_CAP} blocks (4.0**N overflows a float above it)"
+        )
 
 
 def _default_seed() -> int:
@@ -185,6 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
+    _require_finite_bounds("bounds", n)
     report = bounds_report(n, args.eps, args.p)
     if n <= BRUTE_FORCE_BLOCK_CAP:
         lhv = brute_force_bound(n)
@@ -215,6 +225,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_eta_threshold(args: argparse.Namespace) -> int:
+    _require_finite_bounds("eta-threshold", args.n)
     report = bounds_report(args.n, args.eps, args.p)
     doc = {
         "command": "eta-threshold",
@@ -266,6 +277,7 @@ def cmd_min_n(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise _usage_error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    _require_finite_bounds("sweep", args.n_max)
     rows = [
         _output_row(bounds_report(n, args.eps, args.p), args.eta)
         for n in range(args.n_min, args.n_max + 1)
@@ -324,11 +336,13 @@ def cmd_dump_terms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_noise_flags(parser: argparse.ArgumentParser, with_eta: bool = True) -> None:
+def _add_noise_flags(
+    parser: argparse.ArgumentParser, with_eta: bool = True, p_type: Callable[[str], Any] = _unit_interval
+) -> None:
     parser.add_argument("--eps", type=_unit_interval, default=0.15, help="certainty-relation error tolerance (default 0.15)")
-    parser.add_argument("--p", type=_unit_interval, default=0.98, help="intended-state weight in the prepared mixture (default 0.98)")
+    parser.add_argument("--p", type=p_type, default=0.98, help="intended-state weight in the prepared mixture (default 0.98)")
     if with_eta:
-        parser.add_argument("--eta", type=_efficiency, default=0.33, help="detection efficiency per particle (default 0.33)")
+        parser.add_argument("--eta", type=_positive_unit, default=0.33, help="detection efficiency per particle (default 0.33)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.set_defaults(func=cmd_eta_threshold)
 
     p_min = sub.add_parser("min-n", help="smallest N that violates at a given efficiency")
-    _add_noise_flags(p_min)
+    _add_noise_flags(p_min, p_type=_positive_unit)
     p_min.add_argument("--n-cap", type=_positive_int, default=64, help="search cap (default 64)")
     p_min.add_argument("--format", choices=("json", "csv"), default="json")
     p_min.add_argument("--out", default=None)

@@ -20,6 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# largest N for which 4.0**N is a finite float (4**511 = 2**1022)
+FLOAT_BLOCK_CAP = 511
+
+
 class NoViolationError(ValueError):
     """No detection efficiency in (0, 1] can produce a violation."""
 
@@ -43,8 +47,8 @@ class NoiseParams:
 
 def noisy_bounds(n_blocks: int, eps: float, p: float) -> tuple[float, float]:
     """(beta_epr', beta_qm') for N blocks at tolerance eps and mixture weight p."""
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    if not 1 <= n_blocks <= FLOAT_BLOCK_CAP:
+        raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     if not 0.0 <= p <= 1.0:

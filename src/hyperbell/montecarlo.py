@@ -16,21 +16,34 @@ denominator,
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-All randomness flows through numpy Generators.  For multi-term estimates the
-per-term streams are derived from the master seed by term index, so the
-result is byte-identical for a fixed seed.
+All randomness flows through numpy Generators.  For multi-term estimates
+each term has its own stream, derived from the master seed by term index, so
+the result is byte-identical for a fixed seed whatever order or grouping the
+terms are measured in.  A term's stream is read in a fixed order: per block,
+``shots`` uniforms for the ideal/noise selector, ``shots`` uniforms for the
+ideal outcome, ``shots`` integers for the noise outcome; then ``shots``
+uniforms each for the sign flip and the two detectors.  The ideal outcome
+is the uniform's position in the choice's cumulative distribution, exactly
+the draw ``Generator.choice(p=...)`` makes.
+
+Terms are sampled in chunks of about SAMPLE_CHUNK term-shots: each draw is
+filled row by row from the terms' own generators into one ``(terms, shots)``
+buffer, and the selection, outcome lookups, flip, detectors and per-term
+tallies then run once per block over the whole chunk.  The one-term
+functions (``sample_outcomes``, ``counts_for_term``, ``estimate_term``) are
+a chunk of one through the same kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from typing import Any
+from functools import cache
+from typing import Any, Sequence
 
 import numpy as np
 
-from .bell import BLOCK_TERM_MENU, BellTerm, n_terms, term_at
+from .bell import BLOCK_TERM_MENU, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
 from .pauli import Observable, pauli_mul
 from .state import build_state, expectation
@@ -91,17 +104,28 @@ class RunRecord:
             raise ValueError("product_2 must be present iff particle 2 was detected")
 
 
+# term-shots per numpy pass of the sampler; keeps its buffers small whatever
+# the shot count (a term with more shots than this is a chunk of its own)
+SAMPLE_CHUNK = 1 << 13
+
+# widest choice table (four observables); outcome lookups pad to this
+_MAX_OUTCOMES = 16
+
+
 @dataclass(frozen=True, slots=True)
 class _ChoiceTable:
     """Exact joint-outcome distribution of one menu choice on a single block."""
 
     n_outcomes: int
     probs: np.ndarray
+    # built as Generator.choice builds it, so cdf.searchsorted(u, "right")
+    # on a uniform u draws what rng.choice(n_outcomes, p=probs) would
+    cdf: np.ndarray
     prod1: np.ndarray
     prod2: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@cache
 def _choice_table(choice: int) -> _ChoiceTable:
     menu = BLOCK_TERM_MENU[choice]
     obs = [Observable(letter, particle, 1) for letter, particle in menu.observables]
@@ -136,7 +160,103 @@ def _choice_table(choice: int) -> _ChoiceTable:
         prod2[idx] = math.prod(s for s, o in zip(signs, obs) if o.particle == 2)
     if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
         raise AssertionError(f"invalid joint distribution for choice {menu.label}")
-    return _ChoiceTable(1 << k, probs, prod1, prod2)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return _ChoiceTable(1 << k, probs, cdf, prod1, prod2)
+
+
+@cache
+def _menu_lookups() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat lookups over the four choice tables, each at choice * 16 + position.
+
+    ``drawn[cell]`` is the outcome that ``cdf.searchsorted(u, "right")``
+    gives for a uniform u with floor(16 u) == cell.  That count of cdf
+    entries <= u is the same across a cell because every entry is a multiple
+    of 1/16 (the probabilities are multiples of 2**-k); this is checked.
+    ``prod1[outcome]`` and ``prod2[outcome]`` are the observers' products.
+    """
+    shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
+    drawn = np.zeros(shape, dtype=np.intp)
+    prod1 = np.ones(shape, dtype=np.int8)
+    prod2 = np.ones(shape, dtype=np.int8)
+    for choice in range(len(BLOCK_TERM_MENU)):
+        table = _choice_table(choice)
+        if np.any(table.cdf * _MAX_OUTCOMES % 1):
+            raise AssertionError(f"cdf of choice {choice} is not on the 1/16 grid")
+        drawn[choice] = table.cdf.searchsorted(
+            np.arange(_MAX_OUTCOMES) / _MAX_OUTCOMES, side="right"
+        )
+        prod1[choice, : table.n_outcomes] = table.prod1
+        prod2[choice, : table.n_outcomes] = table.prod2
+    return drawn.ravel(), prod1.ravel(), prod2.ravel()
+
+
+def _fill_uniform(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
+    """Row t of ``out`` gets the next uniforms of term t's own generator."""
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
+def _sample_chunk(
+    choices: np.ndarray, noise: NoiseParams, rngs: Sequence[np.random.Generator], shots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of a chunk of terms: local products A, B and detection flags, (terms, shots) each.
+
+    ``choices`` holds each term's menu choices, one row per term, and
+    ``rngs`` its generator, read in the module's draw order.  One float
+    buffer takes every uniform draw in turn.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    n_chunk = len(rngs)
+    drawn, prod1, prod2 = _menu_lookups()
+    u = np.empty((n_chunk, shots))
+    cell = np.empty((n_chunk, shots), dtype=np.intp)
+    outcome = np.empty((n_chunk, shots), dtype=np.intp)
+    a = np.ones((n_chunk, shots), dtype=np.int8)
+    b = np.ones((n_chunk, shots), dtype=np.int8)
+    for column in choices.T:
+        offset = _MAX_OUTCOMES * column[:, None]
+        ideal = _fill_uniform(rngs, u) < noise.p
+        # 16 u is exact and the cast floors it: the uniform's 1/16 cell
+        np.multiply(_fill_uniform(rngs, u), _MAX_OUTCOMES, out=cell, casting="unsafe")
+        cell += offset
+        for t, (rng, choice) in enumerate(zip(rngs, column.tolist())):
+            outcome[t] = rng.integers(0, _choice_table(choice).n_outcomes, size=shots)
+        np.copyto(outcome, drawn[cell], where=ideal)
+        outcome += offset
+        a *= prod1[outcome]
+        b *= prod2[outcome]
+    flip = _fill_uniform(rngs, u) < noise.epsilon / 2.0
+    np.negative(b, out=b, where=flip)
+    det1 = _fill_uniform(rngs, u) < noise.eta
+    det2 = _fill_uniform(rngs, u) < noise.eta
+    return a, b, det1, det2
+
+
+def _tally(
+    a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray
+) -> np.ndarray:
+    """Per-term detection categories, one row per term in CountsTable order minus n_total."""
+    both = det1 & det2
+    same = a == b
+    tallies = np.stack(
+        [
+            np.count_nonzero(both & same, axis=1),
+            np.count_nonzero(both & ~same, axis=1),
+            np.count_nonzero(det1 & ~det2, axis=1),
+            np.count_nonzero(det2 & ~det1, axis=1),
+            np.count_nonzero(~(det1 | det2), axis=1),
+        ],
+        axis=1,
+    )
+    untiled = np.flatnonzero(tallies.sum(axis=1) != a.shape[1])
+    if untiled.size:
+        raise ValueError(
+            f"counts do not tile the runs of chunk row {untiled[0]}: {tallies[untiled[0]]}"
+        )
+    return tallies
 
 
 def sample_outcomes(
@@ -144,27 +264,12 @@ def sample_outcomes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized runs of one term: local products A, B and detection flags.
 
-    The draw order is fixed (per block: state selector, ideal outcome, noise
-    outcome; then flip; then the two detectors) so a seeded generator yields
-    identical runs regardless of the parameter values.
+    A chunk of one through the sampler, so a seeded generator yields the
+    same runs here as for this term inside ``estimate_beta``, and the same
+    local products whatever eta and eps are.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    a = np.ones(shots, dtype=np.int8)
-    b = np.ones(shots, dtype=np.int8)
-    for choice in term.choices:
-        table = _choice_table(choice)
-        ideal = rng.random(shots) < noise.p
-        ideal_idx = rng.choice(table.n_outcomes, size=shots, p=table.probs)
-        noise_idx = rng.integers(0, table.n_outcomes, size=shots)
-        idx = np.where(ideal, ideal_idx, noise_idx)
-        a *= table.prod1[idx]
-        b *= table.prod2[idx]
-    flip = rng.random(shots) < noise.epsilon / 2.0
-    b = np.where(flip, -b, b).astype(np.int8)
-    det1 = rng.random(shots) < noise.eta
-    det2 = rng.random(shots) < noise.eta
-    return a, b, det1, det2
+    a, b, det1, det2 = _sample_chunk(np.array([term.choices]), noise, [rng], shots)
+    return a[0], b[0], det1[0], det2[0]
 
 
 def sample_run(term: BellTerm, noise: NoiseParams, rng: np.random.Generator) -> RunRecord:
@@ -184,15 +289,8 @@ def counts_for_term(
     term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
 ) -> CountsTable:
     """Run a term ``shots`` times and tally the detection categories."""
-    a, b, det1, det2 = sample_outcomes(term, noise, rng, shots)
-    both = det1 & det2
-    prod = a * b
-    n_pp = int(np.count_nonzero(both & (prod == 1)))
-    n_mm = int(np.count_nonzero(both & (prod == -1)))
-    n_single_1 = int(np.count_nonzero(det1 & ~det2))
-    n_single_2 = int(np.count_nonzero(det2 & ~det1))
-    n_00 = int(np.count_nonzero(~det1 & ~det2))
-    return CountsTable(shots, n_pp, n_mm, n_single_1, n_single_2, n_00)
+    (tally,) = _tally(*_sample_chunk(np.array([term.choices]), noise, [rng], shots))
+    return CountsTable(shots, *tally.tolist())
 
 
 def estimate_correlation(counts: CountsTable) -> float:
@@ -216,20 +314,41 @@ class TermEstimate:
         return self.sign * self.correlation
 
 
+def _estimate_chunk(
+    names: Sequence[int],
+    choices: np.ndarray,
+    noise: NoiseParams,
+    rngs: Sequence[np.random.Generator],
+    shots: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-term correlation, standard error and tallies of a chunk of terms.
+
+    ``names`` are the term indices, for the error a term with no detection
+    raises.  The standard error is binomial-style: sqrt((m2 - corr**2) / d)
+    with m2 = (n_pp + n_mm) / d and d = n_total - n_00.
+    """
+    tally = _tally(*_sample_chunk(choices, noise, rngs, shots))
+    n_pp, n_mm, _, _, n_00 = tally.T
+    denom = shots - n_00
+    empty = np.flatnonzero(denom == 0)
+    if empty.size:
+        raise UndefinedEstimateError(
+            f"term {names[empty[0]]}: no runs with at least one detection out of {shots}"
+        )
+    corr = (n_pp - n_mm) / denom
+    variance = np.maximum((n_pp + n_mm) / denom - corr * corr, 0.0)
+    return corr, np.sqrt(variance / denom), tally
+
+
 def estimate_term(
     term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
 ) -> TermEstimate:
     """Correlation estimate for one term with a binomial-style standard error."""
-    counts = counts_for_term(term, noise, shots, rng)
-    denom = counts.n_total - counts.n_00
-    if denom == 0:
-        raise UndefinedEstimateError(
-            f"term {term.index}: no runs with at least one detection out of {shots}"
-        )
-    corr = estimate_correlation(counts)
-    second_moment = (counts.n_pp + counts.n_mm) / denom
-    variance = max(second_moment - corr * corr, 0.0)
-    return TermEstimate(term.index, term.sign, corr, math.sqrt(variance / denom), counts)
+    (corr,), (stderr,), (tally,) = _estimate_chunk(
+        [term.index], np.array([term.choices]), noise, [rng], shots
+    )
+    counts = CountsTable(shots, *tally.tolist())
+    return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
 
 
 def _term_rng(seed: int, term_index: int) -> np.random.Generator:
@@ -270,6 +389,34 @@ class BetaEstimate:
         }
 
 
+def _uniform_below(rng: np.random.Generator, bound: int) -> int:
+    """A uniform integer in [0, bound), for any positive Python int ``bound``.
+
+    numpy's own bounded draw wherever int64 holds the range; above that, by
+    rejection from enough of the generator's random bytes.
+    """
+    if bound <= 2**63:
+        return int(rng.integers(0, bound))
+    bits = (bound - 1).bit_length()
+    while True:
+        t = int.from_bytes(rng.bytes((bits + 7) // 8), "little") & ((1 << bits) - 1)
+        if t < bound:
+            return t
+
+
+def _sample_indices(total: int, budget: int, seed: int) -> list[int]:
+    """A uniform ``budget``-subset of range(total), sorted, by Floyd's sampling.
+
+    Never materializes the range; indices are Python ints, which hold any N.
+    """
+    pick_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    chosen: set[int] = set()
+    for j in range(total - budget, total):
+        t = _uniform_below(pick_rng, j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
 def estimate_beta(
     n_blocks: int,
     shots_per_term: int,
@@ -282,35 +429,34 @@ def estimate_beta(
     Measures every expanded term when there are at most ``term_budget`` of
     them; otherwise measures a uniform sample of ``term_budget`` distinct
     terms and scales up, widening the error bar by the sampling variance.
+    Terms run through the sampler in chunks of about SAMPLE_CHUNK term-shots,
+    each on its own stream; the per-term estimates are those
+    ``estimate_term`` gives, summed in index order.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     if term_budget < 1:
         raise ValueError(f"term_budget must be >= 1, got {term_budget}")
+    shots = shots_per_term
     total = n_terms(n_blocks)
     exhaustive = total <= term_budget
-    if exhaustive:
-        indices: list[int] | range = range(total)
-    else:
-        # Floyd's sampling: a uniform term_budget-subset without materializing the range
-        pick_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-        chosen: set[int] = set()
-        for j in range(total - term_budget, total):
-            t = int(pick_rng.integers(0, j + 1))
-            chosen.add(j if t in chosen else t)
-        indices = sorted(chosen)
+    indices = range(total) if exhaustive else _sample_indices(total, term_budget, seed)
+    m = len(indices)
+    menu_signs = np.array([t.sign for t in BLOCK_TERM_MENU])
+    values = np.empty(m)
+    stderrs = np.empty(m)
+    tallies = np.zeros(5, dtype=np.int64)
+    step = max(1, SAMPLE_CHUNK // shots)
+    for lo in range(0, m, step):
+        chunk = indices[lo : lo + step]
+        choices = np.array([_digits(n_blocks, t) for t in chunk])
+        rngs = [_term_rng(seed, t) for t in chunk]
+        corr, stderrs[lo : lo + step], tally = _estimate_chunk(chunk, choices, noise, rngs, shots)
+        values[lo : lo + step] = menu_signs[choices].prod(axis=1) * corr
+        tallies += tally.sum(axis=0)
 
-    estimates = [
-        estimate_term(term_at(n_blocks, t), noise, shots_per_term, _term_rng(seed, t))
-        for t in indices
-    ]
-
-    values = np.array([e.signed_value for e in estimates])
-    measurement_var = float(sum(e.stderr**2 for e in estimates))
-    m = len(estimates)
-    counts = estimates[0].counts
-    for e in estimates[1:]:
-        counts = counts + e.counts
+    measurement_var = float(sum(s**2 for s in stderrs.tolist()))
+    counts = CountsTable(shots * m, *tallies.tolist())
     if exhaustive:
         beta_hat = float(values.sum())
         variance = measurement_var
@@ -321,7 +467,7 @@ def estimate_beta(
         variance = scale**2 * measurement_var + total**2 * (1 - m / total) * sample_var / m
     return BetaEstimate(
         n_blocks=n_blocks,
-        shots_per_term=shots_per_term,
+        shots_per_term=shots,
         terms_sampled=m,
         total_terms=total,
         exhaustive=exhaustive,

@@ -92,6 +92,26 @@ class TestBounds:
         assert doc["beta_epr_noisy"] == 2**5 + 4**5 * 0.15
 
 
+class TestFloatCap:
+    # 4.0**N is finite up to N = 511; above it the float bounds are refused
+    def test_largest_finite_n_runs(self):
+        for args in (("bounds", "--n", "511"), ("eta-threshold", "--n", "511")):
+            proc = run_cli(*args)
+            assert proc.returncode == 0, args
+            assert json.loads(proc.stdout)["beta_qm_noisy"] == 0.98 * 4.0**511 + 0.02
+        rows = csv_rows(run_cli("sweep", "--n-max", "511").stdout)
+        assert [int(r["n"]) for r in rows] == list(range(1, 512))
+
+    def test_above_it_is_a_usage_error(self):
+        for command, flag in (("bounds", "--n"), ("eta-threshold", "--n"), ("sweep", "--n-max")):
+            proc = run_cli(command, flag, "512")
+            assert proc.returncode == 2, command
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: {command} supports up to 511 blocks (4.0**N overflows a float above it)\n"
+            )
+
+
 class TestEtaThreshold:
     def test_ideal_single_block(self):
         doc = json.loads(
@@ -218,6 +238,15 @@ class TestSimulate:
         assert doc["exhaustive"] is True
         assert doc["counts_summary"]["n_total"] == 800
 
+    def test_subsampled_terms_beyond_int64(self):
+        # 4**32 and 4**40 terms: the sampled indices outgrow numpy's integers
+        for n in (32, 40):
+            proc = run_cli("simulate", "--n", str(n), "--shots", "1", "--term-budget", "8", "--eta", "1")
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(proc.stdout)
+            assert (doc["terms_sampled"], doc["total_terms"]) == (8, 4**n)
+            assert doc["counts_summary"]["n_total"] == 8
+
     def test_undefined_estimate_is_a_json_error(self):
         # one shot at eta = 0.01 detects nothing, so term 0 has no estimate
         proc = run_cli("simulate", "--n", "1", "--shots", "1", "--eta", "0.01")
@@ -272,6 +301,7 @@ class TestUsageErrors:
             ("simulate", "--n", "1", "--shots", "100", "--eta", "0"),
             ("sweep", "--n-max", "3", "--eta", "0"),
             ("min-n", "--eta", "0"),
+            ("min-n", "--p", "0"),
         ):
             proc = run_cli(*args)
             assert proc.returncode == 2, args

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from hyperbell.efficiency import (
+    FLOAT_BLOCK_CAP,
     BoundsReport,
     NoiseParams,
     NoViolationError,
@@ -63,6 +64,12 @@ class TestNoisyBounds:
             noisy_bounds(2, -0.1, 0.9)
         with pytest.raises(ValueError):
             noisy_bounds(2, 0.1, 1.1)
+
+    def test_capped_where_four_to_the_n_overflows(self):
+        epr, qm = noisy_bounds(FLOAT_BLOCK_CAP, 0.15, 0.98)
+        assert math.isfinite(epr) and math.isfinite(qm)
+        with pytest.raises(ValueError, match="511"):
+            noisy_bounds(FLOAT_BLOCK_CAP + 1, 0.15, 0.98)
 
 
 class TestVisibility:

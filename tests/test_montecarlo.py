@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
 from hyperbell.efficiency import NoiseParams, visibility_factor
 from hyperbell.montecarlo import (
+    SAMPLE_CHUNK,
     CountsTable,
     RunRecord,
     UndefinedEstimateError,
     _choice_table,
+    _menu_lookups,
+    _sample_indices,
     _term_rng,
+    _uniform_below,
     counts_for_term,
     estimate_beta,
     estimate_correlation,
@@ -271,3 +277,159 @@ class TestEstimateBeta:
             estimate_beta(0, 10, IDEAL, seed=0)
         with pytest.raises(ValueError, match="term_budget"):
             estimate_beta(1, 10, IDEAL, seed=0, term_budget=0)
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# Draw-order contract: the chunked sampler against recorded and loop references
+# ═══════════════════════════════════════════════════════════════════════════
+
+REF_NOISE = NoiseParams(epsilon=0.15, p=0.98, eta=0.33)
+
+
+class TestGoldenStreams:
+    """Values recorded from the one-term-at-a-time sampler the chunked one replaced.
+
+    Repeat-determinism alone would not notice a changed draw order; these do.
+    """
+
+    def test_exhaustive_json_document(self):
+        assert estimate_beta(2, 1000, REF_NOISE, seed=7).to_json_dict() == {
+            "schema_version": 1,
+            "n": 2,
+            "shots_per_term": 1000,
+            "terms_sampled": 16,
+            "total_terms": 16,
+            "exhaustive": True,
+            "eta": 0.33,
+            "eps": 0.15,
+            "p": 0.98,
+            "seed": 7,
+            "beta_hat": 2.691504898719334,
+            "stderr": 0.07194329824038306,
+            "counts_summary": {
+                "n_total": 16000,
+                "n_pp": 1103,
+                "n_mm": 712,
+                "n_single_1": 3499,
+                "n_single_2": 3481,
+                "n_00": 7205,
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "args, kwargs, beta_hex, stderr_hex, counts",
+        [
+            # 1024 terms, 333 shots: chunks of 24 terms, the last one short
+            (
+                (5, 333),
+                {"seed": 11},
+                "0x1.384aaa12ba2b2p+7",
+                "0x1.f772263d87ac7p-1",
+                CountsTable(340992, 18899, 18097, 75291, 75462, 153243),
+            ),
+            (
+                (7, 20),
+                {"seed": 5, "term_budget": 64},
+                "0x1.cd8b8744172a3p+10",
+                "0x1.3e2c60ab0654ep+8",
+                CountsTable(1280, 51, 65, 315, 284, 565),
+            ),
+        ],
+    )
+    def test_bits(self, args, kwargs, beta_hex, stderr_hex, counts):
+        assert SAMPLE_CHUNK % 333 and SAMPLE_CHUNK // 333 < 1024
+        est = estimate_beta(*args, REF_NOISE, **kwargs)
+        assert est.beta_hat.hex() == beta_hex
+        assert est.stderr.hex() == stderr_hex
+        assert est.counts_summary == counts
+
+
+def _reference_counts(
+    term, noise: NoiseParams, shots: int, rng: np.random.Generator
+) -> CountsTable:
+    """One term at a time, drawing the ideal outcome with ``Generator.choice``."""
+    a = np.ones(shots, dtype=np.int8)
+    b = np.ones(shots, dtype=np.int8)
+    for choice in term.choices:
+        table = _choice_table(choice)
+        ideal = rng.random(shots) < noise.p
+        ideal_idx = rng.choice(table.n_outcomes, size=shots, p=table.probs)
+        noise_idx = rng.integers(0, table.n_outcomes, size=shots)
+        idx = np.where(ideal, ideal_idx, noise_idx)
+        a *= table.prod1[idx]
+        b *= table.prod2[idx]
+    flip = rng.random(shots) < noise.epsilon / 2.0
+    b = np.where(flip, -b, b)
+    det1 = rng.random(shots) < noise.eta
+    det2 = rng.random(shots) < noise.eta
+    both = det1 & det2
+    return CountsTable(
+        shots,
+        int(np.count_nonzero(both & (a * b == 1))),
+        int(np.count_nonzero(both & (a * b == -1))),
+        int(np.count_nonzero(det1 & ~det2)),
+        int(np.count_nonzero(det2 & ~det1)),
+        int(np.count_nonzero(~det1 & ~det2)),
+    )
+
+
+class TestChunkedSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        shots=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.0, 1.0),
+        p=st.floats(0.0, 1.0),
+        eta=st.floats(0.05, 1.0),
+    )
+    def test_counts_match_the_per_term_loop(self, n, shots, seed, eps, p, eta):
+        noise = NoiseParams(epsilon=eps, p=p, eta=eta)
+        reference = []
+        for t in range(4**n):
+            want = _reference_counts(term_at(n, t), noise, shots, _term_rng(seed, t))
+            assert counts_for_term(term_at(n, t), noise, shots, _term_rng(seed, t)) == want
+            reference.append(want)
+        empty = [t for t, c in enumerate(reference) if c.n_00 == shots]
+        if empty:
+            with pytest.raises(UndefinedEstimateError, match=f"^term {empty[0]}: "):
+                estimate_beta(n, shots, noise, seed)
+        else:
+            total = reference[0]
+            for counts in reference[1:]:
+                total = total + counts
+            assert estimate_beta(n, shots, noise, seed).counts_summary == total
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 1001))
+    def test_ideal_draw_is_the_choice_draw(self, seed, shots):
+        drawn, _, _ = _menu_lookups()
+        for choice in range(len(BLOCK_TERM_MENU)):
+            table = _choice_table(choice)
+            want = np.random.default_rng(seed).choice(table.n_outcomes, size=shots, p=table.probs)
+            u = np.random.default_rng(seed).random(shots)
+            assert (table.cdf.searchsorted(u, side="right") == want).all()
+            assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
+
+
+class TestTermSubsampling:
+    def test_numpy_draw_kept_below_two_to_the_63(self):
+        for bound in (1, 7, 4**31, 2**63):
+            rng, again = np.random.default_rng(4), np.random.default_rng(4)
+            assert [_uniform_below(rng, bound) for _ in range(5)] == [
+                int(again.integers(0, bound)) for _ in range(5)
+            ]
+
+    def test_big_bounds_draw_in_range(self):
+        rng = np.random.default_rng(6)
+        for bound in (2**63 + 1, 3 * 2**63, 4**40):
+            draws = [_uniform_below(rng, bound) for _ in range(200)]
+            assert all(0 <= d < bound for d in draws)
+            assert max(draws) > bound // 2  # the top bits are drawn too
+
+    @pytest.mark.parametrize("n", [31, 32, 40])
+    def test_distinct_indices_at_any_size(self, n):
+        picked = _sample_indices(4**n, 8, seed=3)
+        assert len(set(picked)) == 8
+        assert picked == sorted(picked)
+        assert all(isinstance(t, int) and 0 <= t < 4**n for t in picked)
