@@ -33,10 +33,9 @@ from .efficiency import (
     NoiseParams,
     bounds_report,
     min_blocks,
-    visibility_factor,
 )
 from .lhv import BRUTE_FORCE_BLOCK_CAP, brute_force_bound, factored_bound
-from .montecarlo import UndefinedEstimateError, estimate_beta
+from .montecarlo import ESTIMATE_BLOCK_CAP, UndefinedEstimateError, estimate_beta
 from .pauli import pauli_to_string
 from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 
@@ -85,11 +84,13 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _require_finite_bounds(command: str, n: int) -> None:
-    if n > FLOAT_BLOCK_CAP:
-        raise _usage_error(
-            f"{command} supports up to {FLOAT_BLOCK_CAP} blocks (4.0**N overflows a float above it)"
-        )
+def _require_cap(command: str, n: int, cap: int, why: str) -> None:
+    """Refuse more than ``cap`` blocks with one stderr line, before any work."""
+    if n > cap:
+        raise _usage_error(f"{command} supports up to {cap} blocks ({why})")
+
+
+_FLOAT_CAP_WHY = "4.0**N overflows a float above it"
 
 
 def _default_seed() -> int:
@@ -142,16 +143,13 @@ def _output_row(report: BoundsReport, eta: float) -> dict[str, Any]:
         "beta_qm_noisy": report.beta_qm_noisy,
         "ratio": report.ratio,
         "eta_min": report.eta_min,
-        "violated": visibility_factor(eta) * report.beta_qm_noisy > report.beta_epr_noisy,
+        "violated": report.violated(eta),
     }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    if n > EXACT_BLOCK_CAP:
-        raise _usage_error(
-            f"verify supports up to {EXACT_BLOCK_CAP} blocks ({4**EXACT_BLOCK_CAP} terms)"
-        )
+    _require_cap("verify", n, EXACT_BLOCK_CAP, f"{4**EXACT_BLOCK_CAP} terms")
     report = verify_perfect_correlations(n)
     failures = [
         {"block": c.block, "label": c.label, "expected": c.expected, "actual": c.actual}
@@ -194,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
-    _require_finite_bounds("bounds", n)
+    _require_cap("bounds", n, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     report = bounds_report(n, args.eps, args.p)
     if n <= BRUTE_FORCE_BLOCK_CAP:
         lhv = brute_force_bound(n)
@@ -225,7 +223,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_eta_threshold(args: argparse.Namespace) -> int:
-    _require_finite_bounds("eta-threshold", args.n)
+    _require_cap("eta-threshold", args.n, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     report = bounds_report(args.n, args.eps, args.p)
     doc = {
         "command": "eta-threshold",
@@ -277,7 +275,7 @@ def cmd_min_n(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise _usage_error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    _require_finite_bounds("sweep", args.n_max)
+    _require_cap("sweep", args.n_max, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     rows = [
         _output_row(bounds_report(n, args.eps, args.p), args.eta)
         for n in range(args.n_min, args.n_max + 1)
@@ -292,6 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _require_cap("simulate", args.n, ESTIMATE_BLOCK_CAP, "16.0**N overflows a float above it")
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
     try:
@@ -315,10 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_dump_terms(args: argparse.Namespace) -> int:
     n = args.n
-    if n > DUMP_TERMS_CAP:
-        raise _usage_error(
-            f"dump-terms supports up to {DUMP_TERMS_CAP} blocks ({4**DUMP_TERMS_CAP} terms)"
-        )
+    _require_cap("dump-terms", n, DUMP_TERMS_CAP, f"{4**DUMP_TERMS_CAP} terms")
     rows = [
         {
             "index": term.index,

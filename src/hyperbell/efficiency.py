@@ -89,6 +89,10 @@ class BoundsReport:
     ratio: float
     eta_min: float
 
+    def violated(self, eta: float) -> bool:
+        """Strict violation test at efficiency eta: eta/(2-eta) * beta_qm' > beta_epr'."""
+        return visibility_factor(eta) * self.beta_qm_noisy > self.beta_epr_noisy
+
 
 def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
     """Assemble the full report; eta_min > 1 means no efficiency suffices."""
@@ -107,8 +111,7 @@ def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
 
 def violates(n_blocks: int, noise: NoiseParams) -> bool:
     """Strict violation test at the given efficiency and preparation noise."""
-    epr_noisy, qm_noisy = noisy_bounds(n_blocks, noise.epsilon, noise.p)
-    return visibility_factor(noise.eta) * qm_noisy > epr_noisy
+    return bounds_report(n_blocks, noise.epsilon, noise.p).violated(noise.eta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,12 +142,7 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
             f"asymptotic ratio eps/p = {eps / p:.6g} is not below the "
             f"visibility factor {v:.6g}: no block count admits a violation"
         )
-    n_star = None
-    for n in range(1, n_cap + 1):
-        report = bounds_report(n, eps, p)
-        if v * report.beta_qm_noisy > report.beta_epr_noisy:
-            n_star = n
-            break
+    n_star = next((n for n in range(1, n_cap + 1) if bounds_report(n, eps, p).violated(eta)), None)
     if n_star is None:
         raise NoViolationError(f"no violation found for N up to {n_cap}")
     table = tuple(bounds_report(n, eps, p) for n in range(1, n_star + 3))

@@ -22,9 +22,15 @@ the result is byte-identical for a fixed seed whatever order or grouping the
 terms are measured in.  A term's stream is read in a fixed order: per block,
 ``shots`` uniforms for the ideal/noise selector, ``shots`` uniforms for the
 ideal outcome, ``shots`` integers for the noise outcome; then ``shots``
-uniforms each for the sign flip and the two detectors.  The ideal outcome
-is the uniform's position in the choice's cumulative distribution, exactly
-the draw ``Generator.choice(p=...)`` makes.
+uniforms each for the sign flip and the two detectors.
+
+Every block reads one outcome table, built on first use: for each of the four
+menu choices, the joint distribution of its k observables is the
+Walsh-Hadamard transform of the block state's 2**k subset expectations, and
+the observers' products are columns of the same transform.  The ideal
+outcome is the uniform's position in the choice's cumulative distribution,
+exactly the draw ``Generator.choice(p=...)`` makes; every cdf entry is a
+multiple of 1/16, so the table holds that position per 1/16 cell of [0, 1).
 
 Terms are sampled in chunks of about SAMPLE_CHUNK term-shots: each draw is
 filled row by row from the terms' own generators into one ``(terms, shots)``
@@ -38,14 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
-from typing import Any, Sequence
+from functools import cache, reduce
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .bell import BLOCK_TERM_MENU, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
-from .pauli import Observable, pauli_mul
+from .pauli import Observable, identity, pauli_mul
 from .state import build_state, expectation
 
 
@@ -108,87 +114,68 @@ class RunRecord:
 # the shot count (a term with more shots than this is a chunk of its own)
 SAMPLE_CHUNK = 1 << 13
 
-# widest choice table (four observables); outcome lookups pad to this
+# largest N for which the subsampled variance's (4**N)**2 = 16**N is a finite
+# float (16**255 = 2**1020)
+ESTIMATE_BLOCK_CAP = 255
+
+# widest menu choice (four observables); every choice's outcomes pad to this
 _MAX_OUTCOMES = 16
 
 
-@dataclass(frozen=True, slots=True)
-class _ChoiceTable:
-    """Exact joint-outcome distribution of one menu choice on a single block."""
+class _OutcomeTable(NamedTuple):
+    """The sampler's outcome model of every menu choice on one block."""
 
-    n_outcomes: int
-    probs: np.ndarray
-    # built as Generator.choice builds it, so cdf.searchsorted(u, "right")
-    # on a uniform u draws what rng.choice(n_outcomes, p=probs) would
-    cdf: np.ndarray
-    prod1: np.ndarray
+    n_outcomes: np.ndarray  # per choice: 2**k outcomes for k observables
+    probs: np.ndarray  # the rest are flat, one entry per choice * 16 + outcome
+    prod1: np.ndarray  # each particle's product of its outcome signs
     prod2: np.ndarray
+    drawn: np.ndarray  # ideal outcome for each 1/16 cell of the uniform
 
 
 @cache
-def _choice_table(choice: int) -> _ChoiceTable:
-    menu = BLOCK_TERM_MENU[choice]
-    obs = [Observable(letter, particle, 1) for letter, particle in menu.observables]
-    ops = [o.to_pauli(1) for o in obs]
-    k = len(ops)
-    state = build_state(1)
-    # expectation of every observable subset, subsets keyed by bitmask
-    sub_exp = np.empty(1 << k)
-    sub_ops = [None] * (1 << k)
-    sub_exp[0] = 1.0
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        op = ops[low.bit_length() - 1]
-        rest = mask ^ low
-        sub_ops[mask] = op if rest == 0 else pauli_mul(sub_ops[rest], op)
-        sub_exp[mask] = expectation(state, sub_ops[mask])
-    # joint distribution: P(s) = 2^-k * sum_S E_S * prod_{i in S} s_i
-    probs = np.empty(1 << k)
-    prod1 = np.empty(1 << k, dtype=np.int8)
-    prod2 = np.empty(1 << k, dtype=np.int8)
-    for idx in range(1 << k):
-        signs = [1 - 2 * ((idx >> (k - 1 - i)) & 1) for i in range(k)]
-        acc = 0.0
-        for mask in range(1 << k):
-            term = sub_exp[mask]
-            for i in range(k):
-                if (mask >> i) & 1:
-                    term *= signs[i]
-            acc += term
-        probs[idx] = acc / (1 << k)
-        prod1[idx] = math.prod(s for s, o in zip(signs, obs) if o.particle == 1)
-        prod2[idx] = math.prod(s for s, o in zip(signs, obs) if o.particle == 2)
-    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
-        raise AssertionError(f"invalid joint distribution for choice {menu.label}")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return _ChoiceTable(1 << k, probs, cdf, prod1, prod2)
+def _outcome_table() -> _OutcomeTable:
+    """The outcome table, built once from the block state's subset expectations.
 
-
-@cache
-def _menu_lookups() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat lookups over the four choice tables, each at choice * 16 + position.
-
-    ``drawn[cell]`` is the outcome that ``cdf.searchsorted(u, "right")``
-    gives for a uniform u with floor(16 u) == cell.  That count of cdf
-    entries <= u is the same across a cell because every entry is a multiple
-    of 1/16 (the probabilities are multiples of 2**-k); this is checked.
-    ``prod1[outcome]`` and ``prod2[outcome]`` are the observers' products.
+    Outcomes s and observable subsets S are keyed alike (observable i is bit
+    k-1-i, set for outcome -1 or for membership), so the joint distribution
+    P(s) = 2^-k sum_S E_S prod_{i in S} s_i is H @ E / 2^k with
+    H[s, S] = (-1)^popcount(s & S), and each observer's product is the column
+    of H at the mask of that observer's observables.  Padding cells, past a
+    choice's 2**k outcomes, have probability 0 and products +1.
     """
+    state = build_state(1)
     shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
-    drawn = np.zeros(shape, dtype=np.intp)
+    n_outcomes = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
+    probs = np.zeros(shape)
     prod1 = np.ones(shape, dtype=np.int8)
     prod2 = np.ones(shape, dtype=np.int8)
-    for choice in range(len(BLOCK_TERM_MENU)):
-        table = _choice_table(choice)
-        if np.any(table.cdf * _MAX_OUTCOMES % 1):
-            raise AssertionError(f"cdf of choice {choice} is not on the 1/16 grid")
-        drawn[choice] = table.cdf.searchsorted(
-            np.arange(_MAX_OUTCOMES) / _MAX_OUTCOMES, side="right"
-        )
-        prod1[choice, : table.n_outcomes] = table.prod1
-        prod2[choice, : table.n_outcomes] = table.prod2
-    return drawn.ravel(), prod1.ravel(), prod2.ravel()
+    drawn = np.zeros(shape, dtype=np.intp)
+    for choice, menu in enumerate(BLOCK_TERM_MENU):
+        k = len(menu.observables)
+        size = 1 << k
+        bits = [1 << (k - 1 - i) for i in range(k)]
+        ops = [Observable(letter, particle, 1).to_pauli(1) for letter, particle in menu.observables]
+        subsets = [[op for op, bit in zip(ops, bits) if mask & bit] for mask in range(size)]
+        # one block is four qubits
+        sub_exp = [expectation(state, reduce(pauli_mul, subset, identity(4))) for subset in subsets]
+        keys = np.arange(size)
+        hadamard = np.where(np.bitwise_count(keys[:, None] & keys) & 1, -1, 1)
+        p = hadamard @ sub_exp / size
+        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
+            raise AssertionError(f"invalid joint distribution for choice {menu.label}")
+        # built as Generator.choice builds it; every entry a multiple of 1/16,
+        # so the count of entries <= u is the same across each 1/16 cell of u
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        if np.any(cdf * _MAX_OUTCOMES % 1):
+            raise AssertionError(f"cdf of choice {menu.label} is not on the 1/16 grid")
+        mask1 = sum(bit for bit, (_, particle) in zip(bits, menu.observables) if particle == 1)
+        n_outcomes[choice] = size
+        probs[choice, :size] = p
+        prod1[choice, :size] = hadamard[:, mask1]
+        prod2[choice, :size] = hadamard[:, (size - 1) ^ mask1]
+        drawn[choice] = cdf.searchsorted(np.arange(_MAX_OUTCOMES) / _MAX_OUTCOMES, side="right")
+    return _OutcomeTable(n_outcomes, probs.ravel(), prod1.ravel(), prod2.ravel(), drawn.ravel())
 
 
 def _fill_uniform(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
@@ -210,7 +197,7 @@ def _sample_chunk(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     n_chunk = len(rngs)
-    drawn, prod1, prod2 = _menu_lookups()
+    table = _outcome_table()
     u = np.empty((n_chunk, shots))
     cell = np.empty((n_chunk, shots), dtype=np.intp)
     outcome = np.empty((n_chunk, shots), dtype=np.intp)
@@ -222,12 +209,12 @@ def _sample_chunk(
         # 16 u is exact and the cast floors it: the uniform's 1/16 cell
         np.multiply(_fill_uniform(rngs, u), _MAX_OUTCOMES, out=cell, casting="unsafe")
         cell += offset
-        for t, (rng, choice) in enumerate(zip(rngs, column.tolist())):
-            outcome[t] = rng.integers(0, _choice_table(choice).n_outcomes, size=shots)
-        np.copyto(outcome, drawn[cell], where=ideal)
+        for t, (rng, high) in enumerate(zip(rngs, table.n_outcomes[column].tolist())):
+            outcome[t] = rng.integers(0, high, size=shots)
+        np.copyto(outcome, table.drawn[cell], where=ideal)
         outcome += offset
-        a *= prod1[outcome]
-        b *= prod2[outcome]
+        a *= table.prod1[outcome]
+        b *= table.prod2[outcome]
     flip = _fill_uniform(rngs, u) < noise.epsilon / 2.0
     np.negative(b, out=b, where=flip)
     det1 = _fill_uniform(rngs, u) < noise.eta
@@ -235,9 +222,7 @@ def _sample_chunk(
     return a, b, det1, det2
 
 
-def _tally(
-    a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray
-) -> np.ndarray:
+def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> np.ndarray:
     """Per-term detection categories, one row per term in CountsTable order minus n_total."""
     both = det1 & det2
     same = a == b
@@ -274,15 +259,8 @@ def sample_outcomes(
 
 def sample_run(term: BellTerm, noise: NoiseParams, rng: np.random.Generator) -> RunRecord:
     """A single run of one term."""
-    a, b, det1, det2 = sample_outcomes(term, noise, rng, 1)
-    d1, d2 = bool(det1[0]), bool(det2[0])
-    return RunRecord(
-        term_index=term.index,
-        detected_1=d1,
-        detected_2=d2,
-        product_1=int(a[0]) if d1 else None,
-        product_2=int(b[0]) if d2 else None,
-    )
+    a, b, det1, det2 = (column[0].item() for column in sample_outcomes(term, noise, rng, 1))
+    return RunRecord(term.index, det1, det2, a if det1 else None, b if det2 else None)
 
 
 def counts_for_term(
@@ -418,11 +396,7 @@ def _sample_indices(total: int, budget: int, seed: int) -> list[int]:
 
 
 def estimate_beta(
-    n_blocks: int,
-    shots_per_term: int,
-    noise: NoiseParams,
-    seed: int,
-    term_budget: int = 4096,
+    n_blocks: int, shots_per_term: int, noise: NoiseParams, seed: int, term_budget: int = 4096
 ) -> BetaEstimate:
     """Estimate the Bell-expression value from simulated runs.
 
@@ -431,10 +405,11 @@ def estimate_beta(
     terms and scales up, widening the error bar by the sampling variance.
     Terms run through the sampler in chunks of about SAMPLE_CHUNK term-shots,
     each on its own stream; the per-term estimates are those
-    ``estimate_term`` gives, summed in index order.
+    ``estimate_term`` gives, summed in index order.  N is capped at
+    ESTIMATE_BLOCK_CAP, where the sampling variance still fits a float.
     """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    if not 1 <= n_blocks <= ESTIMATE_BLOCK_CAP:
+        raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
     if term_budget < 1:
         raise ValueError(f"term_budget must be >= 1, got {term_budget}")
     shots = shots_per_term

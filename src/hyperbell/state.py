@@ -44,17 +44,13 @@ PERFECT_CORRELATIONS: tuple[tuple[int, tuple[LetterPair, ...]], ...] = (
     (+1, (("z", 1), ("z", 2))),
 )
 
-# Independent generating subset of the certainty relations above.  The
-# natural-looking choice ending in (z1 z2) is dependent: (X1 X2 z2) times
-# (X1 z1 X2) already equals (z1 z2), so the signed (Y1 Y2 z2) relation is
-# used as the fourth generator instead.  Independence and uniqueness of the
-# stabilized state are validated against the dense backend in the tests.
-BLOCK_GENERATORS: tuple[tuple[int, tuple[LetterPair, ...]], ...] = (
-    (+1, (("X", 1), ("X", 2), ("z", 2))),
-    (-1, (("Y", 1), ("Y", 2), ("z", 2))),
-    (+1, (("x", 1), ("Z", 2), ("x", 2))),
-    (+1, (("X", 1), ("z", 1), ("X", 2))),
-)
+# The first four certainty relations above generate the block's stabilizer
+# independently.  The natural-looking choice ending in (z1 z2) is dependent:
+# (X1 X2 z2) times (X1 z1 X2) already equals (z1 z2), so the signed
+# (Y1 Y2 z2) relation is used as the fourth generator instead.  Independence
+# and uniqueness of the stabilized state are validated against the dense
+# backend in the tests.
+BLOCK_GENERATORS: tuple[tuple[int, tuple[LetterPair, ...]], ...] = PERFECT_CORRELATIONS[:4]
 
 
 def _op_repr(op: PauliOp) -> str:
@@ -274,13 +270,8 @@ def dense_expectation(state: DenseState, op: PauliOp) -> float:
         raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
     n = state.n
     idx = state.support
-    # parity of (basis index AND zmask); flat qubit q sits at index bit n-1-q
-    par = np.zeros(idx.size, dtype=np.uint64)
-    z = op.z
-    while z:
-        q = (z & -z).bit_length() - 1
-        par ^= (idx >> np.uint64(n - 1 - q)) & np.uint64(1)
-        z &= z - 1
+    # parity of (basis index AND zmask), the mask moved to basis-index bits
+    par = np.bitwise_count(idx & np.uint64(_flip_mask(op.z, n))) & 1
     signs = 1.0 - 2.0 * par.astype(np.float64)
     flipped = idx ^ np.uint64(_flip_mask(op.x, n))
     amps = state.amplitudes
@@ -290,11 +281,11 @@ def dense_expectation(state: DenseState, op: PauliOp) -> float:
     return float(val.real)
 
 
-def _flip_mask(xmask: int, n: int) -> int:
-    # translate a flat-qubit xmask into basis-index bit positions (q0 = MSB)
+def _flip_mask(mask: int, n: int) -> int:
+    # translate a flat-qubit x or z mask into basis-index bit positions (q0 = MSB)
     out = 0
     for q in range(n):
-        if (xmask >> q) & 1:
+        if (mask >> q) & 1:
             out |= 1 << (n - 1 - q)
     return out
 

@@ -1,4 +1,4 @@
-"""End-to-end tests of the command-line interface (via subprocess)."""
+"""End-to-end tests of the command-line interface (via subprocess, golden bytes in-process)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import pytest
+
+from hyperbell import cli
 
 HEADER = "n,beta_epr,beta_qm,beta_epr_noisy,beta_qm_noisy,ratio,eta_min,violated"
 
@@ -33,6 +38,11 @@ def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.C
         env=env,
         timeout=120,
     )
+
+
+# stdout of a fixed set of commands, recorded before the sampler's outcome
+# table was rebuilt; every later version must reproduce it byte for byte
+GOLDEN_STDOUT = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
 
 
 def csv_rows(text: str) -> list[dict[str, str]]:
@@ -247,6 +257,19 @@ class TestSimulate:
             assert (doc["terms_sampled"], doc["total_terms"]) == (8, 4**n)
             assert doc["counts_summary"]["n_total"] == 8
 
+    def test_block_cap(self):
+        args = ("--shots", "1", "--term-budget", "2", "--eta", "1")
+        proc = run_cli("simulate", "--n", "255", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["total_terms"] == 4**255
+        for n in ("256", "600"):
+            proc = run_cli("simulate", "--n", n, *args)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "error: simulate supports up to 255 blocks (16.0**N overflows a float above it)\n"
+            )
+
     def test_undefined_estimate_is_a_json_error(self):
         # one shot at eta = 0.01 detects nothing, so term 0 has no estimate
         proc = run_cli("simulate", "--n", "1", "--shots", "1", "--eta", "0.01")
@@ -277,7 +300,10 @@ class TestDumpTerms:
         assert doc["terms"][0]["operator"].startswith("+X1(1)")
 
     def test_cap(self):
-        assert run_cli("dump-terms", "--n", "7").returncode == 2
+        proc = run_cli("dump-terms", "--n", "7")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: dump-terms supports up to 6 blocks (4096 terms)\n"
 
 
 class TestOutputFile:
@@ -306,3 +332,12 @@ class TestUsageErrors:
             proc = run_cli(*args)
             assert proc.returncode == 2, args
             assert "Traceback" not in proc.stderr, args
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+    def test_bytes_unchanged(self, command, capsys, monkeypatch):
+        # in-process, so the whole set costs a fraction of a second
+        monkeypatch.delenv("HYPERBELL_SEED", raising=False)
+        assert cli.main(command.split()) == 0
+        assert capsys.readouterr().out == GOLDEN_STDOUT[command]

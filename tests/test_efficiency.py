@@ -170,6 +170,14 @@ class TestViolates:
     def test_perfect_everything(self):
         assert violates(1, NoiseParams(epsilon=0.0, p=1.0, eta=1.0))
 
+    def test_report_predicate_is_the_strict_crossing(self):
+        for n in range(1, 9):
+            for eta in (0.2, 0.33, 0.5, 1.0):
+                rep = bounds_report(n, 0.15, 0.98)
+                want = visibility_factor(eta) * rep.beta_qm_noisy > rep.beta_epr_noisy
+                assert rep.violated(eta) is want
+                assert violates(n, NoiseParams(epsilon=0.15, p=0.98, eta=eta)) is want
+
 
 class TestMinBlocks:
     def test_reference_parameters(self):

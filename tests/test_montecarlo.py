@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +14,12 @@ from hypothesis import strategies as st
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
 from hyperbell.efficiency import NoiseParams, visibility_factor
 from hyperbell.montecarlo import (
+    ESTIMATE_BLOCK_CAP,
     SAMPLE_CHUNK,
     CountsTable,
     RunRecord,
     UndefinedEstimateError,
-    _choice_table,
-    _menu_lookups,
+    _outcome_table,
     _sample_indices,
     _term_rng,
     _uniform_below,
@@ -69,12 +73,25 @@ class TestRunRecord:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
+def _choice_rows(choice: int) -> SimpleNamespace:
+    """One choice's rows of the flat outcome table, with its cdf built as ``Generator.choice`` does."""
+    table = _outcome_table()
+    n = int(table.n_outcomes[choice])
+    rows = slice(16 * choice, 16 * choice + n)
+    probs = table.probs[rows]
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return SimpleNamespace(
+        n_outcomes=n, probs=probs, cdf=cdf, prod1=table.prod1[rows], prod2=table.prod2[rows]
+    )
+
+
 class TestChoiceTables:
     def test_uniform_on_constraint_surface(self):
         # the joint distribution is uniform over the outcomes satisfying the
         # block's certainty relation and zero elsewhere
         for choice, menu in enumerate(BLOCK_TERM_MENU):
-            table = _choice_table(choice)
+            table = _choice_rows(choice)
             assert table.n_outcomes == 1 << len(menu.observables)
             support = table.probs > 0
             assert support.sum() == table.n_outcomes // 2
@@ -86,11 +103,29 @@ class TestChoiceTables:
 
     def test_local_marginals_are_unbiased(self):
         for choice in range(4):
-            table = _choice_table(choice)
+            table = _choice_rows(choice)
             assert float(table.probs @ table.prod1) == pytest.approx(0.0, abs=1e-12)
             assert float(table.probs @ table.prod2) == pytest.approx(0.0, abs=1e-12)
             got = float(table.probs @ (table.prod1 * table.prod2))
             assert got == pytest.approx(BLOCK_TERM_MENU[choice].sign, abs=1e-12)
+
+    def test_padding_cells_are_never_drawn(self):
+        table = _outcome_table()
+        for choice, n in enumerate(table.n_outcomes.tolist()):
+            pad = slice(16 * choice + n, 16 * (choice + 1))
+            assert (table.probs[pad] == 0).all()
+            assert (table.prod1[pad] == 1).all() and (table.prod2[pad] == 1).all()
+            assert (table.drawn[16 * choice : 16 * (choice + 1)] < n).all()
+
+    def test_built_once_on_first_use(self):
+        code = (
+            "import hyperbell.montecarlo as mc; "
+            "assert mc._outcome_table.cache_info().currsize == 0; "
+            "mc._outcome_table(); mc._outcome_table(); "
+            "info = mc._outcome_table.cache_info(); "
+            "assert (info.misses, info.hits) == (1, 1), info"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -275,6 +310,8 @@ class TestEstimateBeta:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_blocks"):
             estimate_beta(0, 10, IDEAL, seed=0)
+        with pytest.raises(ValueError, match=r"^n_blocks must be in \[1, 255\], got 256$"):
+            estimate_beta(ESTIMATE_BLOCK_CAP + 1, 1, IDEAL, seed=0, term_budget=2)
         with pytest.raises(ValueError, match="term_budget"):
             estimate_beta(1, 10, IDEAL, seed=0, term_budget=0)
 
@@ -351,7 +388,7 @@ def _reference_counts(
     a = np.ones(shots, dtype=np.int8)
     b = np.ones(shots, dtype=np.int8)
     for choice in term.choices:
-        table = _choice_table(choice)
+        table = _choice_rows(choice)
         ideal = rng.random(shots) < noise.p
         ideal_idx = rng.choice(table.n_outcomes, size=shots, p=table.probs)
         noise_idx = rng.integers(0, table.n_outcomes, size=shots)
@@ -403,9 +440,9 @@ class TestChunkedSampler:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 1001))
     def test_ideal_draw_is_the_choice_draw(self, seed, shots):
-        drawn, _, _ = _menu_lookups()
+        drawn = _outcome_table().drawn
         for choice in range(len(BLOCK_TERM_MENU)):
-            table = _choice_table(choice)
+            table = _choice_rows(choice)
             want = np.random.default_rng(seed).choice(table.n_outcomes, size=shots, p=table.probs)
             u = np.random.default_rng(seed).random(shots)
             assert (table.cdf.searchsorted(u, side="right") == want).all()
