@@ -16,6 +16,7 @@ from .efficiency import (
     NoViolationError,
     bounds_report,
     eta_threshold,
+    expected_estimate,
     min_blocks,
     noisy_bounds,
     violates,

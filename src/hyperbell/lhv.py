@@ -6,9 +6,11 @@ terms multiply to -1 under any assignment, so an odd number of them is -1
 and the block sum is always +2 or -2.  The attainable maximum is therefore
 2**N, against the quantum value 4**N.
 
-The exhaustive search scans the 2**(7N) assignments of the seven observables
-that appear in the expression (per block: X1, Y1, x1, X2, Y2, y2, z2) in
-Gray-code order, updating one block sum per step.
+The exhaustive search forms the value of every one of the 2**(7N)
+assignments of the seven observables that appear in the expression (per
+block: X1, Y1, x1, X2, Y2, y2, z2) with numpy: the block-sum products of the
+low N-1 blocks once, in ascending mask order, then one pass per setting of
+the top block.
 """
 
 from __future__ import annotations
@@ -142,34 +144,31 @@ class LhvBoundResult:
 
 
 def brute_force_bound(n_blocks: int) -> LhvBoundResult:
-    """Exact deterministic maximum by exhaustive Gray-code scan.
+    """Exact deterministic maximum by exhaustive scan of every assignment's value.
 
-    Each step flips one observable, so only that block's sum is recomputed.
-    Among equal maxima the lowest bitmask is reported.
+    ``lower`` holds the block-sum products of the low N-1 blocks, indexed by
+    their 7(N-1)-bit mask; each of the 128 top-block settings then scales it
+    by that block's sum, so a pass covers at most 2**14 masks.  Among equal
+    maxima the lowest bitmask is reported.
     """
     if not 1 <= n_blocks <= BRUTE_FORCE_BLOCK_CAP:
         raise ValueError(
             f"exhaustive scan supports 1..{BRUTE_FORCE_BLOCK_CAP} blocks, got {n_blocks}"
         )
-    n_bits = _BITS_PER_BLOCK * n_blocks
-    total = 1 << n_bits
-    sums = [_BLOCK_SUM_TABLE[0]] * n_blocks
-    best_value = prod(sums)
-    best_mask = 0
-    gray = 0
-    table = _BLOCK_SUM_TABLE
-    for i in range(1, total):
-        new_gray = i ^ (i >> 1)
-        changed = (gray ^ new_gray).bit_length() - 1
-        gray = new_gray
-        j = changed // _BITS_PER_BLOCK
-        sums[j] = table[(gray >> (j * _BITS_PER_BLOCK)) & 127]
-        value = prod(sums)
-        if value > best_value or (value == best_value and gray < best_mask):
-            best_value = value
-            best_mask = gray
+    table = np.array(_BLOCK_SUM_TABLE, dtype=np.int64)
+    lower = np.ones(1, dtype=np.int64)
+    for _ in range(n_blocks - 1):
+        # the higher block's bits are the high bits of the index
+        lower = np.multiply.outer(table, lower).ravel()
+    best_value, best_mask = None, 0
+    for top, top_sum in enumerate(table.tolist()):
+        values = top_sum * lower
+        k = int(values.argmax())  # the first maximum: this pass's lowest mask
+        # strictly greater only, so an earlier (lower) mask keeps a tie
+        if best_value is None or values[k] > best_value:
+            best_value, best_mask = int(values[k]), top * lower.size + k
     return LhvBoundResult(
-        best_value, LhvAssignment.from_bitmask(best_mask, n_blocks), total
+        best_value, LhvAssignment.from_bitmask(best_mask, n_blocks), table.size * lower.size
     )
 
 

@@ -13,6 +13,7 @@ from hyperbell.efficiency import (
     NoViolationError,
     bounds_report,
     eta_threshold,
+    expected_estimate,
     min_blocks,
     noisy_bounds,
     violates,
@@ -214,3 +215,41 @@ class TestMinBlocks:
             min_blocks(eta=0.5, eps=0.1, p=0.0)
         with pytest.raises(ValueError, match="eps"):
             min_blocks(eta=0.5, eps=1.2, p=0.9)
+
+
+# ═══════════════════════════════════════════════════════════════════════════
+# The simulator's mean
+# ═══════════════════════════════════════════════════════════════════════════
+
+
+class TestExpectedEstimate:
+    def test_reference_values(self):
+        assert expected_estimate(5, NoiseParams()) == pytest.approx(155.47, abs=0.005)
+        assert expected_estimate(3, NoiseParams()) == pytest.approx(10.1175, abs=5e-5)
+        perfect_detectors = NoiseParams(epsilon=0.0, p=0.9, eta=1.0)
+        assert expected_estimate(5, perfect_detectors) == pytest.approx(604.66176, rel=1e-12)
+
+    def test_ideal_is_the_quantum_value(self):
+        ideal = NoiseParams(epsilon=0.0, p=1.0, eta=1.0)
+        for n in (1, 4, 9):
+            assert expected_estimate(n, ideal) == 4.0**n
+
+    def test_factors(self):
+        # one visibility factor, one flip factor, one p per block
+        noise = NoiseParams(epsilon=0.2, p=0.7, eta=0.5)
+        want = visibility_factor(0.5) * 0.8 * 4.0**3 * 0.7**3
+        assert expected_estimate(3, noise) == pytest.approx(want, rel=1e-14)
+
+    def test_reference_point_never_violates(self):
+        # under the simulator's model v (1-eps) p**N falls with N and never
+        # beats 2**-N + eps: the gap to min-n's N* = 5 (README)
+        noise = NoiseParams()
+        for n in range(1, 40):
+            beta_epr = noisy_bounds(n, noise.epsilon, noise.p)[0]
+            assert expected_estimate(n, noise) < beta_epr
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n_blocks"):
+            expected_estimate(0, NoiseParams())
+        with pytest.raises(ValueError, match="n_blocks"):
+            expected_estimate(FLOAT_BLOCK_CAP + 1, NoiseParams())

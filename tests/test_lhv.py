@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 import pytest
 
+from hyperbell import lhv
 from hyperbell.lhv import (
     BOUND_LABELS,
     BRUTE_FORCE_BLOCK_CAP,
@@ -164,6 +167,26 @@ class TestBounds:
             for _ in range(300):
                 a = LhvAssignment.random(n, rng)
                 assert abs(evaluate(a)) <= cap
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
+    def test_lowest_mask_wins_ties(self, monkeypatch, seed):
+        # the real table puts a maximum at mask 0, so ties never reach the
+        # scan's tie-break; random +-2 tables (and an all -2 one) do
+        if seed is None:
+            table = (-2,) * 128
+        else:
+            table = tuple(np.random.default_rng(seed).choice([-2, 2], 128).tolist())
+        monkeypatch.setattr(lhv, "_BLOCK_SUM_TABLE", table)
+        for n in (1, 2):
+
+            def value(mask: int) -> int:
+                return prod(table[(mask >> (7 * j)) & 127] for j in range(n))
+
+            want = max(range(1 << (7 * n)), key=value)  # the first maximal mask
+            r = brute_force_bound(n)
+            assert r.max_value == value(want)
+            assert r.argmax.to_bitmask() == want
+            assert r.assignments_scanned == 1 << (7 * n)
 
     def test_brute_force_cap(self):
         for bad in (0, BRUTE_FORCE_BLOCK_CAP + 1):

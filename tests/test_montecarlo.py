@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
-from hyperbell.efficiency import NoiseParams, visibility_factor
+from hyperbell.efficiency import NoiseParams, expected_estimate, noisy_bounds, visibility_factor
 from hyperbell.montecarlo import (
     ESTIMATE_BLOCK_CAP,
     SAMPLE_CHUNK,
@@ -283,6 +283,23 @@ class TestEstimateBeta:
         assert est.stderr > 0
         # the scaled-up estimate tracks 4**7 * (1-eps) * p
         assert abs(est.beta_hat - 4**7 * 0.95 * 0.99) < 5 * est.stderr
+        # and, closer, the simulator's own mean 4**7 * (1-eps) * p**7
+        assert abs(est.beta_hat - expected_estimate(7, noise)) < 3 * est.stderr
+
+    @pytest.mark.parametrize(
+        "n, noise",
+        [
+            (3, NoiseParams(epsilon=0.15, p=0.98, eta=0.33)),
+            (2, NoiseParams(epsilon=0.0, p=0.9, eta=1.0)),
+            (3, NoiseParams(epsilon=0.0, p=0.8, eta=0.6)),
+        ],
+    )
+    def test_mean_is_the_closed_form(self, n, noise):
+        est = estimate_beta(n, 20_000, noise, seed=17)
+        assert abs(est.beta_hat - expected_estimate(n, noise)) < 4 * est.stderr
+        # enough shots to tell it from the analytic side's v * beta_qm'
+        analytic = visibility_factor(noise.eta) * noisy_bounds(n, noise.epsilon, noise.p)[1]
+        assert abs(est.beta_hat - analytic) > 20 * est.stderr
 
     def test_json_dict_schema(self):
         est = estimate_beta(1, 10, IDEAL, seed=0)

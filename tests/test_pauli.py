@@ -1,7 +1,11 @@
 """Tests for the exact Pauli algebra and its string format."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbell.pauli import (
     LOWER,
@@ -27,6 +31,30 @@ def random_pauli(rng: np.random.Generator, n_qubits: int, hermitian: bool = Fals
     if hermitian:
         e = 2 * (e % 2)
     return PauliOp(n_qubits, x, z, e)
+
+
+def paulis(n_qubits: int) -> st.SearchStrategy[PauliOp]:
+    """Any signed Pauli on n_qubits, phase included."""
+    mask = st.integers(0, (1 << n_qubits) - 1)
+    return st.builds(PauliOp, st.just(n_qubits), mask, mask, st.integers(0, 3))
+
+
+def pauli_triples(max_blocks: int) -> st.SearchStrategy[tuple[PauliOp, PauliOp, PauliOp]]:
+    return st.integers(1, max_blocks).flatmap(lambda n: st.tuples(*[paulis(4 * n)] * 3))
+
+
+_SINGLE_QUBIT = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def pauli_matrix(op: PauliOp) -> np.ndarray:
+    """Dense i**e times the Kronecker product of the letters; qubit 0 is the most significant."""
+    letters = [_SINGLE_QUBIT[op.letter_at(q)] for q in range(op.n)]
+    return 1j**op.e * reduce(np.kron, letters, np.eye(1))
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -194,6 +222,27 @@ class TestCommutation:
             b = random_pauli(rng, 8)
             b = PauliOp(8, b.x & free, b.z & free, 0)
             assert commutes(a, b)
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=pauli_triples(3))
+    def test_product_is_associative(self, ops):
+        a, b, c = ops
+        assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=paulis(4), b=paulis(4))
+    def test_product_is_the_matrix_product(self, a, b):
+        assert np.array_equal(pauli_matrix(pauli_mul(a, b)), pauli_matrix(a) @ pauli_matrix(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_blocks=st.integers(1, 3))
+    def test_string_round_trip(self, data, n_blocks):
+        op = data.draw(paulis(4 * n_blocks))
+        text = pauli_to_string(op)
+        assert parse_pauli(text, n_blocks) == op
+        assert pauli_to_string(parse_pauli(text, n_blocks)) == text
 
 
 # ═══════════════════════════════════════════════════════════════════

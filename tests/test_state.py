@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbell.pauli import PauliOp, _xz_exponent, commutes, identity, named_observable, pauli_mul
 from hyperbell.state import (
@@ -249,6 +251,27 @@ class TestDense:
             dense_expectation(d, identity(8))
 
 
+@cache
+def _states(n: int) -> tuple[StabilizerState, DenseState]:
+    return build_state(n), dense_state(n)
+
+
+def _hermitian_paulis(n_qubits: int) -> st.SearchStrategy[PauliOp]:
+    mask = st.integers(0, (1 << n_qubits) - 1)
+    return st.builds(PauliOp, st.just(n_qubits), mask, mask, st.sampled_from([0, 2]))
+
+
+def _group_elements(stab: StabilizerState) -> st.SearchStrategy[PauliOp]:
+    """Signed products of generator subsets: the operators with expectation +-1."""
+    gens = stab.generators
+
+    def element(mask: int, negate: bool) -> PauliOp:
+        op = reduce(pauli_mul, [g for i, g in enumerate(gens) if (mask >> i) & 1], identity(stab.n))
+        return -op if negate else op
+
+    return st.builds(element, st.integers(0, (1 << len(gens)) - 1), st.booleans())
+
+
 # ═══════════════════════════════════════════════════════════════════════════
 # Backend agreement
 # ═══════════════════════════════════════════════════════════════════════════
@@ -276,6 +299,13 @@ class TestBackendAgreement:
                 got = dense_expectation(dense, op)
                 want = expectation(stab, op)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_random_paulis_agree_property(self, data, n):
+        stab, dense = _states(n)
+        op = data.draw(st.one_of(_hermitian_paulis(4 * n), _group_elements(stab)))
+        assert dense_expectation(dense, op) == pytest.approx(expectation(stab, op), abs=1e-12)
 
     def test_random_group_elements_agree(self):
         rng = np.random.default_rng(7)
