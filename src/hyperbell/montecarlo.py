@@ -16,13 +16,24 @@ denominator,
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-All randomness flows through numpy Generators.  For multi-term estimates
-each term has its own stream, derived from the master seed by term index, so
-the result is byte-identical for a fixed seed whatever order or grouping the
-terms are measured in.  A term's stream is read in a fixed order: per block,
-``shots`` uniforms for the ideal/noise selector, ``shots`` uniforms for the
-ideal outcome, ``shots`` integers for the noise outcome; then ``shots``
-uniforms each for the sign flip and the two detectors.
+All randomness flows through numpy's PCG64 generators.  For multi-term
+estimates each term has its own stream, derived from the master seed by term
+index, so the result is byte-identical for a fixed seed whatever order or
+grouping the terms are measured in.  A term's stream is read in a fixed
+order: per block, ``shots`` uniforms for the ideal/noise selector, ``shots``
+uniforms for the ideal outcome, ``shots`` integers for the noise outcome;
+then ``shots`` uniforms each for the sign flip and the two detectors.
+
+The sampler reads that order as numpy's ``random`` and ``integers`` would,
+but from raw 64-bit words, one ``random_raw`` fetch per term, decoded in
+numpy: a uniform draw is an integer compare, the ideal outcome's 1/16 cell
+is the top four bits, and a noise outcome over 2**k outcomes is a 32-bit
+half x shifted to x >> (32 - k), Lemire's bounded draw, which never rejects
+for a power-of-two range.  PCG64 hands out a word's low half first and keeps
+the high half for the next 32-bit draw, also across blocks and across calls;
+a half pending on entry is used, and every generator is left as those calls
+would leave it.  The decoding is PCG64's, so other bit generators are
+refused.
 
 Every block reads one outcome table, built on first use: for each of the four
 menu choices, the joint distribution of its k observables is the
@@ -32,20 +43,22 @@ outcome is the uniform's position in the choice's cumulative distribution,
 exactly the draw ``Generator.choice(p=...)`` makes; every cdf entry is a
 multiple of 1/16, so the table holds that position per 1/16 cell of [0, 1).
 
-Terms are sampled in chunks of about SAMPLE_CHUNK term-shots: each draw is
-filled row by row from the terms' own generators into one ``(terms, shots)``
-buffer, and the selection, outcome lookups, flip, detectors and per-term
-tallies then run once per block over the whole chunk.  The one-term
-functions (``sample_outcomes``, ``counts_for_term``, ``estimate_term``) are
-a chunk of one through the same kernel.
+Terms are sampled in chunks of about SAMPLE_CHUNK term-shots: the terms'
+words are stacked into one ``(terms, words)`` buffer, and the selection,
+outcome lookups, flip, detectors and per-term tallies then run once per
+block over the whole chunk.  A term with more shots than SAMPLE_CHUNK is
+drawn in slices of that many shots, each reaching its words with
+``PCG64.advance``, and tallied slice by slice, so memory stays flat in
+shots.  The one-term functions (``sample_outcomes``, ``counts_for_term``,
+``estimate_term``) are a chunk of one through the same kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache, reduce
-from typing import Any, NamedTuple, Sequence
+from functools import cache, lru_cache, reduce
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,7 +124,7 @@ class RunRecord:
 
 
 # term-shots per numpy pass of the sampler; keeps its buffers small whatever
-# the shot count (a term with more shots than this is a chunk of its own)
+# the shot count (a term with more shots than this is drawn in slices of it)
 SAMPLE_CHUNK = 1 << 13
 
 # largest N for which the subsampled variance's (4**N)**2 = 16**N is a finite
@@ -126,6 +139,7 @@ class _OutcomeTable(NamedTuple):
     """The sampler's outcome model of every menu choice on one block."""
 
     n_outcomes: np.ndarray  # per choice: 2**k outcomes for k observables
+    noise_shift: np.ndarray  # per choice: 32 - k, a 32-bit word's shift to a noise outcome
     probs: np.ndarray  # the rest are flat, one entry per choice * 16 + outcome
     prod1: np.ndarray  # each particle's product of its outcome signs
     prod2: np.ndarray
@@ -146,6 +160,7 @@ def _outcome_table() -> _OutcomeTable:
     state = build_state(1)
     shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
     n_outcomes = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
+    noise_shift = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
     probs = np.zeros(shape)
     prod1 = np.ones(shape, dtype=np.int8)
     prod2 = np.ones(shape, dtype=np.int8)
@@ -171,55 +186,174 @@ def _outcome_table() -> _OutcomeTable:
             raise AssertionError(f"cdf of choice {menu.label} is not on the 1/16 grid")
         mask1 = sum(bit for bit, (_, particle) in zip(bits, menu.observables) if particle == 1)
         n_outcomes[choice] = size
+        noise_shift[choice] = 32 - k
         probs[choice, :size] = p
         prod1[choice, :size] = hadamard[:, mask1]
         prod2[choice, :size] = hadamard[:, (size - 1) ^ mask1]
         drawn[choice] = cdf.searchsorted(np.arange(_MAX_OUTCOMES) / _MAX_OUTCOMES, side="right")
-    return _OutcomeTable(n_outcomes, probs.ravel(), prod1.ravel(), prod2.ravel(), drawn.ravel())
+    # the raw decoder's noise draw is exact only for power-of-two ranges,
+    # where Lemire's bounded draw never rejects
+    if np.any(n_outcomes & (n_outcomes - 1)) or n_outcomes.max() > _MAX_OUTCOMES:
+        raise AssertionError(f"outcome counts {n_outcomes.tolist()} are not powers of two <= 16")
+    return _OutcomeTable(
+        n_outcomes, noise_shift, probs.ravel(), prod1.ravel(), prod2.ravel(), drawn.ravel()
+    )
 
 
-def _fill_uniform(rngs: Sequence[np.random.Generator], out: np.ndarray) -> np.ndarray:
-    """Row t of ``out`` gets the next uniforms of term t's own generator."""
-    for rng, row in zip(rngs, out):
-        rng.random(out=row)
-    return out
+class _SlicePlan(NamedTuple):
+    """Where the draws for shots [lo, hi) of a term sit in its raw stream."""
+
+    runs: tuple[tuple[int, int], ...]  # (stream offset, words) fetched, in order
+    size: int  # words fetched; every position below is a column of that buffer
+    # per block: selector, ideal outcome, the word whose high half is the
+    # first noise draw (-1: the generator's pending half, -2: none), the
+    # block's own noise words, its first half, and the halves it uses
+    blocks: tuple[tuple[int, int, int, int, int, int], ...]
+    tail: tuple[int, ...]  # the flip and the two detectors
+    last_noise: int  # the term's last noise word, -1 if this slice has none
+    end: int  # the stream offset after the slice's last word
+
+
+@lru_cache(maxsize=256)  # bounded: a term with many shots has a plan per slice
+def _slice_plan(n_blocks: int, shots: int, pending: int, lo: int, hi: int) -> _SlicePlan:
+    """Word offsets of one slice of a term's stream, in the module's draw order.
+
+    Per block the stream holds ``shots`` selector words, ``shots`` ideal
+    outcome words, then the words whose 32-bit halves, low half first, are
+    the noise draws; a high half left over by one block (or ``pending`` in
+    the generator on entry) is the next block's first noise draw.  Then
+    ``shots`` words each for the flip and the two detectors.  The slice's
+    spans are merged into runs of contiguous words.
+    """
+    runs: list[list[int]] = []
+    size = 0
+
+    def place(start: int, stop: int) -> int:
+        """Buffer column of the stream span [start, stop); spans come in stream order."""
+        nonlocal size
+        if start == stop:
+            return -2
+        end = runs[-1][0] + runs[-1][1] if runs else -1
+        if start > end:
+            runs.append([start, 0])
+            end = start
+        column = size - (end - start)
+        grow = max(stop - end, 0)
+        runs[-1][1] += grow
+        size += grow
+        return column
+
+    blocks = []
+    off, last_noise = 0, -1
+    for b in range(n_blocks):
+        h = (pending + b * shots) & 1  # a half is pending as block b starts
+        q_lo, q_hi = max(lo - h, 0), hi - h  # the block's own halves used here
+        carry = -2  # the slice's first noise draw is one of the block's own halves
+        if h and lo == 0:  # or the half pending as the block starts
+            carry = place(off - 1, off) if b else -1
+        noise = off + 2 * shots
+        blocks.append((
+            place(off + lo, off + hi),
+            place(off + shots + lo, off + shots + hi),
+            carry,
+            place(noise + q_lo // 2, noise + (q_hi + 1) // 2),
+            q_lo & 1,
+            q_hi - q_lo,
+        ))
+        own = (shots - h + 1) // 2
+        off = noise + own
+        if own and hi == shots:
+            last_noise = blocks[-1][3] + own - 1 - q_lo // 2
+    tail = tuple(place(off + j * shots + lo, off + j * shots + hi) for j in range(3))
+    end = runs[-1][0] + runs[-1][1]
+    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail, last_noise, end)
+
+
+def _fetch(bitgens: Sequence[np.random.PCG64], plan: _SlicePlan, at: int) -> np.ndarray:
+    """Row t: the plan's words of term t's stream, whose generator stands at offset ``at``."""
+    buf = np.empty((len(bitgens), plan.size), dtype=np.uint64)
+    for row, bitgen in zip(buf, bitgens):
+        pos, here = 0, at
+        for start, count in plan.runs:
+            if start != here:
+                bitgen.advance(start - here)
+            row[pos : pos + count] = bitgen.random_raw(count)
+            pos, here = pos + count, start + count
+    return buf
 
 
 def _sample_chunk(
     choices: np.ndarray, noise: NoiseParams, rngs: Sequence[np.random.Generator], shots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of a chunk of terms: local products A, B and detection flags, (terms, shots) each.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Runs of a chunk of terms, SAMPLE_CHUNK shots at a time: local products
+    A, B and detection flags, (terms, slice shots) each.
 
     ``choices`` holds each term's menu choices, one row per term, and
-    ``rngs`` its generator, read in the module's draw order.  One float
-    buffer takes every uniform draw in turn.
+    ``rngs`` its PCG64 generator, read in the module's draw order and left
+    where that order leaves it.  Their pending 32-bit halves must agree.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n_chunk = len(rngs)
+    bitgens = [rng.bit_generator for rng in rngs]
+    for bitgen in bitgens:
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"the sampler decodes PCG64 words; got {type(bitgen).__name__}")
+    states = [bitgen.state for bitgen in bitgens]
+    pendings = {state["has_uint32"] for state in states}
+    if len(pendings) > 1:
+        raise ValueError("the generators of one chunk must agree on a pending 32-bit half")
+    (pending,) = pendings
+    entry = np.array([state["uinteger"] for state in states], dtype=np.uint64)
     table = _outcome_table()
-    u = np.empty((n_chunk, shots))
-    cell = np.empty((n_chunk, shots), dtype=np.intp)
-    outcome = np.empty((n_chunk, shots), dtype=np.intp)
-    a = np.ones((n_chunk, shots), dtype=np.int8)
-    b = np.ones((n_chunk, shots), dtype=np.int8)
-    for column in choices.T:
-        offset = _MAX_OUTCOMES * column[:, None]
-        ideal = _fill_uniform(rngs, u) < noise.p
-        # 16 u is exact and the cast floors it: the uniform's 1/16 cell
-        np.multiply(_fill_uniform(rngs, u), _MAX_OUTCOMES, out=cell, casting="unsafe")
-        cell += offset
-        for t, (rng, high) in enumerate(zip(rngs, table.n_outcomes[column].tolist())):
-            outcome[t] = rng.integers(0, high, size=shots)
-        np.copyto(outcome, table.drawn[cell], where=ideal)
-        outcome += offset
-        a *= table.prod1[outcome]
-        b *= table.prod2[outcome]
-    flip = _fill_uniform(rngs, u) < noise.epsilon / 2.0
-    np.negative(b, out=b, where=flip)
-    det1 = _fill_uniform(rngs, u) < noise.eta
-    det2 = _fill_uniform(rngs, u) < noise.eta
-    return a, b, det1, det2
+    shift = table.noise_shift[choices]
+    # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
+    # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact)
+    below_p, below_flip, below_eta = (
+        math.ceil(x * 2.0**53) << 11 for x in (noise.p, noise.epsilon / 2.0, noise.eta)
+    )
+    at = 0
+    for lo in range(0, shots, SAMPLE_CHUNK):
+        n = min(SAMPLE_CHUNK, shots - lo)
+        plan = _slice_plan(choices.shape[1], shots, pending, lo, lo + n)
+        buf = _fetch(bitgens, plan, at)
+        at = plan.end
+        a = np.ones((len(bitgens), n), dtype=np.int8)
+        b = np.ones((len(bitgens), n), dtype=np.int8)
+        outcome = np.empty((len(bitgens), n), dtype=np.intp)
+        for column, block_shift, (sel, ideal_at, carry, own, first, halves) in zip(
+            choices.T, shift.T, plan.blocks
+        ):
+            offset = _MAX_OUTCOMES * column[:, None]
+            ideal = buf[:, sel : sel + n] < below_p
+            # the top four bits are the uniform's 1/16 cell
+            cell = (buf[:, ideal_at : ideal_at + n] >> 60).view(np.intp)
+            cell += offset
+            # Lemire's bounded draw of a 32-bit x with a range of 2**k
+            # outcomes is x >> (32 - k), never rejecting
+            words = buf[:, own : own + (first + halves + 1) // 2].astype("<u8", copy=False)
+            outcome[:, n - halves :] = words.view("<u4")[:, first : first + halves]
+            if carry == -1:
+                outcome[:, 0] = entry
+            elif carry >= 0:
+                outcome[:, 0] = buf[:, carry] >> 32
+            outcome >>= block_shift[:, None]
+            np.copyto(outcome, table.drawn[cell], where=ideal)
+            outcome += offset
+            a *= table.prod1[outcome]
+            b *= table.prod2[outcome]
+        flip, det1, det2 = (
+            buf[:, t : t + n] < below
+            for t, below in zip(plan.tail, (below_flip, below_eta, below_eta))
+        )
+        np.negative(b, out=b, where=flip)
+        yield a, b, det1, det2
+    # leave each generator as the loop would: the last noise word's high
+    # half kept, and pending if the draws used an odd number of halves
+    kept = entry if plan.last_noise < 0 else buf[:, plan.last_noise] >> 32
+    for bitgen, half in zip(bitgens, kept.tolist()):
+        state = bitgen.state
+        state.update(has_uint32=(pending + choices.shape[1] * shots) & 1, uinteger=half)
+        bitgen.state = state
 
 
 def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> np.ndarray:
@@ -244,6 +378,13 @@ def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> 
     return tallies
 
 
+def _tally_chunk(
+    choices: np.ndarray, noise: NoiseParams, rngs: Sequence[np.random.Generator], shots: int
+) -> np.ndarray:
+    """``_tally`` of a chunk's runs, summed over its slices."""
+    return sum(_tally(*runs) for runs in _sample_chunk(choices, noise, rngs, shots))
+
+
 def sample_outcomes(
     term: BellTerm, noise: NoiseParams, rng: np.random.Generator, shots: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,14 +392,17 @@ def sample_outcomes(
 
     A chunk of one through the sampler, so a seeded generator yields the
     same runs here as for this term inside ``estimate_beta``, and the same
-    local products whatever eta and eps are.
+    local products whatever eta and eps are.  ``rng`` must be a PCG64
+    generator (``default_rng``'s), whose raw words the sampler decodes;
+    any other bit generator raises TypeError.
     """
-    a, b, det1, det2 = _sample_chunk(np.array([term.choices]), noise, [rng], shots)
-    return a[0], b[0], det1[0], det2[0]
+    slices = _sample_chunk(np.array([term.choices]), noise, [rng], shots)
+    a, b, det1, det2 = (np.concatenate(runs, axis=1)[0] for runs in zip(*slices))
+    return a, b, det1, det2
 
 
 def sample_run(term: BellTerm, noise: NoiseParams, rng: np.random.Generator) -> RunRecord:
-    """A single run of one term."""
+    """A single run of one term, from a PCG64 generator as ``sample_outcomes``."""
     a, b, det1, det2 = (column[0].item() for column in sample_outcomes(term, noise, rng, 1))
     return RunRecord(term.index, det1, det2, a if det1 else None, b if det2 else None)
 
@@ -266,8 +410,11 @@ def sample_run(term: BellTerm, noise: NoiseParams, rng: np.random.Generator) -> 
 def counts_for_term(
     term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
 ) -> CountsTable:
-    """Run a term ``shots`` times and tally the detection categories."""
-    (tally,) = _tally(*_sample_chunk(np.array([term.choices]), noise, [rng], shots))
+    """Run a term ``shots`` times and tally the detection categories.
+
+    ``rng`` must be a PCG64 generator, as for ``sample_outcomes``.
+    """
+    (tally,) = _tally_chunk(np.array([term.choices]), noise, [rng], shots)
     return CountsTable(shots, *tally.tolist())
 
 
@@ -305,7 +452,7 @@ def _estimate_chunk(
     raises.  The standard error is binomial-style: sqrt((m2 - corr**2) / d)
     with m2 = (n_pp + n_mm) / d and d = n_total - n_00.
     """
-    tally = _tally(*_sample_chunk(choices, noise, rngs, shots))
+    tally = _tally_chunk(choices, noise, rngs, shots)
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
@@ -321,7 +468,10 @@ def _estimate_chunk(
 def estimate_term(
     term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
 ) -> TermEstimate:
-    """Correlation estimate for one term with a binomial-style standard error."""
+    """Correlation estimate for one term with a binomial-style standard error.
+
+    ``rng`` must be a PCG64 generator, as for ``sample_outcomes``.
+    """
     (corr,), (stderr,), (tally,) = _estimate_chunk(
         [term.index], np.array([term.choices]), noise, [rng], shots
     )

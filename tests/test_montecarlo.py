@@ -117,6 +117,21 @@ class TestChoiceTables:
             assert (table.prod1[pad] == 1).all() and (table.prod2[pad] == 1).all()
             assert (table.drawn[16 * choice : 16 * (choice + 1)] < n).all()
 
+    def test_outcome_counts_are_powers_of_two(self):
+        # the raw decoder's noise draw x >> (32 - k) is numpy's bounded draw
+        # only where the range is a power of two
+        table = _outcome_table()
+        for n, shift in zip(table.n_outcomes.tolist(), table.noise_shift.tolist()):
+            assert n & (n - 1) == 0 and 2 <= n <= 16
+            assert n << shift == 2**32
+
+    def test_noise_draw_is_numpys_bounded_draw(self):
+        table = _outcome_table()
+        for n, shift in zip(table.n_outcomes.tolist(), table.noise_shift.tolist()):
+            want = np.random.default_rng(5).integers(0, n, size=9)
+            words = np.random.default_rng(5).bit_generator.random_raw(5).astype("<u8")
+            assert ((words.view("<u4")[:9] >> shift) == want).all()
+
     def test_built_once_on_first_use(self):
         code = (
             "import hyperbell.montecarlo as mc; "
@@ -464,6 +479,70 @@ class TestChunkedSampler:
             u = np.random.default_rng(seed).random(shots)
             assert (table.cdf.searchsorted(u, side="right") == want).all()
             assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
+
+
+def _record_counts(rec: RunRecord) -> CountsTable:
+    """One run's detection category, as a one-shot CountsTable."""
+    d1, d2 = rec.detected_1, rec.detected_2
+    same = d1 and d2 and rec.product_1 == rec.product_2
+    parts = (same, d1 and d2 and not same, d1 and not d2, d2 and not d1, not (d1 or d2))
+    return CountsTable(1, *map(int, parts))
+
+
+class TestRawStreamEdges:
+    """Terms drawn in slices, and generators handed over mid-stream, against the loop."""
+
+    NOISE = NoiseParams(epsilon=0.2, p=0.5, eta=0.6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_terms_longer_than_a_slice(self, n):
+        shots = 3 * SAMPLE_CHUNK + 1
+        for t in sorted({0, 4**n // 3, 4**n - 1}):
+            rng, ref = _term_rng(8, t), _term_rng(8, t)
+            want = _reference_counts(term_at(n, t), self.NOISE, shots, ref)
+            assert counts_for_term(term_at(n, t), self.NOISE, shots, rng) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n, shots", [(1, 7), (3, 5), (3, 3 * SAMPLE_CHUNK + 1)])
+    def test_generator_handed_over_mid_stream(self, n, shots):
+        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+        rng.integers(0, 8)
+        ref.integers(0, 8)
+        # odd N * shots: the first term uses the pending half, the second
+        # leaves one pending
+        for pending, t in ((1, 1), (0, 4**n - 2)):
+            assert rng.bit_generator.state["has_uint32"] == pending
+            want = _reference_counts(term_at(n, t), self.NOISE, shots, ref)
+            assert counts_for_term(term_at(n, t), self.NOISE, shots, rng) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_repeated_single_runs(self):
+        rng, ref = np.random.default_rng(33), np.random.default_rng(33)
+        for k in range(40):
+            term = term_at(1, k % 4)
+            want = _reference_counts(term, self.NOISE, 1, ref)
+            assert _record_counts(sample_run(term, self.NOISE, rng)) == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestPcg64Only:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: sample_outcomes(term_at(1, 0), IDEAL, rng, 4),
+            lambda rng: sample_run(term_at(1, 0), IDEAL, rng),
+            lambda rng: counts_for_term(term_at(1, 0), IDEAL, 4, rng),
+            lambda rng: estimate_term(term_at(1, 0), IDEAL, 4, rng),
+        ],
+        ids=["sample_outcomes", "sample_run", "counts_for_term", "estimate_term"],
+    )
+    def test_other_bit_generators_are_refused(self, call):
+        rng = np.random.Generator(np.random.MT19937(1))
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="PCG64.*MT19937"):
+            call(rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)  # nothing drawn
 
 
 class TestTermSubsampling:
