@@ -2,11 +2,9 @@
 
 from .bell import (
     BellTerm,
-    MeasurementSetting,
     enumerate_terms,
     n_terms,
     quantum_value,
-    settings_for_term,
     term_at,
 )
 from .efficiency import (
@@ -32,13 +30,11 @@ from .lhv import (
 from .montecarlo import (
     BetaEstimate,
     CountsTable,
-    RunRecord,
     TermEstimate,
     UndefinedEstimateError,
     estimate_beta,
     estimate_correlation,
     estimate_term,
-    sample_run,
 )
 from .pauli import (
     Observable,
@@ -52,7 +48,6 @@ from .pauli import (
     pauli_to_string,
 )
 from .state import (
-    BellScenario,
     CorrelationReport,
     DenseState,
     StabilizerState,

@@ -10,28 +10,30 @@ block-structured state every signed term takes the value +1, so the quantum
 value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
-significant base-4 digit) and never materialized as a whole: the exact
-evaluator works through them in fixed-size chunks of numpy arrays.  Both it
-and the one-term path ``term_at`` assemble terms from the per-block table of
-4N operators, which is built once per N and shared.
+significant base-4 digit) and never materialized as a whole: both exact
+backends, stabilizer and dense, read them from one source of fixed-size
+chunks of numpy arrays.  That source and the one-term path ``term_at`` assemble
+terms from the per-block table of 4N operators, which is built once per N
+and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .pauli import Observable, PauliOp, _xz_exponent
 from .state import (
     EXACT_BLOCK_CAP,
+    DenseState,
     LetterPair,
+    _dense_expect_xz,
     _expect_xz_batch,
     block_operator,
     build_state,
-    dense_expectation,
     dense_state,
 )
 
@@ -43,9 +45,6 @@ class BlockTerm:
     label: str
     sign: int
     observables: tuple[LetterPair, ...]
-
-    def particle_observables(self, particle: int) -> tuple[str, ...]:
-        return tuple(letter for letter, p in self.observables if p == particle)
 
 
 BLOCK_TERM_MENU: tuple[BlockTerm, ...] = (
@@ -76,19 +75,7 @@ class BellTerm:
                 yield Observable(letter, particle, block)
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementSetting:
-    """One observer's local setting: the observables it measures, per block."""
-
-    particle: int
-    blocks: tuple[tuple[Observable, ...], ...]
-
-    def all_observables(self) -> Iterator[Observable]:
-        for group in self.blocks:
-            yield from group
-
-
-# terms per numpy pass of the exact evaluator; keeps its memory flat in N
+# terms per numpy pass of the exact backends; keeps their memory flat in N
 EVAL_CHUNK = 4096
 
 
@@ -139,43 +126,20 @@ def term_at(n_blocks: int, index: int) -> BellTerm:
     return BellTerm(n_blocks, index, choices, sign, op)
 
 
-def enumerate_terms(
-    n_blocks: int, start: int = 0, stop: int | None = None
-) -> Iterator[BellTerm]:
-    """Stream the expanded terms for indices [start, stop), never materialized."""
-    total = n_terms(n_blocks)
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"bad term range [{start}, {stop}) for {n_blocks} blocks")
-    for index in range(start, stop):
+def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
+    """Stream every expanded term in index order, never materialized."""
+    for index in range(n_terms(n_blocks)):
         yield term_at(n_blocks, index)
 
 
-def settings_for_term(term: BellTerm) -> tuple[MeasurementSetting, MeasurementSetting]:
-    """Split a term into the two observers' local measurement settings."""
-    settings = []
-    for particle in (1, 2):
-        blocks = tuple(
-            tuple(
-                Observable(letter, particle, block)
-                for letter, p in BLOCK_TERM_MENU[c].observables
-                if p == particle
-            )
-            for block, c in zip(range(1, term.n_blocks + 1), term.choices)
-        )
-        settings.append(MeasurementSetting(particle, blocks))
-    return settings[0], settings[1]
+def _term_chunks(
+    n_blocks: int, start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Terms [start, stop) as arrays, EVAL_CHUNK terms at a time.
 
-
-def _signed_chunks(
-    n_blocks: int, rows: list[tuple[int, int, int, int, int]], start: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Signed expectations of terms [start, stop), EVAL_CHUNK terms at a time.
-
-    Yields (first index, values).  Works in X^x Z^z normal form throughout;
-    blocks sit on disjoint qubits, so masks OR together and exponents add
-    with no cross phase.
+    Yields (first index, x, z, e, sign): uint64 masks and the int64 exponent
+    in X^x Z^z normal form, and each term's sign.  Blocks sit on disjoint
+    qubits, so masks OR together and exponents add with no cross phase.
     """
     tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
     exps = tables[..., 2].astype(np.int64)
@@ -191,19 +155,29 @@ def _signed_chunks(
             z |= np.take(tables[block, :, 1], choice)
             e += np.take(exps[block], choice)
             sign *= np.take(signs, choice)
+        yield lo, x, z, e, sign
+
+
+def _signed_chunks(
+    n_blocks: int, rows: list[tuple[int, int, int, int, int]], start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Signed stabilizer expectations of terms [start, stop): (first index, values)."""
+    for lo, x, z, e, sign in _term_chunks(n_blocks, start, stop):
         yield lo, sign * _expect_xz_batch(rows, x, z, e)
 
 
-def _dense_signed(n_blocks: int) -> np.ndarray:
-    """Signed expectations of every term on the explicit statevector."""
-    psi = dense_state(n_blocks)
-    signed = []
-    for term in enumerate_terms(n_blocks):
-        value = term.sign * dense_expectation(psi, term.operator)
-        if abs(value - round(value)) > 1e-12:
-            raise AssertionError(f"non-integer term expectation: {value}")
-        signed.append(round(value))
-    return np.array(signed, dtype=np.int64)
+def _dense_signed(
+    n_blocks: int, psi: DenseState, start: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``_signed_chunks`` on the explicit statevector, each value rounded to an integer."""
+    for lo, x, z, e, sign in _term_chunks(n_blocks, start, stop):
+        values = sign * _dense_expect_xz(psi, x, z, e)
+        signed = np.rint(values)
+        off = np.flatnonzero(np.abs(values - signed) > 1e-12)
+        if off.size:
+            k = off[0]
+            raise AssertionError(f"non-integer term expectation: term {lo + k} -> {values[k]}")
+        yield lo, signed.astype(np.int64)
 
 
 def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
@@ -217,7 +191,7 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     if n_blocks > EXACT_BLOCK_CAP:
         raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
     if backend == "dense":
-        chunks: Iterable[tuple[int, np.ndarray]] = [(0, _dense_signed(n_blocks))]
+        chunks = _dense_signed(n_blocks, dense_state(n_blocks), 0, n_terms(n_blocks))
     else:
         chunks = _signed_chunks(n_blocks, build_state(n_blocks)._rows, 0, n_terms(n_blocks))
     total = n_bad = 0

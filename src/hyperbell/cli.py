@@ -106,9 +106,12 @@ def _default_seed() -> int:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _usage_error(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _json_text(doc: dict[str, Any]) -> str:
@@ -200,7 +203,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "method": "brute_force",
             "value": lhv.max_value,
             "assignments_scanned": lhv.assignments_scanned,
-            "argmax_bitmask": lhv.argmax.to_bitmask(),
+            "argmax_bitmask": lhv.argmax.mask,
         }
     else:
         lhv_doc = {"method": "factored", "value": factored_bound(n)}

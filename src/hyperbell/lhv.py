@@ -53,73 +53,48 @@ def _block_sum_from_mask(mask: int) -> int:
 _BLOCK_SUM_TABLE = tuple(_block_sum_from_mask(m) for m in range(1 << _BITS_PER_BLOCK))
 
 
+@dataclass(frozen=True, slots=True)
 class LhvAssignment:
-    """A total deterministic assignment of +-1 to the bound observables."""
+    """A total deterministic assignment of +-1 to the bound observables.
 
-    def __init__(self, n_blocks: int, values: dict[Observable, int]):
-        for block in range(1, n_blocks + 1):
-            for letter, particle in BOUND_LABELS:
-                obs = Observable(letter, particle, block)
-                if values.get(obs) not in (1, -1):
-                    raise ValueError(f"assignment missing or invalid for {obs}")
-        self.n_blocks = n_blocks
-        self.values = dict(values)
+    Stored as its bitmask: bit (block-1)*7 + label position, set for -1.
+    """
+
+    n_blocks: int
+    mask: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.mask < 1 << (_BITS_PER_BLOCK * self.n_blocks):
+            raise ValueError(f"bitmask {self.mask} out of range for {self.n_blocks} blocks")
 
     def __getitem__(self, obs: Observable) -> int:
-        return self.values[obs]
+        pos = _LABEL_POS.get((obs.letter, obs.particle))
+        if pos is None or obs.block > self.n_blocks:
+            raise KeyError(f"{obs} is not assigned for {self.n_blocks} blocks")
+        return 1 - 2 * ((self.mask >> ((obs.block - 1) * _BITS_PER_BLOCK + pos)) & 1)
 
     @classmethod
     def from_bitmask(cls, mask: int, n_blocks: int) -> "LhvAssignment":
-        """Bit (block-1)*7 + label position; a set bit assigns -1."""
-        if not 0 <= mask < 1 << (_BITS_PER_BLOCK * n_blocks):
-            raise ValueError(f"bitmask {mask} out of range for {n_blocks} blocks")
-        values = {}
-        for block in range(1, n_blocks + 1):
-            for i, (letter, particle) in enumerate(BOUND_LABELS):
-                bit = (mask >> ((block - 1) * _BITS_PER_BLOCK + i)) & 1
-                values[Observable(letter, particle, block)] = 1 - 2 * bit
-        return cls(n_blocks, values)
-
-    def to_bitmask(self) -> int:
-        mask = 0
-        for block in range(1, self.n_blocks + 1):
-            for i, (letter, particle) in enumerate(BOUND_LABELS):
-                if self.values[Observable(letter, particle, block)] == -1:
-                    mask |= 1 << ((block - 1) * _BITS_PER_BLOCK + i)
-        return mask
-
-    @classmethod
-    def all_plus(cls, n_blocks: int) -> "LhvAssignment":
-        return cls.from_bitmask(0, n_blocks)
+        return cls(n_blocks, mask)
 
     @classmethod
     def random(cls, n_blocks: int, rng: np.random.Generator) -> "LhvAssignment":
         mask = 0
         for chunk in range(n_blocks):  # keep draws exact for any block count
             mask |= int(rng.integers(0, 1 << _BITS_PER_BLOCK)) << (chunk * _BITS_PER_BLOCK)
-        return cls.from_bitmask(mask, n_blocks)
+        return cls(n_blocks, mask)
 
 
-def block_sum(assignment: LhvAssignment, block: int) -> int:
-    """Value of one block's four-term sum under the assignment."""
-    mask = 0
-    for i, (letter, particle) in enumerate(BOUND_LABELS):
-        if assignment[Observable(letter, particle, block)] == -1:
-            mask |= 1 << i
-    return _BLOCK_SUM_TABLE[mask]
-
-
-def evaluate(assignment: LhvAssignment, n_blocks: int | None = None) -> int:
+def evaluate(assignment: LhvAssignment) -> int:
     """Bell-expression value of a deterministic assignment.
 
     Computed as the product of block sums; for N <= 3 the expanded 4**N-term
     sum is also evaluated and cross-checked against the product form.
     """
-    if n_blocks is None:
-        n_blocks = assignment.n_blocks
-    if n_blocks != assignment.n_blocks:
-        raise ValueError("assignment size does not match n_blocks")
-    by_product = prod(block_sum(assignment, b) for b in range(1, n_blocks + 1))
+    n_blocks, mask = assignment.n_blocks, assignment.mask
+    by_product = prod(
+        _BLOCK_SUM_TABLE[(mask >> (_BITS_PER_BLOCK * b)) & 127] for b in range(n_blocks)
+    )
     if n_blocks <= 3:
         by_terms = _evaluate_by_terms(assignment, n_blocks)
         if by_terms != by_product:
@@ -168,7 +143,7 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
         if best_value is None or values[k] > best_value:
             best_value, best_mask = int(values[k]), top * lower.size + k
     return LhvBoundResult(
-        best_value, LhvAssignment.from_bitmask(best_mask, n_blocks), table.size * lower.size
+        best_value, LhvAssignment(n_blocks, best_mask), table.size * lower.size
     )
 
 

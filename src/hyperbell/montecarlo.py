@@ -106,23 +106,6 @@ class CountsTable:
         return asdict(self)  # keys in field order
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    """One run of one term: detection flags and, where detected, the local products."""
-
-    term_index: int
-    detected_1: bool
-    detected_2: bool
-    product_1: int | None
-    product_2: int | None
-
-    def __post_init__(self) -> None:
-        if (self.product_1 is None) == self.detected_1:
-            raise ValueError("product_1 must be present iff particle 1 was detected")
-        if (self.product_2 is None) == self.detected_2:
-            raise ValueError("product_2 must be present iff particle 2 was detected")
-
-
 # term-shots per numpy pass of the sampler; keeps its buffers small whatever
 # the shot count (a term with more shots than this is drawn in slices of it)
 SAMPLE_CHUNK = 1 << 13
@@ -401,12 +384,6 @@ def sample_outcomes(
     return a, b, det1, det2
 
 
-def sample_run(term: BellTerm, noise: NoiseParams, rng: np.random.Generator) -> RunRecord:
-    """A single run of one term, from a PCG64 generator as ``sample_outcomes``."""
-    a, b, det1, det2 = (column[0].item() for column in sample_outcomes(term, noise, rng, 1))
-    return RunRecord(term.index, det1, det2, a if det1 else None, b if det2 else None)
-
-
 def counts_for_term(
     term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
 ) -> CountsTable:
@@ -560,6 +537,8 @@ def estimate_beta(
     """
     if not 1 <= n_blocks <= ESTIMATE_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
+    if shots_per_term < 1:
+        raise ValueError(f"shots_per_term must be >= 1, got {shots_per_term}")
     if term_budget < 1:
         raise ValueError(f"term_budget must be >= 1, got {term_budget}")
     shots = shots_per_term

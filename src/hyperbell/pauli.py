@@ -32,7 +32,6 @@ _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _STR_PHASE = {v: k for k, v in _PHASE_STR.items()}
-_PHASE_VALUE = (1, 1j, -1, -1j)
 
 _ITEM_RE = re.compile(r"([XYZxyz])([12])\((\d+)\)")
 _STRING_RE = re.compile(
@@ -114,16 +113,8 @@ class PauliOp:
     e: int
 
     @property
-    def phase(self) -> complex:
-        return _PHASE_VALUE[self.e]
-
-    @property
     def is_hermitian(self) -> bool:
         return self.e % 2 == 0
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
 
     def support(self) -> Iterator[int]:
         mask = self.x | self.z

@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import Observable, PauliOp, _xz_exponent, identity, pauli_mul, pauli_to_string
+from .pauli import Observable, PauliOp, _xz_exponent, commutes, pauli_mul, pauli_to_string
 
 DENSE_BLOCK_CAP = 5
 # Exact evaluation visits all 4**N Bell terms, about 15 s at N=12 on a 2-core
@@ -60,29 +60,6 @@ def _op_repr(op: PauliOp) -> str:
     return f"PauliOp(n={op.n}, x={op.x:#x}, z={op.z:#x}, e={op.e})"
 
 
-@dataclass(frozen=True, slots=True)
-class BellScenario:
-    """Size bookkeeping for an N-block scenario."""
-
-    n_blocks: int
-
-    def __post_init__(self) -> None:
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
-
-    @property
-    def qubits_per_particle(self) -> int:
-        return 2 * self.n_blocks
-
-    @property
-    def n_qubits(self) -> int:
-        return 4 * self.n_blocks
-
-    @property
-    def local_dimension(self) -> int:
-        return 4**self.n_blocks
-
-
 def block_operator(
     sign: int, letters: tuple[LetterPair, ...], block: int, n_blocks: int
 ) -> PauliOp:
@@ -116,7 +93,7 @@ class StabilizerState:
             )
         for i, a in enumerate(generators):
             for b in generators[i + 1 :]:
-                if ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1:
+                if not commutes(a, b):
                     raise ValueError(
                         f"generators do not commute: {_op_repr(a)} vs {_op_repr(b)}"
                     )
@@ -268,25 +245,36 @@ def dense_expectation(state: DenseState, op: PauliOp) -> float:
         raise ValueError(f"register size mismatch: {op.n} vs {state.n}")
     if not op.is_hermitian:
         raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
-    n = state.n
-    idx = state.support
-    # parity of (basis index AND zmask), the mask moved to basis-index bits
-    par = np.bitwise_count(idx & np.uint64(_flip_mask(op.z, n))) & 1
-    signs = 1.0 - 2.0 * par.astype(np.float64)
-    flipped = idx ^ np.uint64(_flip_mask(op.x, n))
-    amps = state.amplitudes
-    val = complex(1j) ** _xz_exponent(op) * np.sum(signs * amps[idx] * np.conj(amps[flipped]))
-    if abs(val.imag) > 1e-12:
-        raise AssertionError(f"expectation came out non-real: {val}")
-    return float(val.real)
+    x, z = np.array([[op.x], [op.z]], dtype=np.uint64)
+    return float(_dense_expect_xz(state, x, z, np.array([_xz_exponent(op)]))[0])
 
 
-def _flip_mask(mask: int, n: int) -> int:
-    # translate a flat-qubit x or z mask into basis-index bit positions (q0 = MSB)
-    out = 0
+def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Dense core: expectations of i**e X^x Z^z across arrays of uint64 masks and exponents.
+
+    Operator t sums conj(psi[k ^ x_t]) (-1)**popcount(k & z_t) psi[k] over
+    the support k, with the masks moved to basis-index bits; one operator at
+    a time, so memory stays at one support-sized vector.
+    """
+    idx = psi.support
+    amps = psi.amplitudes
+    here = amps[idx]
+    sums = np.array([
+        np.sum(np.where(np.bitwise_count(idx & fz) & 1, -here, here) * np.conj(amps[idx ^ fx]))
+        for fx, fz in zip(_flip_mask(x, psi.n), _flip_mask(z, psi.n))
+    ])
+    val = np.array([1, 1j, -1, -1j])[e % 4] * sums
+    nonreal = np.abs(val.imag) > 1e-12
+    if nonreal.any():
+        raise AssertionError(f"expectation came out non-real: {val[nonreal][0]}")
+    return val.real
+
+
+def _flip_mask(mask: np.ndarray, n: int) -> np.ndarray:
+    # translate flat-qubit x or z masks into basis-index bit positions (q0 = MSB)
+    out = np.zeros_like(mask)
     for q in range(n):
-        if (mask >> q) & 1:
-            out |= 1 << (n - 1 - q)
+        out |= ((mask >> q) & 1) << (n - 1 - q)
     return out
 
 

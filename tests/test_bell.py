@@ -12,11 +12,11 @@ import hyperbell.state
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
     EVAL_CHUNK,
+    _dense_signed,
     _signed_chunks,
     enumerate_terms,
     n_terms,
     quantum_value,
-    settings_for_term,
     term_at,
 )
 from hyperbell.pauli import commutes, identity, pauli_mul
@@ -41,15 +41,16 @@ class TestMenu:
         assert [t.sign for t in BLOCK_TERM_MENU] == [1, -1, 1, 1]
 
     def test_particle_split(self):
-        by_label = {t.label: t for t in BLOCK_TERM_MENU}
-        assert by_label["XXz"].particle_observables(1) == ("X",)
-        assert by_label["XXz"].particle_observables(2) == ("X", "z")
-        assert by_label["YYz"].particle_observables(1) == ("Y",)
-        assert by_label["YYz"].particle_observables(2) == ("Y", "z")
-        assert by_label["XxYy"].particle_observables(1) == ("X", "x")
-        assert by_label["XxYy"].particle_observables(2) == ("Y", "y")
-        assert by_label["YxXy"].particle_observables(1) == ("Y", "x")
-        assert by_label["YxXy"].particle_observables(2) == ("X", "y")
+        split = {
+            t.label: tuple(tuple(l for l, p in t.observables if p == particle) for particle in (1, 2))
+            for t in BLOCK_TERM_MENU
+        }
+        assert split == {
+            "XXz": (("X",), ("X", "z")),
+            "YYz": (("Y",), ("Y", "z")),
+            "XxYy": (("X", "x"), ("Y", "y")),
+            "YxXy": (("Y", "x"), ("X", "y")),
+        }
 
     def test_each_choice_is_certain_on_the_state(self):
         # signed menu entries all evaluate to +1 per block
@@ -90,20 +91,7 @@ class TestEnumeration:
                 s.operator.e,
             )
 
-    def test_range_slicing(self):
-        full = list(enumerate_terms(3))
-        window = list(enumerate_terms(3, 17, 40))
-        assert [t.index for t in window] == list(range(17, 40))
-        assert [t.choices for t in window] == [t.choices for t in full[17:40]]
-        assert list(enumerate_terms(3, 64, 64)) == []
-
     def test_bad_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_terms(2, 5, 3))
-        with pytest.raises(ValueError):
-            list(enumerate_terms(2, 0, 17))
-        with pytest.raises(ValueError):
-            list(enumerate_terms(2, -1, 4))
         for bad in (-1, 16):
             with pytest.raises(ValueError):
                 term_at(2, bad)
@@ -169,26 +157,31 @@ class TestSettings:
             2: ({"X", "x"}, {"Y", "y"}),
             3: ({"Y", "x"}, {"X", "y"}),
         }
-        for c, (letters1, letters2) in want.items():
-            s1, s2 = settings_for_term(term_at(1, c))
-            assert s1.particle == 1 and s2.particle == 2
-            assert {o.letter for o in s1.blocks[0]} == letters1
-            assert {o.letter for o in s2.blocks[0]} == letters2
+        for c, letters in want.items():
+            observables = list(term_at(1, c).observables())
+            assert tuple({o.letter for o in observables if o.particle == p} for p in (1, 2)) == letters
 
     def test_settings_are_locally_compatible(self):
         # each observer's chosen observables mutually commute, so one local
         # measurement yields all of them at once
+        settings = [
+            [[block_operator(+1, ((l, p),), 1, 1) for l, p in t.observables if p == particle] for particle in (1, 2)]
+            for t in BLOCK_TERM_MENU
+        ]
         for term in enumerate_terms(2):
-            for setting in settings_for_term(term):
-                ops = [o.to_pauli(2) for o in setting.all_observables()]
+            settings.append(
+                [[o.to_pauli(2) for o in term.observables() if o.particle == particle] for particle in (1, 2)]
+            )
+        for setting in settings:
+            for ops in setting:
                 for i, a in enumerate(ops):
                     for b in ops[i + 1 :]:
                         assert commutes(a, b)
 
     def test_settings_union_rebuilds_operator(self):
         for term in enumerate_terms(2):
-            s1, s2 = settings_for_term(term)
-            ops = [o.to_pauli(2) for s in (s1, s2) for o in s.all_observables()]
+            observables = list(term.observables())
+            ops = [o.to_pauli(2) for p in (1, 2) for o in observables if o.particle == p]
             op = reduce(pauli_mul, ops)
             assert (op.x, op.z, op.e) == (
                 term.operator.x,
@@ -226,19 +219,24 @@ class TestQuantumValue:
             assert quantum_value(n, backend="dense") == 4**n
 
     def test_chunks_match_scalar_reference(self, monkeypatch):
-        # the one-term-at-a-time elimination in expectation() is the reference;
-        # a chunk of 7 makes ranges span several chunks with unaligned bounds
+        # the one-term-at-a-time elimination in expectation() is the reference
+        # for both backends' chunks; a chunk of 7 makes ranges span several
+        # chunks with unaligned bounds
         for chunk in (EVAL_CHUNK, 7):
             monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
             for n in range(1, 6):
                 state = build_state(n)
                 want = [t.sign * expectation(state, t.operator) for t in enumerate_terms(n)]
                 total = n_terms(n)
+                psi = dense_state(n) if n <= 4 else None
                 for start, stop in ((0, total), (1, total - 2), (total // 3, 2 * total // 3 + 1), (2, 2)):
-                    chunks = list(_signed_chunks(n, state._rows, start, stop))
-                    assert [lo for lo, _ in chunks] == list(range(start, stop, chunk))
-                    got = [int(v) for _, values in chunks for v in values]
-                    assert got == want[start:stop], (chunk, n, start, stop)
+                    backends = [_signed_chunks(n, state._rows, start, stop)]
+                    if psi is not None:
+                        backends.append(_dense_signed(n, psi, start, stop))
+                    for chunks in map(list, backends):
+                        assert [lo for lo, _ in chunks] == list(range(start, stop, chunk))
+                        got = [int(v) for _, values in chunks for v in values]
+                        assert got == want[start:stop], (chunk, n, start, stop)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):

@@ -315,6 +315,15 @@ class TestOutputFile:
         assert to_file.stdout == ""
         assert target.read_text(encoding="utf-8") == to_stdout.stdout
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        proc = run_cli("verify", "--n", "2", "--out", str(target))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot write --out {target}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
 
 class TestUsageErrors:
     def test_exit_code_two(self):

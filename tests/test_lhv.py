@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from hyperbell import lhv
+from hyperbell.bell import BLOCK_TERM_MENU
 from hyperbell.lhv import (
     BOUND_LABELS,
     BRUTE_FORCE_BLOCK_CAP,
     _BLOCK_SUM_TABLE,
     LhvAssignment,
-    block_sum,
     brute_force_bound,
     evaluate,
     factored_bound,
@@ -33,7 +33,8 @@ class TestAssignment:
             for _ in range(50):
                 mask = int(rng.integers(0, 1 << (7 * n)))
                 a = LhvAssignment.from_bitmask(mask, n)
-                assert a.to_bitmask() == mask
+                assert a == LhvAssignment(n, mask)
+                assert a.mask == mask
 
     def test_bit_positions(self):
         # bit (block-1)*7 + i flips the i-th bound label of that block
@@ -47,30 +48,28 @@ class TestAssignment:
                             assert a[Observable(l2, p2, b)] == want
 
     def test_all_plus(self):
-        a = LhvAssignment.all_plus(2)
-        assert a.to_bitmask() == 0
-        assert all(v == 1 for v in a.values.values())
+        a = LhvAssignment.from_bitmask(0, 2)
+        assert all(a[Observable(l, p, b)] == 1 for l, p in BOUND_LABELS for b in (1, 2))
 
     def test_random_is_seed_deterministic(self):
         a = LhvAssignment.random(3, np.random.default_rng(5))
         b = LhvAssignment.random(3, np.random.default_rng(5))
-        assert a.to_bitmask() == b.to_bitmask()
+        assert a.mask == b.mask
 
-    def test_missing_or_invalid_values_rejected(self):
-        values = {
-            Observable(l, p, 1): 1 for l, p in BOUND_LABELS[:-1]
-        }
-        with pytest.raises(ValueError, match="missing or invalid"):
-            LhvAssignment(1, values)
-        values[Observable(*BOUND_LABELS[-1], 1)] = 0
-        with pytest.raises(ValueError, match="missing or invalid"):
-            LhvAssignment(1, values)
+    def test_observable_outside_the_assignment_rejected(self):
+        # a clear bit must not read as +1 for an observable that has no bit
+        a = LhvAssignment.from_bitmask(0, 2)
+        for obs in (Observable("X", 1, 3), Observable("z", 1, 1), Observable("Z", 2, 2)):
+            with pytest.raises(KeyError, match="not assigned"):
+                a[obs]
 
     def test_out_of_range_bitmask_rejected(self):
         with pytest.raises(ValueError):
             LhvAssignment.from_bitmask(1 << 7, 1)
         with pytest.raises(ValueError):
             LhvAssignment.from_bitmask(-1, 1)
+        with pytest.raises(ValueError):
+            LhvAssignment(2, 1 << 14)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -88,14 +87,17 @@ class TestBlockSum:
     def test_all_plus_block_sum(self):
         # +1 everywhere: terms contribute +1, -1, +1, +1
         assert _BLOCK_SUM_TABLE[0] == 2
-        a = LhvAssignment.all_plus(2)
-        assert block_sum(a, 1) == 2
-        assert block_sum(a, 2) == 2
+        assert evaluate(LhvAssignment.from_bitmask(0, 1)) == 2
 
     def test_block_sum_matches_table(self):
+        # the table entry is the four signed menu terms summed under the
+        # assignment's values, read one observable at a time
         for mask in range(128):
             a = LhvAssignment.from_bitmask(mask, 1)
-            assert block_sum(a, 1) == _BLOCK_SUM_TABLE[mask]
+            want = sum(
+                t.sign * prod(a[Observable(l, p, 1)] for l, p in t.observables) for t in BLOCK_TERM_MENU
+            )
+            assert _BLOCK_SUM_TABLE[mask] == want
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -106,7 +108,7 @@ class TestBlockSum:
 class TestEvaluate:
     def test_all_plus_values(self):
         for n, want in ((1, 2), (2, 4), (6, 64)):
-            assert evaluate(LhvAssignment.all_plus(n)) == want
+            assert evaluate(LhvAssignment.from_bitmask(0, n)) == want
 
     def test_single_block_exhaustive(self):
         # evaluate() internally cross-checks the expanded 4**N-term sum
@@ -123,10 +125,6 @@ class TestEvaluate:
             want = _BLOCK_SUM_TABLE[mask & 127] * _BLOCK_SUM_TABLE[mask >> 7]
             assert evaluate(a) == want
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            evaluate(LhvAssignment.all_plus(2), n_blocks=3)
-
 
 # ═══════════════════════════════════════════════════════════════════════════
 # Bounds
@@ -138,11 +136,11 @@ class TestBounds:
         r1 = brute_force_bound(1)
         assert r1.max_value == 2
         assert r1.assignments_scanned == 128
-        assert r1.argmax.to_bitmask() == 0
+        assert r1.argmax.mask == 0
         r2 = brute_force_bound(2)
         assert r2.max_value == 4
         assert r2.assignments_scanned == 16384
-        assert r2.argmax.to_bitmask() == 0
+        assert r2.argmax.mask == 0
 
     def test_three_blocks_agrees_with_factored(self):
         r = brute_force_bound(3)
@@ -185,7 +183,7 @@ class TestBounds:
             want = max(range(1 << (7 * n)), key=value)  # the first maximal mask
             r = brute_force_bound(n)
             assert r.max_value == value(want)
-            assert r.argmax.to_bitmask() == want
+            assert r.argmax.mask == want
             assert r.assignments_scanned == 1 << (7 * n)
 
     def test_brute_force_cap(self):

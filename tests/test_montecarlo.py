@@ -17,7 +17,6 @@ from hyperbell.montecarlo import (
     ESTIMATE_BLOCK_CAP,
     SAMPLE_CHUNK,
     CountsTable,
-    RunRecord,
     UndefinedEstimateError,
     _outcome_table,
     _sample_indices,
@@ -28,7 +27,6 @@ from hyperbell.montecarlo import (
     estimate_correlation,
     estimate_term,
     sample_outcomes,
-    sample_run,
 )
 
 IDEAL = NoiseParams(epsilon=0.0, p=1.0, eta=1.0)
@@ -57,15 +55,6 @@ class TestCountsTable:
     def test_as_dict_order(self):
         keys = list(CountsTable(1, 1, 0, 0, 0, 0).as_dict())
         assert keys == ["n_total", "n_pp", "n_mm", "n_single_1", "n_single_2", "n_00"]
-
-
-class TestRunRecord:
-    def test_product_present_iff_detected(self):
-        RunRecord(0, True, False, 1, None)
-        with pytest.raises(ValueError, match="product_1"):
-            RunRecord(0, True, True, None, 1)
-        with pytest.raises(ValueError, match="product_2"):
-            RunRecord(0, False, False, None, -1)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -184,9 +173,9 @@ class TestSampling:
         term = term_at(2, 7)
         seen_missing = False
         for _ in range(200):
-            rec = sample_run(term, noise, rng)
-            assert rec.term_index == 7
-            if not (rec.detected_1 and rec.detected_2):
+            a, b, det1, det2 = sample_outcomes(term, noise, rng, 1)
+            assert a.shape == b.shape == det1.shape == det2.shape == (1,)
+            if not (det1[0] and det2[0]):
                 seen_missing = True
         assert seen_missing
 
@@ -346,6 +335,9 @@ class TestEstimateBeta:
             estimate_beta(ESTIMATE_BLOCK_CAP + 1, 1, IDEAL, seed=0, term_budget=2)
         with pytest.raises(ValueError, match="term_budget"):
             estimate_beta(1, 10, IDEAL, seed=0, term_budget=0)
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match=rf"^shots_per_term must be >= 1, got {shots}$"):
+                estimate_beta(1, shots, IDEAL, seed=0)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -481,10 +473,10 @@ class TestChunkedSampler:
             assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
 
 
-def _record_counts(rec: RunRecord) -> CountsTable:
+def _run_counts(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> CountsTable:
     """One run's detection category, as a one-shot CountsTable."""
-    d1, d2 = rec.detected_1, rec.detected_2
-    same = d1 and d2 and rec.product_1 == rec.product_2
+    (d1,), (d2,) = det1.tolist(), det2.tolist()
+    same = d1 and d2 and a[0] == b[0]
     parts = (same, d1 and d2 and not same, d1 and not d2, d2 and not d1, not (d1 or d2))
     return CountsTable(1, *map(int, parts))
 
@@ -522,7 +514,7 @@ class TestRawStreamEdges:
         for k in range(40):
             term = term_at(1, k % 4)
             want = _reference_counts(term, self.NOISE, 1, ref)
-            assert _record_counts(sample_run(term, self.NOISE, rng)) == want
+            assert _run_counts(*sample_outcomes(term, self.NOISE, rng, 1)) == want
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -531,11 +523,10 @@ class TestPcg64Only:
         "call",
         [
             lambda rng: sample_outcomes(term_at(1, 0), IDEAL, rng, 4),
-            lambda rng: sample_run(term_at(1, 0), IDEAL, rng),
             lambda rng: counts_for_term(term_at(1, 0), IDEAL, 4, rng),
             lambda rng: estimate_term(term_at(1, 0), IDEAL, 4, rng),
         ],
-        ids=["sample_outcomes", "sample_run", "counts_for_term", "estimate_term"],
+        ids=["sample_outcomes", "counts_for_term", "estimate_term"],
     )
     def test_other_bit_generators_are_refused(self, call):
         rng = np.random.Generator(np.random.MT19937(1))

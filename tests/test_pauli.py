@@ -112,7 +112,7 @@ class TestNamedObservables:
 
     def test_phase_is_plus_one(self):
         for letter in "XYZxyz":
-            assert named_observable(letter, 1, 2, 3).phase == 1
+            assert named_observable(letter, 1, 2, 3).e == 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ class TestAlgebra:
 
     def test_negation(self):
         op = named_observable("Y", 1, 1, 1)
-        assert (-op).phase == -1
+        assert op.e == 0 and (-op).e == 2
         assert -(-op) == op
 
     def test_size_mismatch_rejected(self):

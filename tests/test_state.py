@@ -16,7 +16,6 @@ from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
     PERFECT_CORRELATIONS,
-    BellScenario,
     DenseState,
     StabilizerState,
     _expect_xz_batch,
@@ -35,24 +34,6 @@ def random_hermitian(rng: np.random.Generator, n_qubits: int) -> PauliOp:
     x = int(rng.integers(0, 1 << n_qubits))
     z = int(rng.integers(0, 1 << n_qubits))
     return PauliOp(n_qubits, x, z, int(rng.integers(0, 2)) * 2)
-
-
-# ═══════════════════════════════════════════════════════════════════════════
-# Scenario bookkeeping
-# ═══════════════════════════════════════════════════════════════════════════
-
-
-class TestScenario:
-    def test_sizes(self):
-        s = BellScenario(3)
-        assert s.qubits_per_particle == 6
-        assert s.n_qubits == 12
-        assert s.local_dimension == 64
-
-    def test_rejects_nonpositive(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                BellScenario(bad)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -242,6 +223,15 @@ class TestDense:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             DenseState(np.ones(3, dtype=np.complex128) / np.sqrt(3.0))
+
+    def test_qubit_zero_is_the_most_significant_bit(self):
+        # the block state is symmetric under reversing all qubits, so only an
+        # asymmetric state pins the convention: basis index 1 is |0001>
+        basis = DenseState(np.eye(16, dtype=np.complex128)[1])
+        for q in range(4):
+            z = PauliOp(4, 0, 1 << q, 0)
+            assert dense_expectation(basis, z) == (-1.0 if q == 3 else 1.0)
+        assert dense_expectation(basis, PauliOp(4, 1 << 3, 0, 0)) == 0.0
 
     def test_expectation_guards(self):
         d = dense_state(1)
