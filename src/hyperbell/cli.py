@@ -98,9 +98,12 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise _usage_error(f"invalid {SEED_ENV_VAR} value: {raw!r}") from None
+        seed = -1
+    if seed < 0:  # as for --seed, which must be >= 0
+        raise _usage_error(f"invalid {SEED_ENV_VAR} value: {raw!r}")
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -245,6 +248,7 @@ def cmd_eta_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_min_n(args: argparse.Namespace) -> int:
+    _require_cap("min-n", args.n_cap, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     try:
         result = min_blocks(args.eta, args.eps, args.p, n_cap=args.n_cap)
     except NoViolationError as exc:
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_min = sub.add_parser("min-n", help="smallest N that violates at a given efficiency")
     _add_noise_flags(p_min, p_type=_positive_unit)
-    p_min.add_argument("--n-cap", type=_positive_int, default=64, help="search cap (default 64)")
+    p_min.add_argument("--n-cap", type=_positive_int, default=64, help=f"search cap (default 64, at most {FLOAT_BLOCK_CAP})")
     p_min.add_argument("--format", choices=("json", "csv"), default="json")
     p_min.add_argument("--out", default=None)
     p_min.set_defaults(func=cmd_min_n)

@@ -152,10 +152,12 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
     """Smallest N whose noise-adjusted bounds are beaten at efficiency eta.
 
     Scans N = 1, 2, ... for the first strict crossing and returns it together
-    with the bound table for N = 1 .. n_star + 2.  The ratio r(N) approaches
-    eps/p from above as N grows, so eps/p >= eta/(2-eta) rules a crossing out
-    for every N.
+    with the bound table for N = 1 .. n_star + 2, clipped at FLOAT_BLOCK_CAP,
+    which also caps ``n_cap``.  The ratio r(N) approaches eps/p from above as
+    N grows, so eps/p >= eta/(2-eta) rules a crossing out for every N.
     """
+    if n_cap > FLOAT_BLOCK_CAP:
+        raise ValueError(f"n_cap must be at most {FLOAT_BLOCK_CAP}, got {n_cap}")
     v = visibility_factor(eta)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
@@ -169,5 +171,6 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
     n_star = next((n for n in range(1, n_cap + 1) if bounds_report(n, eps, p).violated(eta)), None)
     if n_star is None:
         raise NoViolationError(f"no violation found for N up to {n_cap}")
-    table = tuple(bounds_report(n, eps, p) for n in range(1, n_star + 3))
+    last = min(n_star + 2, FLOAT_BLOCK_CAP)
+    table = tuple(bounds_report(n, eps, p) for n in range(1, last + 1))
     return MinBlocksResult(n_star, table, eta, eps, p, v)

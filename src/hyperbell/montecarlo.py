@@ -16,24 +16,23 @@ denominator,
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-All randomness flows through numpy's PCG64 generators.  For multi-term
-estimates each term has its own stream, derived from the master seed by term
-index, so the result is byte-identical for a fixed seed whatever order or
-grouping the terms are measured in.  A term's stream is read in a fixed
-order: per block, ``shots`` uniforms for the ideal/noise selector, ``shots``
-uniforms for the ideal outcome, ``shots`` integers for the noise outcome;
-then ``shots`` uniforms each for the sign flip and the two detectors.
+All randomness flows through numpy's PCG64 bit generators, one stream per
+term: ``_term_stream(seed, index)`` is a function of the master seed and the
+term index only, so the result is byte-identical for a fixed seed whatever
+order or grouping the terms are measured in, and ``estimate_term`` gives
+exactly a term's share of ``estimate_beta``.  A term's stream is read in a
+fixed order: per block, ``shots`` uniforms for the ideal/noise selector,
+``shots`` uniforms for the ideal outcome, ``shots`` integers for the noise
+outcome; then ``shots`` uniforms each for the sign flip and the two detectors.
 
-The sampler reads that order as numpy's ``random`` and ``integers`` would,
-but from raw 64-bit words, one ``random_raw`` fetch per term, decoded in
-numpy: a uniform draw is an integer compare, the ideal outcome's 1/16 cell
-is the top four bits, and a noise outcome over 2**k outcomes is a 32-bit
-half x shifted to x >> (32 - k), Lemire's bounded draw, which never rejects
-for a power-of-two range.  PCG64 hands out a word's low half first and keeps
-the high half for the next 32-bit draw, also across blocks and across calls;
-a half pending on entry is used, and every generator is left as those calls
-would leave it.  The decoding is PCG64's, so other bit generators are
-refused.
+The sampler reads that order as numpy's ``random`` and ``integers`` would on
+a fresh generator, but from raw 64-bit words, one ``random_raw`` fetch per
+term, decoded in numpy: a uniform draw is an integer compare, the ideal
+outcome's 1/16 cell is the top four bits, and a noise outcome over 2**k
+outcomes is a 32-bit half x shifted to x >> (32 - k), Lemire's bounded draw,
+which never rejects for a power-of-two range.  PCG64 hands out a word's low
+half first and keeps the high half for the next 32-bit draw, also across
+blocks.
 
 Every block reads one outcome table, built on first use: for each of the four
 menu choices, the joint distribution of its k observables is the
@@ -49,8 +48,7 @@ outcome lookups, flip, detectors and per-term tallies then run once per
 block over the whole chunk.  A term with more shots than SAMPLE_CHUNK is
 drawn in slices of that many shots, each reaching its words with
 ``PCG64.advance``, and tallied slice by slice, so memory stays flat in
-shots.  The one-term functions (``sample_outcomes``, ``counts_for_term``,
-``estimate_term``) are a chunk of one through the same kernel.
+shots.  ``estimate_term`` is a chunk of one through the same kernel.
 """
 
 from __future__ import annotations
@@ -189,24 +187,22 @@ class _SlicePlan(NamedTuple):
     runs: tuple[tuple[int, int], ...]  # (stream offset, words) fetched, in order
     size: int  # words fetched; every position below is a column of that buffer
     # per block: selector, ideal outcome, the word whose high half is the
-    # first noise draw (-1: the generator's pending half, -2: none), the
-    # block's own noise words, its first half, and the halves it uses
+    # first noise draw (-1: none), the block's own noise words, its first
+    # half, and the halves it uses
     blocks: tuple[tuple[int, int, int, int, int, int], ...]
     tail: tuple[int, ...]  # the flip and the two detectors
-    last_noise: int  # the term's last noise word, -1 if this slice has none
     end: int  # the stream offset after the slice's last word
 
 
 @lru_cache(maxsize=256)  # bounded: a term with many shots has a plan per slice
-def _slice_plan(n_blocks: int, shots: int, pending: int, lo: int, hi: int) -> _SlicePlan:
+def _slice_plan(n_blocks: int, shots: int, lo: int, hi: int) -> _SlicePlan:
     """Word offsets of one slice of a term's stream, in the module's draw order.
 
     Per block the stream holds ``shots`` selector words, ``shots`` ideal
     outcome words, then the words whose 32-bit halves, low half first, are
-    the noise draws; a high half left over by one block (or ``pending`` in
-    the generator on entry) is the next block's first noise draw.  Then
-    ``shots`` words each for the flip and the two detectors.  The slice's
-    spans are merged into runs of contiguous words.
+    the noise draws; a high half left over by one block is the next block's
+    first noise draw.  Then ``shots`` words each for the flip and the two
+    detectors.  The slice's spans are merged into runs of contiguous words.
     """
     runs: list[list[int]] = []
     size = 0
@@ -215,7 +211,7 @@ def _slice_plan(n_blocks: int, shots: int, pending: int, lo: int, hi: int) -> _S
         """Buffer column of the stream span [start, stop); spans come in stream order."""
         nonlocal size
         if start == stop:
-            return -2
+            return -1
         end = runs[-1][0] + runs[-1][1] if runs else -1
         if start > end:
             runs.append([start, 0])
@@ -227,29 +223,35 @@ def _slice_plan(n_blocks: int, shots: int, pending: int, lo: int, hi: int) -> _S
         return column
 
     blocks = []
-    off, last_noise = 0, -1
+    off = 0
     for b in range(n_blocks):
-        h = (pending + b * shots) & 1  # a half is pending as block b starts
+        h = b * shots & 1  # a half is pending as block b starts
         q_lo, q_hi = max(lo - h, 0), hi - h  # the block's own halves used here
-        carry = -2  # the slice's first noise draw is one of the block's own halves
-        if h and lo == 0:  # or the half pending as the block starts
-            carry = place(off - 1, off) if b else -1
         noise = off + 2 * shots
         blocks.append((
             place(off + lo, off + hi),
             place(off + shots + lo, off + shots + hi),
-            carry,
+            # the slice's first noise draw is the half pending as the block
+            # starts, or else one of the block's own halves
+            place(off - 1, off) if h and lo == 0 else -1,
             place(noise + q_lo // 2, noise + (q_hi + 1) // 2),
             q_lo & 1,
             q_hi - q_lo,
         ))
-        own = (shots - h + 1) // 2
-        off = noise + own
-        if own and hi == shots:
-            last_noise = blocks[-1][3] + own - 1 - q_lo // 2
+        off = noise + (shots - h + 1) // 2
     tail = tuple(place(off + j * shots + lo, off + j * shots + hi) for j in range(3))
     end = runs[-1][0] + runs[-1][1]
-    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail, last_noise, end)
+    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail, end)
+
+
+def _term_stream(seed: int, index: int) -> np.random.PCG64:
+    """Term ``index``'s stream under master ``seed``, a function of the two alone.
+
+    The state ``default_rng`` builds from the same SeedSequence, so numpy's
+    calls on ``np.random.Generator(_term_stream(seed, index))`` read the
+    draws the sampler decodes.
+    """
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
 
 
 def _fetch(bitgens: Sequence[np.random.PCG64], plan: _SlicePlan, at: int) -> np.ndarray:
@@ -266,27 +268,17 @@ def _fetch(bitgens: Sequence[np.random.PCG64], plan: _SlicePlan, at: int) -> np.
 
 
 def _sample_chunk(
-    choices: np.ndarray, noise: NoiseParams, rngs: Sequence[np.random.Generator], shots: int
+    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Runs of a chunk of terms, SAMPLE_CHUNK shots at a time: local products
     A, B and detection flags, (terms, slice shots) each.
 
-    ``choices`` holds each term's menu choices, one row per term, and
-    ``rngs`` its PCG64 generator, read in the module's draw order and left
-    where that order leaves it.  Their pending 32-bit halves must agree.
+    Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn
+    from ``_term_stream(seed, indices[t])`` in the module's draw order.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    bitgens = [rng.bit_generator for rng in rngs]
-    for bitgen in bitgens:
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError(f"the sampler decodes PCG64 words; got {type(bitgen).__name__}")
-    states = [bitgen.state for bitgen in bitgens]
-    pendings = {state["has_uint32"] for state in states}
-    if len(pendings) > 1:
-        raise ValueError("the generators of one chunk must agree on a pending 32-bit half")
-    (pending,) = pendings
-    entry = np.array([state["uinteger"] for state in states], dtype=np.uint64)
+    bitgens = [_term_stream(seed, t) for t in indices]
     table = _outcome_table()
     shift = table.noise_shift[choices]
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
@@ -297,7 +289,7 @@ def _sample_chunk(
     at = 0
     for lo in range(0, shots, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, shots - lo)
-        plan = _slice_plan(choices.shape[1], shots, pending, lo, lo + n)
+        plan = _slice_plan(choices.shape[1], shots, lo, lo + n)
         buf = _fetch(bitgens, plan, at)
         at = plan.end
         a = np.ones((len(bitgens), n), dtype=np.int8)
@@ -315,9 +307,7 @@ def _sample_chunk(
             # outcomes is x >> (32 - k), never rejecting
             words = buf[:, own : own + (first + halves + 1) // 2].astype("<u8", copy=False)
             outcome[:, n - halves :] = words.view("<u4")[:, first : first + halves]
-            if carry == -1:
-                outcome[:, 0] = entry
-            elif carry >= 0:
+            if carry >= 0:
                 outcome[:, 0] = buf[:, carry] >> 32
             outcome >>= block_shift[:, None]
             np.copyto(outcome, table.drawn[cell], where=ideal)
@@ -330,13 +320,6 @@ def _sample_chunk(
         )
         np.negative(b, out=b, where=flip)
         yield a, b, det1, det2
-    # leave each generator as the loop would: the last noise word's high
-    # half kept, and pending if the draws used an odd number of halves
-    kept = entry if plan.last_noise < 0 else buf[:, plan.last_noise] >> 32
-    for bitgen, half in zip(bitgens, kept.tolist()):
-        state = bitgen.state
-        state.update(has_uint32=(pending + choices.shape[1] * shots) & 1, uinteger=half)
-        bitgen.state = state
 
 
 def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> np.ndarray:
@@ -362,37 +345,10 @@ def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> 
 
 
 def _tally_chunk(
-    choices: np.ndarray, noise: NoiseParams, rngs: Sequence[np.random.Generator], shots: int
+    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
 ) -> np.ndarray:
     """``_tally`` of a chunk's runs, summed over its slices."""
-    return sum(_tally(*runs) for runs in _sample_chunk(choices, noise, rngs, shots))
-
-
-def sample_outcomes(
-    term: BellTerm, noise: NoiseParams, rng: np.random.Generator, shots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized runs of one term: local products A, B and detection flags.
-
-    A chunk of one through the sampler, so a seeded generator yields the
-    same runs here as for this term inside ``estimate_beta``, and the same
-    local products whatever eta and eps are.  ``rng`` must be a PCG64
-    generator (``default_rng``'s), whose raw words the sampler decodes;
-    any other bit generator raises TypeError.
-    """
-    slices = _sample_chunk(np.array([term.choices]), noise, [rng], shots)
-    a, b, det1, det2 = (np.concatenate(runs, axis=1)[0] for runs in zip(*slices))
-    return a, b, det1, det2
-
-
-def counts_for_term(
-    term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
-) -> CountsTable:
-    """Run a term ``shots`` times and tally the detection categories.
-
-    ``rng`` must be a PCG64 generator, as for ``sample_outcomes``.
-    """
-    (tally,) = _tally_chunk(np.array([term.choices]), noise, [rng], shots)
-    return CountsTable(shots, *tally.tolist())
+    return sum(_tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots))
 
 
 def estimate_correlation(counts: CountsTable) -> float:
@@ -417,48 +373,37 @@ class TermEstimate:
 
 
 def _estimate_chunk(
-    names: Sequence[int],
-    choices: np.ndarray,
-    noise: NoiseParams,
-    rngs: Sequence[np.random.Generator],
-    shots: int,
+    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-term correlation, standard error and tallies of a chunk of terms.
 
-    ``names`` are the term indices, for the error a term with no detection
-    raises.  The standard error is binomial-style: sqrt((m2 - corr**2) / d)
-    with m2 = (n_pp + n_mm) / d and d = n_total - n_00.
+    The standard error is binomial-style: sqrt((m2 - corr**2) / d) with
+    m2 = (n_pp + n_mm) / d and d = n_total - n_00.
     """
-    tally = _tally_chunk(choices, noise, rngs, shots)
+    tally = _tally_chunk(indices, choices, noise, seed, shots)
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
     if empty.size:
         raise UndefinedEstimateError(
-            f"term {names[empty[0]]}: no runs with at least one detection out of {shots}"
+            f"term {indices[empty[0]]}: no runs with at least one detection out of {shots}"
         )
     corr = (n_pp - n_mm) / denom
     variance = np.maximum((n_pp + n_mm) / denom - corr * corr, 0.0)
     return corr, np.sqrt(variance / denom), tally
 
 
-def estimate_term(
-    term: BellTerm, noise: NoiseParams, shots: int, rng: np.random.Generator
-) -> TermEstimate:
+def estimate_term(term: BellTerm, noise: NoiseParams, shots: int, seed: int) -> TermEstimate:
     """Correlation estimate for one term with a binomial-style standard error.
 
-    ``rng`` must be a PCG64 generator, as for ``sample_outcomes``.
+    Drawn from the term's own stream under master ``seed``, so it is exactly
+    this term's share of ``estimate_beta`` at the same seed and shots.
     """
     (corr,), (stderr,), (tally,) = _estimate_chunk(
-        [term.index], np.array([term.choices]), noise, [rng], shots
+        [term.index], np.array([term.choices]), noise, seed, shots
     )
     counts = CountsTable(shots, *tally.tolist())
     return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
-
-
-def _term_rng(seed: int, term_index: int) -> np.random.Generator:
-    # fixed indexing off the master seed; the order terms run in cannot change it
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, term_index)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,10 +475,11 @@ def estimate_beta(
     Measures every expanded term when there are at most ``term_budget`` of
     them; otherwise measures a uniform sample of ``term_budget`` distinct
     terms and scales up, widening the error bar by the sampling variance.
-    Terms run through the sampler in chunks of about SAMPLE_CHUNK term-shots,
-    each on its own stream; the per-term estimates are those
-    ``estimate_term`` gives, summed in index order.  N is capped at
-    ESTIMATE_BLOCK_CAP, where the sampling variance still fits a float.
+    Terms run through the sampler in chunks of about SAMPLE_CHUNK term-shots.
+    A term's stream depends on ``seed`` and its index only, so the per-term
+    estimates are those ``estimate_term`` gives at the same seed, summed in
+    index order.  N is capped at ESTIMATE_BLOCK_CAP, where the sampling
+    variance still fits a float.
     """
     if not 1 <= n_blocks <= ESTIMATE_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
@@ -554,8 +500,7 @@ def estimate_beta(
     for lo in range(0, m, step):
         chunk = indices[lo : lo + step]
         choices = np.array([_digits(n_blocks, t) for t in chunk])
-        rngs = [_term_rng(seed, t) for t in chunk]
-        corr, stderrs[lo : lo + step], tally = _estimate_chunk(chunk, choices, noise, rngs, shots)
+        corr, stderrs[lo : lo + step], tally = _estimate_chunk(chunk, choices, noise, seed, shots)
         values[lo : lo + step] = menu_signs[choices].prod(axis=1) * corr
         tallies += tally.sum(axis=0)
 

@@ -169,6 +169,22 @@ class TestMinN:
         assert doc["n_star"] is None
         assert "no block count" in doc["error"]
 
+    def test_cap_above_the_float_cap_is_a_usage_error(self):
+        proc = run_cli("min-n", "--eta", "1e-300", "--eps", "0", "--p", "1", "--n-cap", "2000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: min-n supports up to 511 blocks (4.0**N overflows a float above it)\n"
+        )
+
+    def test_table_stops_at_the_float_cap(self):
+        # N* = 510, so the table's usual two rows past N* would pass 511
+        proc = run_cli("min-n", "--eta", "1.1e-153", "--eps", "0", "--p", "1", "--n-cap", "511")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["n_star"] == 510
+        assert [row["n"] for row in doc["rows"]] == list(range(1, 512))
+
 
 class TestSweep:
     def test_csv_round_trips(self):
@@ -232,9 +248,10 @@ class TestSimulate:
         assert json.loads(proc.stdout)["seed"] == 9
 
     def test_invalid_env_seed_is_a_usage_error(self):
-        proc = run_cli(*self.BASE, env_extra={"HYPERBELL_SEED": "abc"})
-        assert proc.returncode == 2
-        assert proc.stderr == "error: invalid HYPERBELL_SEED value: 'abc'\n"
+        for raw in ("abc", "-1"):
+            proc = run_cli(*self.BASE, env_extra={"HYPERBELL_SEED": raw})
+            assert proc.returncode == 2, raw
+            assert proc.stderr == f"error: invalid HYPERBELL_SEED value: {raw!r}\n"
 
     def test_env_seed_is_read_only_by_simulate(self):
         proc = run_cli("bounds", "--n", "1", env_extra={"HYPERBELL_SEED": "abc"})

@@ -208,7 +208,15 @@ class TestMinBlocks:
         with pytest.raises(NoViolationError, match="up to 2"):
             min_blocks(eta=0.33, eps=0.15, p=0.98, n_cap=2)
 
+    def test_table_clipped_at_the_float_cap(self):
+        # N* = 510: the table ends at 511, where 4.0**N is still finite
+        res = min_blocks(eta=1.1e-153, eps=0.0, p=1.0, n_cap=FLOAT_BLOCK_CAP)
+        assert res.n_star == 510
+        assert [r.n_blocks for r in res.table] == list(range(1, FLOAT_BLOCK_CAP + 1))
+
     def test_validation(self):
+        with pytest.raises(ValueError, match=r"^n_cap must be at most 511, got 512$"):
+            min_blocks(eta=0.5, eps=0.1, p=0.9, n_cap=FLOAT_BLOCK_CAP + 1)
         with pytest.raises(ValueError, match="eta"):
             min_blocks(eta=0.0, eps=0.1, p=0.9)
         with pytest.raises(ValueError, match="positive"):

@@ -19,14 +19,14 @@ from hyperbell.montecarlo import (
     CountsTable,
     UndefinedEstimateError,
     _outcome_table,
+    _sample_chunk,
     _sample_indices,
-    _term_rng,
+    _tally_chunk,
+    _term_stream,
     _uniform_below,
-    counts_for_term,
     estimate_beta,
     estimate_correlation,
     estimate_term,
-    sample_outcomes,
 )
 
 IDEAL = NoiseParams(epsilon=0.0, p=1.0, eta=1.0)
@@ -137,47 +137,40 @@ class TestChoiceTables:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
+def _runs(term, noise: NoiseParams, seed: int, shots: int) -> list[np.ndarray]:
+    """One term's local products A, B and detection flags, straight from the chunk sampler."""
+    slices = _sample_chunk([term.index], np.array([term.choices]), noise, seed, shots)
+    return [np.concatenate(runs, axis=1)[0] for runs in zip(*slices)]
+
+
 class TestSampling:
     def test_ideal_runs_are_certain(self):
-        rng = np.random.default_rng(3)
         for n in (1, 2):
             for term in enumerate_terms(n):
-                a, b, det1, det2 = sample_outcomes(term, IDEAL, rng, 64)
-                assert (term.sign * a * b == 1).all()
-                assert det1.all() and det2.all()
+                est = estimate_term(term, IDEAL, 64, seed=3)
+                # every run a coincidence whose product is the term's sign
+                assert est.counts.n_pp + est.counts.n_mm == 64
+                assert est.signed_value == 1.0
 
     def test_draw_order_is_parameter_independent(self):
         # the same seed yields the same local products whatever eta is,
         # because detector draws come after the outcome draws
         term = term_at(2, 9)
         noisy = NoiseParams(epsilon=0.0, p=1.0, eta=0.3)
-        a1, b1, _, _ = sample_outcomes(term, IDEAL, np.random.default_rng(42), 500)
-        a2, b2, _, _ = sample_outcomes(term, noisy, np.random.default_rng(42), 500)
+        a1, b1, _, _ = _runs(term, IDEAL, 42, 500)
+        a2, b2, _, _ = _runs(term, noisy, 42, 500)
         assert (a1 == a2).all() and (b1 == b2).all()
 
     def test_flip_rate_shows_in_the_product(self):
+        # at eta = 1 every run is a coincidence, so the correlation is mean(A B)
         noise = NoiseParams(epsilon=0.3, p=1.0, eta=1.0)
-        term = term_at(1, 0)
-        a, b, _, _ = sample_outcomes(term, noise, np.random.default_rng(8), 100_000)
-        mean = float(np.mean(a * b))
+        est = estimate_term(term_at(1, 0), noise, 100_000, seed=8)
         sigma = np.sqrt((1.0 - 0.7**2) / 100_000)
-        assert abs(mean - 0.7) < 5 * sigma
+        assert abs(est.correlation - 0.7) < 5 * sigma
 
     def test_shots_validated(self):
         with pytest.raises(ValueError, match="shots"):
-            sample_outcomes(term_at(1, 0), IDEAL, np.random.default_rng(0), 0)
-
-    def test_single_run_record(self):
-        rng = np.random.default_rng(12)
-        noise = NoiseParams(epsilon=0.1, p=0.9, eta=0.5)
-        term = term_at(2, 7)
-        seen_missing = False
-        for _ in range(200):
-            a, b, det1, det2 = sample_outcomes(term, noise, rng, 1)
-            assert a.shape == b.shape == det1.shape == det2.shape == (1,)
-            if not (det1[0] and det2[0]):
-                seen_missing = True
-        assert seen_missing
+            estimate_term(term_at(1, 0), IDEAL, 0, seed=0)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -196,9 +189,7 @@ class TestEstimator:
 
     def test_detection_categories_at_half_efficiency(self):
         noise = NoiseParams(epsilon=0.0, p=1.0, eta=0.5)
-        counts = counts_for_term(
-            term_at(1, 0), noise, 200_000, np.random.default_rng(31)
-        )
+        counts = estimate_term(term_at(1, 0), noise, 200_000, seed=31).counts
         # independent coin per side: quarters for both/neither, each single
         for part in (counts.n_00, counts.n_single_1, counts.n_single_2):
             assert part / counts.n_total == pytest.approx(0.25, abs=0.01)
@@ -208,13 +199,13 @@ class TestEstimator:
         term = term_at(1, 0)
         for k, eta in enumerate((0.33, 0.5, 0.8, 1.0)):
             noise = NoiseParams(epsilon=0.0, p=1.0, eta=eta)
-            est = estimate_term(term, noise, 100_000, np.random.default_rng(100 + k))
+            est = estimate_term(term, noise, 100_000, seed=100 + k)
             want = visibility_factor(eta)
             slack = max(5 * est.stderr, 1e-12)
             assert abs(est.correlation - want) < slack
 
     def test_ideal_estimate_has_zero_stderr(self):
-        est = estimate_term(term_at(1, 1), IDEAL, 1000, np.random.default_rng(0))
+        est = estimate_term(term_at(1, 1), IDEAL, 1000, seed=0)
         assert est.correlation == -1.0  # raw correlation; the sign is separate
         assert est.sign == -1
         assert est.signed_value == 1.0
@@ -223,8 +214,8 @@ class TestEstimator:
     def test_stderr_scales_inversely_with_shots(self):
         noise = NoiseParams(epsilon=0.15, p=1.0, eta=1.0)
         term = term_at(1, 0)
-        small = estimate_term(term, noise, 1000, np.random.default_rng(5))
-        big = estimate_term(term, noise, 16_000, np.random.default_rng(6))
+        small = estimate_term(term, noise, 1000, seed=5)
+        big = estimate_term(term, noise, 16_000, seed=6)
         assert small.stderr / big.stderr == pytest.approx(4.0, rel=0.2)
 
 
@@ -264,17 +255,19 @@ class TestEstimateBeta:
         # the terms in reverse order gives the same estimate
         noise = NoiseParams(epsilon=0.1, p=0.95, eta=0.6)
         est = estimate_beta(2, 400, noise, seed=3)
-        terms = [
-            estimate_term(term_at(2, t), noise, 400, _term_rng(3, t))
-            for t in reversed(range(16))
-        ]
-        counts = terms[0].counts
-        for term in terms[1:]:
-            counts = counts + term.counts
-        assert est.counts_summary == counts
+        terms = [estimate_term(term_at(2, t), noise, 400, seed=3) for t in reversed(range(16))]
+        assert est.counts_summary == sum((t.counts for t in terms[1:]), terms[0].counts)
         # float sums in another order may differ in the last bits
         assert est.beta_hat == pytest.approx(sum(t.signed_value for t in terms), rel=1e-12)
         assert est.stderr == pytest.approx(sum(t.stderr**2 for t in terms) ** 0.5, rel=1e-12)
+        # a subsample's terms are drawn from the same per-term streams
+        sub = estimate_beta(7, 400, noise, seed=3, term_budget=64)
+        picked = _sample_indices(4**7, 64, seed=3)
+        terms = [estimate_term(term_at(7, t), noise, 400, seed=3) for t in reversed(picked)]
+        assert not sub.exhaustive
+        assert sub.counts_summary == sum((t.counts for t in terms[1:]), terms[0].counts)
+        scaled = 4**7 / 64 * sum(t.signed_value for t in terms)
+        assert sub.beta_hat == pytest.approx(scaled, rel=1e-12)
 
     def test_subsampled_terms(self):
         noise = NoiseParams(epsilon=0.05, p=0.99, eta=1.0)
@@ -405,10 +398,10 @@ class TestGoldenStreams:
         assert est.counts_summary == counts
 
 
-def _reference_counts(
-    term, noise: NoiseParams, shots: int, rng: np.random.Generator
-) -> CountsTable:
-    """One term at a time, drawing the ideal outcome with ``Generator.choice``."""
+def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
+    """One term at a time, drawing the ideal outcome with ``Generator.choice``
+    from numpy's calls on the term's stream."""
+    rng = np.random.Generator(_term_stream(seed, term.index))
     a = np.ones(shots, dtype=np.int8)
     b = np.ones(shots, dtype=np.int8)
     for choice in term.choices:
@@ -434,6 +427,13 @@ def _reference_counts(
     )
 
 
+def _term_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
+    """One term's counts through the chunk tally, which, unlike ``estimate_term``,
+    also holds for a term with no detection."""
+    (tally,) = _tally_chunk([term.index], np.array([term.choices]), noise, seed, shots)
+    return CountsTable(shots, *tally.tolist())
+
+
 class TestChunkedSampler:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -448,8 +448,8 @@ class TestChunkedSampler:
         noise = NoiseParams(epsilon=eps, p=p, eta=eta)
         reference = []
         for t in range(4**n):
-            want = _reference_counts(term_at(n, t), noise, shots, _term_rng(seed, t))
-            assert counts_for_term(term_at(n, t), noise, shots, _term_rng(seed, t)) == want
+            want = _reference_counts(term_at(n, t), noise, shots, seed)
+            assert _term_counts(term_at(n, t), noise, shots, seed) == want
             reference.append(want)
         empty = [t for t, c in enumerate(reference) if c.n_00 == shots]
         if empty:
@@ -473,16 +473,8 @@ class TestChunkedSampler:
             assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
 
 
-def _run_counts(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> CountsTable:
-    """One run's detection category, as a one-shot CountsTable."""
-    (d1,), (d2,) = det1.tolist(), det2.tolist()
-    same = d1 and d2 and a[0] == b[0]
-    parts = (same, d1 and d2 and not same, d1 and not d2, d2 and not d1, not (d1 or d2))
-    return CountsTable(1, *map(int, parts))
-
-
 class TestRawStreamEdges:
-    """Terms drawn in slices, and generators handed over mid-stream, against the loop."""
+    """Terms drawn in slices, against the loop."""
 
     NOISE = NoiseParams(epsilon=0.2, p=0.5, eta=0.6)
 
@@ -490,50 +482,8 @@ class TestRawStreamEdges:
     def test_terms_longer_than_a_slice(self, n):
         shots = 3 * SAMPLE_CHUNK + 1
         for t in sorted({0, 4**n // 3, 4**n - 1}):
-            rng, ref = _term_rng(8, t), _term_rng(8, t)
-            want = _reference_counts(term_at(n, t), self.NOISE, shots, ref)
-            assert counts_for_term(term_at(n, t), self.NOISE, shots, rng) == want
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("n, shots", [(1, 7), (3, 5), (3, 3 * SAMPLE_CHUNK + 1)])
-    def test_generator_handed_over_mid_stream(self, n, shots):
-        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
-        rng.integers(0, 8)
-        ref.integers(0, 8)
-        # odd N * shots: the first term uses the pending half, the second
-        # leaves one pending
-        for pending, t in ((1, 1), (0, 4**n - 2)):
-            assert rng.bit_generator.state["has_uint32"] == pending
-            want = _reference_counts(term_at(n, t), self.NOISE, shots, ref)
-            assert counts_for_term(term_at(n, t), self.NOISE, shots, rng) == want
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.bit_generator.state["has_uint32"] == 1
-
-    def test_repeated_single_runs(self):
-        rng, ref = np.random.default_rng(33), np.random.default_rng(33)
-        for k in range(40):
-            term = term_at(1, k % 4)
-            want = _reference_counts(term, self.NOISE, 1, ref)
-            assert _run_counts(*sample_outcomes(term, self.NOISE, rng, 1)) == want
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
-class TestPcg64Only:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda rng: sample_outcomes(term_at(1, 0), IDEAL, rng, 4),
-            lambda rng: counts_for_term(term_at(1, 0), IDEAL, 4, rng),
-            lambda rng: estimate_term(term_at(1, 0), IDEAL, 4, rng),
-        ],
-        ids=["sample_outcomes", "counts_for_term", "estimate_term"],
-    )
-    def test_other_bit_generators_are_refused(self, call):
-        rng = np.random.Generator(np.random.MT19937(1))
-        before = rng.bit_generator.state
-        with pytest.raises(TypeError, match="PCG64.*MT19937"):
-            call(rng)
-        np.testing.assert_equal(rng.bit_generator.state, before)  # nothing drawn
+            want = _reference_counts(term_at(n, t), self.NOISE, shots, 8)
+            assert _term_counts(term_at(n, t), self.NOISE, shots, 8) == want
 
 
 class TestTermSubsampling:
