@@ -16,18 +16,24 @@ denominator,
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-All randomness flows through numpy's PCG64 bit generators, one stream per
-term: ``_term_stream(seed, index)`` is a function of the master seed and the
-term index only, so the result is byte-identical for a fixed seed whatever
+All randomness flows through numpy's PCG64, one stream per term: term
+``index`` under master ``seed`` reads the stream of
+``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a function of
+the two alone, so the result is byte-identical for a fixed seed whatever
 order or grouping the terms are measured in, and ``estimate_term`` gives
-exactly a term's share of ``estimate_beta``.  A term's stream is read in a
+exactly a term's share of ``estimate_beta``.  The sampler builds no
+SeedSequence per term: ``_term_states`` derives the starting state of every
+term in a chunk at once, in numpy, by the hash SeedSequence applies and the
+seeding PCG64 applies to its output, both of which numpy's
+stream-compatibility policy (NEP 19) keeps fixed.  A term's stream is read in a
 fixed order: per block, ``shots`` uniforms for the ideal/noise selector,
 ``shots`` uniforms for the ideal outcome, ``shots`` integers for the noise
 outcome; then ``shots`` uniforms each for the sign flip and the two detectors.
 
 The sampler reads that order as numpy's ``random`` and ``integers`` would on
 a fresh generator, but from raw 64-bit words, one ``random_raw`` fetch per
-term, decoded in numpy: a uniform draw is an integer compare, the ideal
+term through one PCG64 set to each term's state in turn, decoded in numpy:
+a uniform draw is an integer compare, the ideal
 outcome's 1/16 cell is the top four bits, and a noise outcome over 2**k
 outcomes is a 32-bit half x shifted to x >> (32 - k), Lemire's bounded draw,
 which never rejects for a power-of-two range.  PCG64 hands out a word's low
@@ -54,6 +60,7 @@ shots.  ``estimate_term`` is a chunk of one through the same kernel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache, reduce
 from typing import Any, Iterator, NamedTuple, Sequence
@@ -191,7 +198,6 @@ class _SlicePlan(NamedTuple):
     # half, and the halves it uses
     blocks: tuple[tuple[int, int, int, int, int, int], ...]
     tail: tuple[int, ...]  # the flip and the two detectors
-    end: int  # the stream offset after the slice's last word
 
 
 @lru_cache(maxsize=256)  # bounded: a term with many shots has a plan per slice
@@ -240,25 +246,101 @@ def _slice_plan(n_blocks: int, shots: int, lo: int, hi: int) -> _SlicePlan:
         ))
         off = noise + (shots - h + 1) // 2
     tail = tuple(place(off + j * shots + lo, off + j * shots + hi) for j in range(3))
-    end = runs[-1][0] + runs[-1][1]
-    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail, end)
+    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail)
 
 
-def _term_stream(seed: int, index: int) -> np.random.PCG64:
-    """Term ``index``'s stream under master ``seed``, a function of the two alone.
+# numpy's SeedSequence hash (pool of four uint32 words) and the multiplier of
+# PCG64's 128-bit LCG, all fixed by numpy's stream-compatibility policy
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED05_1FC65DA4_4385DF64_9FCCF645
 
-    The state ``default_rng`` builds from the same SeedSequence, so numpy's
-    calls on ``np.random.Generator(_term_stream(seed, index))`` read the
-    draws the sampler decodes.
+
+def _hashmix(value: Any, hash_const: int, mult: int = _MULT_A) -> tuple[Any, int]:
+    """SeedSequence's hash of uint32 ``value``, a Python int or a uint32 array,
+    with the hash constant it leaves for the next call."""
+    hash_const_next = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * hash_const_next & _MASK32
+    return value ^ value >> 16, hash_const_next
+
+
+def _mix(x: Any, y: Any) -> Any:
+    """SeedSequence's mix of hashed word ``y`` into pool word ``x``."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after the words of ``seed``,
+    zero-padded to the pool's four, and spawn key word 1: what every term's
+    SeedSequence shares before its own index words."""
+    seed = operator.index(seed)  # SeedSequence, too, takes integers only
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [1]
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[4:]:
+        for dst in range(4):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return tuple(pool), hash_const
+
+
+def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
+    """The ``PCG64.state`` in which ``PCG64(SeedSequence(entropy=seed,
+    spawn_key=(1, t)))`` starts, for every term index t, derived at once.
+
+    Each of t's 32-bit words, at least one, is hashed into every pool word
+    after ``_seed_pool(seed)``, here across the terms as uint32 arrays, word j
+    only for the terms whose index has one.  PCG64 takes its 128-bit seed and
+    stream from ``generate_state(4, uint64)``, eight more hashes of the pool,
+    and steps twice as pcg_setseq_128_srandom_r does; that part is done in
+    Python ints.
     """
-    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
+    pool_words, hash_const = _seed_pool(seed)
+    index = np.asarray(indices, dtype=object)  # Python ints, of any size
+    width = max(int(index.max()).bit_length() + 31, 32) // 32
+    words = (index[:, None] >> np.arange(0, 32 * width, 32) & _MASK32).astype(np.uint32)
+    pool = np.array(pool_words, dtype=np.uint32)[:, None].repeat(len(index), axis=1)
+    for j in range(width):
+        rows = slice(None) if j == 0 else words[:, j:].any(axis=1)
+        for dst in range(4):
+            hashed, hash_const = _hashmix(words[rows, j], hash_const)
+            pool[dst, rows] = _mix(pool[dst, rows], hashed)
+    out = np.empty((len(index), 8), dtype="<u4")
+    hash_const = _INIT_B
+    for i in range(8):
+        out[:, i], hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in out.view("<u8").tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128
+        pcg = {"state": state, "inc": inc}
+        states.append({"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
-def _fetch(bitgens: Sequence[np.random.PCG64], plan: _SlicePlan, at: int) -> np.ndarray:
-    """Row t: the plan's words of term t's stream, whose generator stands at offset ``at``."""
-    buf = np.empty((len(bitgens), plan.size), dtype=np.uint64)
-    for row, bitgen in zip(buf, bitgens):
-        pos, here = 0, at
+def _fetch(bitgen: np.random.PCG64, states: list[dict], plan: _SlicePlan) -> np.ndarray:
+    """Row t: the plan's words of the stream that starts in ``states[t]``,
+    read through ``bitgen`` after setting it to that state."""
+    buf = np.empty((len(states), plan.size), dtype=np.uint64)
+    for row, state in zip(buf, states):
+        bitgen.state = state
+        pos = here = 0
         for start, count in plan.runs:
             if start != here:
                 bitgen.advance(start - here)
@@ -273,12 +355,15 @@ def _sample_chunk(
     """Runs of a chunk of terms, SAMPLE_CHUNK shots at a time: local products
     A, B and detection flags, (terms, slice shots) each.
 
-    Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn
-    from ``_term_stream(seed, indices[t])`` in the module's draw order.
+    Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn in
+    the module's draw order from the stream of ``PCG64(SeedSequence(
+    entropy=seed, spawn_key=(1, indices[t])))``, whose state is derived by
+    ``_term_states`` and loaded, slice by slice, into one reused PCG64.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    bitgens = [_term_stream(seed, t) for t in indices]
+    states = _term_states(seed, indices)
+    bitgen = np.random.PCG64(0)  # a carrier only: _fetch sets its state per term
     table = _outcome_table()
     shift = table.noise_shift[choices]
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
@@ -286,15 +371,13 @@ def _sample_chunk(
     below_p, below_flip, below_eta = (
         math.ceil(x * 2.0**53) << 11 for x in (noise.p, noise.epsilon / 2.0, noise.eta)
     )
-    at = 0
     for lo in range(0, shots, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, shots - lo)
         plan = _slice_plan(choices.shape[1], shots, lo, lo + n)
-        buf = _fetch(bitgens, plan, at)
-        at = plan.end
-        a = np.ones((len(bitgens), n), dtype=np.int8)
-        b = np.ones((len(bitgens), n), dtype=np.int8)
-        outcome = np.empty((len(bitgens), n), dtype=np.intp)
+        buf = _fetch(bitgen, states, plan)
+        a = np.ones((len(states), n), dtype=np.int8)
+        b = np.ones((len(states), n), dtype=np.int8)
+        outcome = np.empty((len(states), n), dtype=np.intp)
         for column, block_shift, (sel, ideal_at, carry, own, first, halves) in zip(
             choices.T, shift.T, plan.blocks
         ):
@@ -326,7 +409,7 @@ def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> 
     """Per-term detection categories, one row per term in CountsTable order minus n_total."""
     both = det1 & det2
     same = a == b
-    tallies = np.stack(
+    return np.stack(
         [
             np.count_nonzero(both & same, axis=1),
             np.count_nonzero(both & ~same, axis=1),
@@ -336,19 +419,22 @@ def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> 
         ],
         axis=1,
     )
-    untiled = np.flatnonzero(tallies.sum(axis=1) != a.shape[1])
-    if untiled.size:
-        raise ValueError(
-            f"counts do not tile the runs of chunk row {untiled[0]}: {tallies[untiled[0]]}"
-        )
-    return tallies
 
 
 def _tally_chunk(
     indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
 ) -> np.ndarray:
-    """``_tally`` of a chunk's runs, summed over its slices."""
-    return sum(_tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots))
+    """``_tally`` of a chunk's runs, summed over its slices; the five
+    categories of every term must tile its ``shots`` runs."""
+    tallies = sum(_tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots))
+    untiled = np.flatnonzero(tallies.sum(axis=1) != shots)
+    if untiled.size:
+        row = untiled[0]
+        raise ValueError(
+            f"counts do not tile the {shots} runs of term {indices[row]} "
+            f"(N = {choices.shape[1]}, seed {seed}, {noise}): {tallies[row].tolist()}"
+        )
+    return tallies
 
 
 def estimate_correlation(counts: CountsTable) -> float:
@@ -492,14 +578,16 @@ def estimate_beta(
     exhaustive = total <= term_budget
     indices = range(total) if exhaustive else _sample_indices(total, term_budget, seed)
     m = len(indices)
+    # int64 holds every index below 4**32; above it they stay Python ints
+    index_type = np.int64 if n_blocks < 32 else object
     menu_signs = np.array([t.sign for t in BLOCK_TERM_MENU])
     values = np.empty(m)
     stderrs = np.empty(m)
     tallies = np.zeros(5, dtype=np.int64)
     step = max(1, SAMPLE_CHUNK // shots)
     for lo in range(0, m, step):
-        chunk = indices[lo : lo + step]
-        choices = np.array([_digits(n_blocks, t) for t in chunk])
+        chunk = np.asarray(indices[lo : lo + step], dtype=index_type)
+        choices = np.stack(_digits(n_blocks, chunk), axis=1).astype(np.intp, copy=False)
         corr, stderrs[lo : lo + step], tally = _estimate_chunk(chunk, choices, noise, seed, shots)
         values[lo : lo + step] = menu_signs[choices].prod(axis=1) * corr
         tallies += tally.sum(axis=0)

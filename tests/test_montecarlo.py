@@ -21,8 +21,9 @@ from hyperbell.montecarlo import (
     _outcome_table,
     _sample_chunk,
     _sample_indices,
+    _tally,
     _tally_chunk,
-    _term_stream,
+    _term_states,
     _uniform_below,
     estimate_beta,
     estimate_correlation,
@@ -398,10 +399,15 @@ class TestGoldenStreams:
         assert est.counts_summary == counts
 
 
+def _numpy_stream(seed: int, index: int) -> np.random.PCG64:
+    """Term ``index``'s stream under master ``seed``, built by numpy itself."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
+
+
 def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
     """One term at a time, drawing the ideal outcome with ``Generator.choice``
     from numpy's calls on the term's stream."""
-    rng = np.random.Generator(_term_stream(seed, term.index))
+    rng = np.random.Generator(_numpy_stream(seed, term.index))
     a = np.ones(shots, dtype=np.int8)
     b = np.ones(shots, dtype=np.int8)
     for choice in term.choices:
@@ -484,6 +490,77 @@ class TestRawStreamEdges:
         for t in sorted({0, 4**n // 3, 4**n - 1}):
             want = _reference_counts(term_at(n, t), self.NOISE, shots, 8)
             assert _term_counts(term_at(n, t), self.NOISE, shots, 8) == want
+
+    def test_long_terms_in_turn_and_interleaved(self):
+        # every slice resets the chunk's one PCG64 to its term's state and
+        # advances it; consecutive long terms, and two chunks sampled in
+        # alternation, must each still read their own streams
+        shots = SAMPLE_CHUNK + 5
+        want = [_reference_counts(term_at(1, t), self.NOISE, shots, 4) for t in range(4)]
+        est = estimate_beta(1, shots, self.NOISE, seed=4)
+        assert est.counts_summary == sum(want[1:], want[0])
+        first, second = (
+            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots)
+            for t in (2, 3)
+        )
+        tallies = {2: 0, 3: 0}
+        for runs2, runs3 in zip(first, second):
+            tallies[2] += _tally(*runs2)
+            tallies[3] += _tally(*runs3)
+        for t, (tally,) in tallies.items():
+            assert CountsTable(shots, *tally.tolist()) == want[t]
+
+    def test_untiled_counts_name_the_term_and_seed(self, monkeypatch):
+        import hyperbell.montecarlo as mc
+
+        def miscount(*runs):
+            tally = _tally(*runs)
+            tally[3, 4] += 1
+            return tally
+
+        monkeypatch.setattr(mc, "_tally", miscount)
+        term = _sample_indices(4**7, 8, seed=9)[3]
+        with pytest.raises(
+            ValueError,
+            match=rf"^counts do not tile the 50 runs of term {term} \(N = 7, seed 9, NoiseParams\(",
+        ):
+            estimate_beta(7, 50, IDEAL, seed=9, term_budget=8)
+
+
+class TestTermStates:
+    """The derived PCG64 states against numpy's own SeedSequence construction."""
+
+    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**130 + 5]
+    EDGES = [0, 2**32 - 1, 2**32, 2**64, 2**70 + 9, 4**255 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy(self, seed):
+        indices = list(range(300)) + self.EDGES
+        want = [_numpy_stream(seed, t).state for t in indices]
+        assert _term_states(seed, indices) == want
+        # estimate_beta hands them over as int64, or as Python ints in an
+        # object array where int64 cannot hold them
+        assert _term_states(seed, np.arange(300)) == want[:300]
+        assert _term_states(seed, np.array(indices, dtype=object)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130),
+        indices=st.lists(
+            st.sampled_from([0, 2**32 - 1, 2**32, 4**255 - 1]) | st.integers(0, 4**255 - 1),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_numpy_anywhere(self, seed, indices):
+        assert _term_states(seed, indices) == [_numpy_stream(seed, t).state for t in indices]
+
+    def test_seed_is_checked_as_numpy_checks_it(self):
+        assert _term_states(np.int64(12345), [3]) == [_numpy_stream(12345, 3).state]
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            estimate_beta(1, 10, IDEAL, seed=-1)
+        with pytest.raises(TypeError):
+            estimate_term(term_at(1, 0), IDEAL, 10, seed=1.5)
 
 
 class TestTermSubsampling:
