@@ -30,8 +30,9 @@ from .state import (
     EXACT_BLOCK_CAP,
     DenseState,
     LetterPair,
+    StabilizerState,
     _dense_expect_xz,
-    _expect_xz_batch,
+    _expect_xz,
     block_operator,
     build_state,
     dense_state,
@@ -77,6 +78,10 @@ class BellTerm:
 
 # terms per numpy pass of the exact backends; keeps their memory flat in N
 EVAL_CHUNK = 4096
+# a term's last LOW_BLOCKS blocks are read from one joint table of
+# 4**LOW_BLOCKS entries per N; the blocks above them are decoded per chunk
+LOW_BLOCKS = 6
+_MENU_SIGNS = np.array([t.sign for t in BLOCK_TERM_MENU])
 
 
 def n_terms(n_blocks: int) -> int:
@@ -132,38 +137,77 @@ def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
         yield term_at(n_blocks, index)
 
 
+def _fold_blocks(
+    masks: np.ndarray,
+    exps: np.ndarray,
+    choices: tuple,
+    x: np.ndarray,
+    z: np.ndarray,
+    e: np.ndarray,
+    sign: np.ndarray,
+) -> None:
+    """Fold per-block entries into term arrays in place.
+
+    ``masks`` is [block, choice, (x, z)], ``exps`` [block, choice] and
+    ``choices`` one choice array per block.  Blocks sit on disjoint qubits, so
+    masks OR together and exponents add with no cross phase; signs multiply.
+    """
+    for mask, exp, choice in zip(masks, exps, choices):
+        x |= mask[:, 0].take(choice)
+        z |= mask[:, 1].take(choice)
+        e += exp.take(choice)
+        sign *= _MENU_SIGNS.take(choice)
+
+
+@cache
+def _chunk_tables(n_blocks: int) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(k, high, low): the arrays ``_term_chunks`` reads, built once per N.
+
+    ``low`` is the joint (x, z, e, sign) table of the last k = min(N,
+    LOW_BLOCKS) blocks, indexed by a term's low k base-4 digits, index &
+    (4**k - 1); ``high`` the per-block (masks, exps) of the first N - k
+    blocks.  Read-only, since the cache shares them.
+    """
+    tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
+    masks, exps = tables[..., :2], tables[..., 2].astype(np.int64)
+    k = min(n_blocks, LOW_BLOCKS)
+    size = 4**k
+    low = (
+        np.zeros(size, dtype=np.uint64),
+        np.zeros(size, dtype=np.uint64),
+        np.zeros(size, dtype=np.int64),
+        np.ones(size, dtype=np.int64),
+    )
+    _fold_blocks(masks[-k:], exps[-k:], _digits(k, np.arange(size)), *low)
+    high = (masks[:-k], exps[:-k])
+    for array in (*low, *high):
+        array.flags.writeable = False
+    return k, high, low
+
+
 def _term_chunks(
     n_blocks: int, start: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Terms [start, stop) as arrays, EVAL_CHUNK terms at a time.
 
     Yields (first index, x, z, e, sign): uint64 masks and the int64 exponent
-    in X^x Z^z normal form, and each term's sign.  Blocks sit on disjoint
-    qubits, so masks OR together and exponents add with no cross phase.
+    in X^x Z^z normal form, and each term's sign.  The low blocks come from
+    one lookup in ``_chunk_tables``; the high blocks are decoded and folded in.
     """
-    tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
-    exps = tables[..., 2].astype(np.int64)
-    signs = np.array([t.sign for t in BLOCK_TERM_MENU])
+    k, high, low = _chunk_tables(n_blocks)
     for lo in range(start, stop, EVAL_CHUNK):
         index = np.arange(lo, min(lo + EVAL_CHUNK, stop))
-        x = np.zeros(index.size, dtype=np.uint64)
-        z = np.zeros(index.size, dtype=np.uint64)
-        e = np.zeros(index.size, dtype=np.int64)
-        sign = np.ones(index.size, dtype=np.int64)
-        for block, choice in enumerate(_digits(n_blocks, index)):
-            x |= np.take(tables[block, :, 0], choice)
-            z |= np.take(tables[block, :, 1], choice)
-            e += np.take(exps[block], choice)
-            sign *= np.take(signs, choice)
+        x, z, e, sign = (t.take(index & (4**k - 1)) for t in low)
+        _fold_blocks(*high, _digits(n_blocks - k, index >> 2 * k), x, z, e, sign)
         yield lo, x, z, e, sign
 
 
 def _signed_chunks(
-    n_blocks: int, rows: list[tuple[int, int, int, int, int]], start: int, stop: int
+    n_blocks: int, state: StabilizerState, start: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Signed stabilizer expectations of terms [start, stop): (first index, values)."""
     for lo, x, z, e, sign in _term_chunks(n_blocks, start, stop):
-        yield lo, sign * _expect_xz_batch(rows, x, z, e)
+        yield lo, sign * _expect_xz(state, x, z, e)
 
 
 def _dense_signed(
@@ -193,7 +237,7 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     if backend == "dense":
         chunks = _dense_signed(n_blocks, dense_state(n_blocks), 0, n_terms(n_blocks))
     else:
-        chunks = _signed_chunks(n_blocks, build_state(n_blocks)._rows, 0, n_terms(n_blocks))
+        chunks = _signed_chunks(n_blocks, build_state(n_blocks), 0, n_terms(n_blocks))
     total = n_bad = 0
     head: list[tuple[int, int]] = []
     for lo, signed in chunks:

@@ -67,7 +67,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bell import BLOCK_TERM_MENU, BellTerm, _digits, n_terms
+from .bell import _MENU_SIGNS, BLOCK_TERM_MENU, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
 from .pauli import Observable, identity, pauli_mul
 from .state import build_state, expectation
@@ -350,7 +350,12 @@ def _fetch(bitgen: np.random.PCG64, states: list[dict], plan: _SlicePlan) -> np.
 
 
 def _sample_chunk(
-    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
+    indices: Sequence[int],
+    choices: np.ndarray,
+    noise: NoiseParams,
+    seed: int,
+    shots: int,
+    carrier: np.random.PCG64,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Runs of a chunk of terms, SAMPLE_CHUNK shots at a time: local products
     A, B and detection flags, (terms, slice shots) each.
@@ -358,12 +363,12 @@ def _sample_chunk(
     Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn in
     the module's draw order from the stream of ``PCG64(SeedSequence(
     entropy=seed, spawn_key=(1, indices[t])))``, whose state is derived by
-    ``_term_states`` and loaded, slice by slice, into one reused PCG64.
+    ``_term_states`` and loaded, slice by slice, into ``carrier``, a PCG64
+    whose own state is never read.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     states = _term_states(seed, indices)
-    bitgen = np.random.PCG64(0)  # a carrier only: _fetch sets its state per term
     table = _outcome_table()
     shift = table.noise_shift[choices]
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
@@ -374,7 +379,7 @@ def _sample_chunk(
     for lo in range(0, shots, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, shots - lo)
         plan = _slice_plan(choices.shape[1], shots, lo, lo + n)
-        buf = _fetch(bitgen, states, plan)
+        buf = _fetch(carrier, states, plan)
         a = np.ones((len(states), n), dtype=np.int8)
         b = np.ones((len(states), n), dtype=np.int8)
         outcome = np.empty((len(states), n), dtype=np.intp)
@@ -422,11 +427,18 @@ def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> 
 
 
 def _tally_chunk(
-    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
+    indices: Sequence[int],
+    choices: np.ndarray,
+    noise: NoiseParams,
+    seed: int,
+    shots: int,
+    carrier: np.random.PCG64,
 ) -> np.ndarray:
     """``_tally`` of a chunk's runs, summed over its slices; the five
     categories of every term must tile its ``shots`` runs."""
-    tallies = sum(_tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots))
+    tallies = sum(
+        _tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots, carrier)
+    )
     untiled = np.flatnonzero(tallies.sum(axis=1) != shots)
     if untiled.size:
         row = untiled[0]
@@ -459,14 +471,19 @@ class TermEstimate:
 
 
 def _estimate_chunk(
-    indices: Sequence[int], choices: np.ndarray, noise: NoiseParams, seed: int, shots: int
+    indices: Sequence[int],
+    choices: np.ndarray,
+    noise: NoiseParams,
+    seed: int,
+    shots: int,
+    carrier: np.random.PCG64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-term correlation, standard error and tallies of a chunk of terms.
 
     The standard error is binomial-style: sqrt((m2 - corr**2) / d) with
     m2 = (n_pp + n_mm) / d and d = n_total - n_00.
     """
-    tally = _tally_chunk(indices, choices, noise, seed, shots)
+    tally = _tally_chunk(indices, choices, noise, seed, shots, carrier)
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
@@ -486,7 +503,7 @@ def estimate_term(term: BellTerm, noise: NoiseParams, shots: int, seed: int) -> 
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
     (corr,), (stderr,), (tally,) = _estimate_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots
+        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
     )
     counts = CountsTable(shots, *tally.tolist())
     return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
@@ -580,16 +597,18 @@ def estimate_beta(
     m = len(indices)
     # int64 holds every index below 4**32; above it they stay Python ints
     index_type = np.int64 if n_blocks < 32 else object
-    menu_signs = np.array([t.sign for t in BLOCK_TERM_MENU])
     values = np.empty(m)
     stderrs = np.empty(m)
     tallies = np.zeros(5, dtype=np.int64)
     step = max(1, SAMPLE_CHUNK // shots)
+    carrier = np.random.PCG64(0)  # _fetch sets its state per term
     for lo in range(0, m, step):
         chunk = np.asarray(indices[lo : lo + step], dtype=index_type)
         choices = np.stack(_digits(n_blocks, chunk), axis=1).astype(np.intp, copy=False)
-        corr, stderrs[lo : lo + step], tally = _estimate_chunk(chunk, choices, noise, seed, shots)
-        values[lo : lo + step] = menu_signs[choices].prod(axis=1) * corr
+        corr, stderrs[lo : lo + step], tally = _estimate_chunk(
+            chunk, choices, noise, seed, shots, carrier
+        )
+        values[lo : lo + step] = _MENU_SIGNS[choices].prod(axis=1) * corr
         tallies += tally.sum(axis=0)
 
     measurement_var = float(sum(s**2 for s in stderrs.tolist()))

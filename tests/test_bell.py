@@ -12,14 +12,16 @@ import hyperbell.state
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
     EVAL_CHUNK,
+    LOW_BLOCKS,
     _dense_signed,
     _signed_chunks,
+    _term_chunks,
     enumerate_terms,
     n_terms,
     quantum_value,
     term_at,
 )
-from hyperbell.pauli import commutes, identity, pauli_mul
+from hyperbell.pauli import _xz_exponent, commutes, identity, pauli_mul
 from hyperbell.state import (
     EXACT_BLOCK_CAP,
     block_operator,
@@ -28,6 +30,7 @@ from hyperbell.state import (
     dense_state,
     expectation,
 )
+from test_state import _reference_expect
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -219,24 +222,46 @@ class TestQuantumValue:
             assert quantum_value(n, backend="dense") == 4**n
 
     def test_chunks_match_scalar_reference(self, monkeypatch):
-        # the one-term-at-a-time elimination in expectation() is the reference
-        # for both backends' chunks; a chunk of 7 makes ranges span several
+        # the test-side one-term-at-a-time elimination is the reference for
+        # both backends' chunks; a chunk of 7 makes ranges span several
         # chunks with unaligned bounds
         for chunk in (EVAL_CHUNK, 7):
             monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
             for n in range(1, 6):
                 state = build_state(n)
-                want = [t.sign * expectation(state, t.operator) for t in enumerate_terms(n)]
+                want = [t.sign * _reference_expect(state, t.operator) for t in enumerate_terms(n)]
                 total = n_terms(n)
                 psi = dense_state(n) if n <= 4 else None
                 for start, stop in ((0, total), (1, total - 2), (total // 3, 2 * total // 3 + 1), (2, 2)):
-                    backends = [_signed_chunks(n, state._rows, start, stop)]
+                    backends = [_signed_chunks(n, state, start, stop)]
                     if psi is not None:
                         backends.append(_dense_signed(n, psi, start, stop))
                     for chunks in map(list, backends):
                         assert [lo for lo, _ in chunks] == list(range(start, stop, chunk))
                         got = [int(v) for _, values in chunks for v in values]
                         assert got == want[start:stop], (chunk, n, start, stop)
+
+    def test_chunks_match_term_at_above_the_low_table(self, monkeypatch):
+        # above LOW_BLOCKS blocks the high blocks are decoded per chunk; ranges
+        # cross a 4**LOW_BLOCKS boundary and end at the last term
+        period = 4**LOW_BLOCKS
+        for chunk in (EVAL_CHUNK, 7):
+            monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
+            for n in (LOW_BLOCKS + 1, 9, EXACT_BLOCK_CAP):
+                total = n_terms(n)
+                for start, stop in ((period - 9, period + 20), (total // 3 + 3, total // 3 + 30), (total - 25, total)):
+                    chunks = list(_term_chunks(n, start, stop))
+                    assert [lo for lo, *_ in chunks] == list(range(start, stop, chunk))
+                    got = [
+                        (int(x[i]), int(z[i]), int(e[i]) % 4, int(sign[i]))
+                        for lo, x, z, e, sign in chunks
+                        for i in range(x.size)
+                    ]
+                    want = []
+                    for index in range(start, stop):
+                        t = term_at(n, index)
+                        want.append((t.operator.x, t.operator.z, _xz_exponent(t.operator), t.sign))
+                    assert got == want, (chunk, n, start, stop)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):
@@ -259,12 +284,12 @@ class TestQuantumValue:
             state = build_state(n)
             want = []
             for term in enumerate_terms(n):
-                signed = term.sign * expectation(state, term.operator)
+                signed = term.sign * _reference_expect(state, term.operator)
                 if signed != 1:
                     want.append((term.index, signed))
             got = [
                 (lo + i, int(v))
-                for lo, values in _signed_chunks(n, state._rows, 0, n_terms(n))
+                for lo, values in _signed_chunks(n, state, 0, n_terms(n))
                 for i, v in enumerate(values)
                 if v != 1
             ]

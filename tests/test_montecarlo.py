@@ -140,7 +140,9 @@ class TestChoiceTables:
 
 def _runs(term, noise: NoiseParams, seed: int, shots: int) -> list[np.ndarray]:
     """One term's local products A, B and detection flags, straight from the chunk sampler."""
-    slices = _sample_chunk([term.index], np.array([term.choices]), noise, seed, shots)
+    slices = _sample_chunk(
+        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
+    )
     return [np.concatenate(runs, axis=1)[0] for runs in zip(*slices)]
 
 
@@ -436,7 +438,9 @@ def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> Counts
 def _term_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
     """One term's counts through the chunk tally, which, unlike ``estimate_term``,
     also holds for a term with no detection."""
-    (tally,) = _tally_chunk([term.index], np.array([term.choices]), noise, seed, shots)
+    (tally,) = _tally_chunk(
+        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
+    )
     return CountsTable(shots, *tally.tolist())
 
 
@@ -499,8 +503,10 @@ class TestRawStreamEdges:
         want = [_reference_counts(term_at(1, t), self.NOISE, shots, 4) for t in range(4)]
         est = estimate_beta(1, shots, self.NOISE, seed=4)
         assert est.counts_summary == sum(want[1:], want[0])
+        # one carrier for both: its state is set before every read
+        carrier = np.random.PCG64(0)
         first, second = (
-            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots)
+            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots, carrier)
             for t in (2, 3)
         )
         tallies = {2: 0, 3: 0}

@@ -15,10 +15,12 @@ from hyperbell.pauli import PauliOp, _xz_exponent, commutes, identity, named_obs
 from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
+    EXACT_BLOCK_CAP,
     PERFECT_CORRELATIONS,
+    STABILIZER_QUBIT_CAP,
     DenseState,
     StabilizerState,
-    _expect_xz_batch,
+    _expect_xz,
     block_operator,
     build_state,
     dense_expectation,
@@ -34,6 +36,43 @@ def random_hermitian(rng: np.random.Generator, n_qubits: int) -> PauliOp:
     x = int(rng.integers(0, 1 << n_qubits))
     z = int(rng.integers(0, 1 << n_qubits))
     return PauliOp(n_qubits, x, z, int(rng.integers(0, 2)) * 2)
+
+
+def _holds(op: PauliOp, bit: int) -> bool:
+    # bits 2n-1..n are the x mask, n-1..0 the z mask
+    return bool(op.x >> (bit - op.n) & 1 if bit >= op.n else op.z >> bit & 1)
+
+
+@cache
+def _reference_rows(generators: tuple[PauliOp, ...]) -> tuple[tuple[int, PauliOp], ...]:
+    """Echelon rows (pivot bit, group element) of the generators, by pauli_mul."""
+    work = list(generators)
+    rows = []
+    for bit in range(2 * generators[0].n - 1, -1, -1):
+        hit = next((i for i, op in enumerate(work) if _holds(op, bit)), None)
+        if hit is not None:
+            row = work.pop(hit)
+            work = [pauli_mul(op, row) if _holds(op, bit) else op for op in work]
+            rows.append((bit, row))
+    return tuple(rows)
+
+
+def _reference_expect(state: StabilizerState, op: PauliOp) -> int:
+    """<op> by plain sequential row elimination, one row at a time.
+
+    Shares no code with the kernel under test: its rows come from the
+    generators through ``pauli_mul``, and op is multiplied by every row whose
+    pivot it still holds.  Outside the group the masks stay nonzero (0);
+    inside, the phase left on the identity is the expectation.
+    """
+    for bit, row in _reference_rows(state.generators):
+        if _holds(op, bit):
+            op = pauli_mul(op, row)
+    if op.x or op.z:
+        return 0
+    if op.e & 1:
+        raise AssertionError("odd phase after elimination of a Hermitian operator")
+    return 1 - op.e
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -154,7 +193,8 @@ class TestExpectation:
 
     def test_batch_matches_one_operator_elimination(self):
         # random Paulis (mostly outside the group, so 0) and random signed
-        # group elements (+-1), eliminated as one batch and one at a time
+        # group elements (+-1), through the kernel as one batch and through
+        # the reference one at a time
         rng = np.random.default_rng(11)
         state = build_state(2)
         ops = [random_hermitian(rng, 8) for _ in range(200)]
@@ -163,19 +203,29 @@ class TestExpectation:
             chosen = [g for i, g in enumerate(state.generators) if (mask >> i) & 1]
             op = reduce(pauli_mul, chosen, identity(8))
             ops.append(-op if rng.integers(0, 2) else op)
-        want = [expectation(state, op) for op in ops]
-        got = _expect_xz_batch(
-            state._rows,
-            np.array([op.x for op in ops], dtype=np.uint64),
-            np.array([op.z for op in ops], dtype=np.uint64),
-            np.array([_xz_exponent(op) for op in ops], dtype=np.int64),
-        )
+        want = [_reference_expect(state, op) for op in ops]
+        got = _expect_xz(state, *_xz_arrays(ops))
         assert got.tolist() == want
+        assert [expectation(state, op) for op in ops] == want
         assert set(want) == {-1, 0, 1}
         # i * identity is not Hermitian: its phase stays odd after elimination
-        zeros = np.zeros(1, dtype=np.uint64)
-        with pytest.raises(AssertionError, match="odd phase"):
-            _expect_xz_batch(state._rows, zeros, zeros.copy(), np.ones(1, dtype=np.int64))
+        for n in (1, 2, 5, EXACT_BLOCK_CAP):
+            zeros = np.zeros(1, dtype=np.uint64)
+            with pytest.raises(AssertionError, match="odd phase"):
+                _expect_xz(build_state(n), zeros, zeros.copy(), np.ones(1, dtype=np.int64))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_reference(self, data):
+        # block states for N = 1..12 fill the top half of both masks with
+        # pivots, and their window products never need the swap sign; signed
+        # graph states put pivots on x bits from 0 up, with Y phases
+        stab = data.draw(st.one_of(st.integers(1, EXACT_BLOCK_CAP).map(build_state), _graph_states()))
+        ops = data.draw(
+            st.lists(st.one_of(_hermitian_paulis(stab.n), _group_elements(stab)), min_size=1, max_size=16)
+        )
+        want = [_reference_expect(stab, op) for op in ops]
+        assert _expect_xz(stab, *_xz_arrays(ops)).tolist() == want
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -184,6 +234,46 @@ class TestExpectation:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="size"):
             expectation(build_state(1), identity(8))
+
+
+def _xz_arrays(ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's inputs: uint64 masks and int64 X^x Z^z exponents."""
+    return (
+        np.array([op.x for op in ops], dtype=np.uint64),
+        np.array([op.z for op in ops], dtype=np.uint64),
+        np.array([_xz_exponent(op) for op in ops], dtype=np.int64),
+    )
+
+
+class TestReducedRows:
+    def test_no_row_has_a_bit_at_another_pivot(self):
+        for n in range(1, EXACT_BLOCK_CAP + 1):
+            rows = build_state(n)._rows
+            assert len(rows) == 4 * n
+            for i, (xsel, zsel, *_) in enumerate(rows):
+                assert (xsel == 0) != (zsel == 0)
+                holders = [j for j, (_, _, x, z, _) in enumerate(rows) if (x & xsel) or (z & zsel)]
+                assert holders == [i]
+
+    def test_rows_stabilize_the_dense_state(self):
+        for n in (1, 2, 3):
+            stab, dense = _states(n)
+            for _, _, x, z, e in stab._rows:
+                op = PauliOp(4 * n, x, z, (e - (x & z).bit_count()) % 4)
+                assert dense_expectation(dense, op) == pytest.approx(1, abs=1e-12)
+
+    def test_register_cap(self):
+        # Z on each qubit is a maximal set on any register; one uint64 mask
+        # word holds 64 qubits, so the top qubit is the edge case
+        def z_state(n: int) -> StabilizerState:
+            return StabilizerState(tuple(PauliOp(n, 0, 1 << q, 0) for q in range(n)))
+
+        top = STABILIZER_QUBIT_CAP - 1
+        state = z_state(STABILIZER_QUBIT_CAP)
+        assert expectation(state, PauliOp(STABILIZER_QUBIT_CAP, 0, 1 << top, 2)) == -1
+        assert expectation(state, PauliOp(STABILIZER_QUBIT_CAP, 1 << top, 0, 0)) == 0
+        with pytest.raises(ValueError, match="capped"):
+            z_state(STABILIZER_QUBIT_CAP + 1)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -260,6 +350,21 @@ def _group_elements(stab: StabilizerState) -> st.SearchStrategy[PauliOp]:
         return -op if negate else op
 
     return st.builds(element, st.integers(0, (1 << len(gens)) - 1), st.booleans())
+
+
+@st.composite
+def _graph_states(draw: st.DrawFn) -> StabilizerState:
+    """A signed graph state on 1-40 qubits: generators +-X_v prod_{w ~ v} Z_w."""
+    n = draw(st.integers(1, 40))
+    drawn = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    adjacent = [0] * n
+    for v, row in enumerate(drawn):
+        for w in range(n):
+            if w != v and row >> w & 1:
+                adjacent[v] |= 1 << w
+                adjacent[w] |= 1 << v
+    signs = draw(st.lists(st.sampled_from([0, 2]), min_size=n, max_size=n))
+    return StabilizerState(tuple(PauliOp(n, 1 << v, adjacent[v], signs[v]) for v in range(n)))
 
 
 # ═══════════════════════════════════════════════════════════════════════════
