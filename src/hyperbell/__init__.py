@@ -17,7 +17,6 @@ from .efficiency import (
     expected_estimate,
     min_blocks,
     noisy_bounds,
-    violates,
     visibility_factor,
 )
 from .lhv import (
@@ -33,7 +32,6 @@ from .montecarlo import (
     TermEstimate,
     UndefinedEstimateError,
     estimate_beta,
-    estimate_correlation,
     estimate_term,
 )
 from .pauli import (

@@ -7,6 +7,10 @@ and detection efficiency, ``simulate`` runs the finite-statistics model, and
 
 Output is JSON by default; tabular commands also emit CSV (fixed column
 order, a leading ``#`` metadata line, shortest round-trip float formatting).
+Each ``cmd_*`` handler writes nothing and returns its exit code, its JSON
+document and its CSV table (None for a command without one); ``main`` writes
+the table under ``--format csv`` and the document otherwise, to stdout or
+``--out``.  Bad input ends a handler with one stderr line and exit 2.
 Exit codes: 0 success, 1 verification failure, no violation possible or no
 detection to estimate from (reported as a JSON ``error``), 2 usage error.
 Commands are deterministic: repeating one with the same seed produces
@@ -42,16 +46,15 @@ from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 SEED_ENV_VAR = "HYPERBELL_SEED"
 DUMP_TERMS_CAP = 6
 
-OUTPUT_COLUMNS = (
-    "n",
-    "beta_epr",
-    "beta_qm",
-    "beta_epr_noisy",
-    "beta_qm_noisy",
-    "ratio",
-    "eta_min",
-    "violated",
-)
+# BoundsReport fields, named as it names them and in its order
+NOISY_FIELDS = ("beta_epr_noisy", "beta_qm_noisy", "ratio", "eta_min")
+BOUND_FIELDS = ("beta_epr", "beta_qm", *NOISY_FIELDS)
+OUTPUT_COLUMNS = ("n", *BOUND_FIELDS, "violated")
+
+# a handler's result: exit code, JSON document, and for tabular commands the
+# (columns, rows, metadata) of its CSV form
+Table = tuple[tuple[str, ...], list[dict[str, Any]], dict[str, Any]]
+Output = tuple[int, dict[str, Any], Table | None]
 
 
 def _arg_type(
@@ -117,10 +120,6 @@ def _emit(text: str, out: str | None) -> None:
         raise _usage_error(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
-def _json_text(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _csv_cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -140,20 +139,15 @@ def _csv_text(columns: tuple[str, ...], rows: list[dict[str, Any]], meta: dict[s
     return buffer.getvalue()
 
 
+def _bound_fields(report: BoundsReport, names: tuple[str, ...] = BOUND_FIELDS) -> dict[str, Any]:
+    return {name: getattr(report, name) for name in names}
+
+
 def _output_row(report: BoundsReport, eta: float) -> dict[str, Any]:
-    return {
-        "n": report.n_blocks,
-        "beta_epr": report.beta_epr,
-        "beta_qm": report.beta_qm,
-        "beta_epr_noisy": report.beta_epr_noisy,
-        "beta_qm_noisy": report.beta_qm_noisy,
-        "ratio": report.ratio,
-        "eta_min": report.eta_min,
-        "violated": report.violated(eta),
-    }
+    return {"n": report.n_blocks, **_bound_fields(report), "violated": report.violated(eta)}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("verify", n, EXACT_BLOCK_CAP, f"{4**EXACT_BLOCK_CAP} terms")
     report = verify_perfect_correlations(n)
@@ -192,11 +186,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "beta_epr": {"value": beta_epr, "expected": 2**n, "method": lhv_method},
         "ok": ok,
     }
-    _emit(_json_text(doc), args.out)
-    return 0 if ok else 1
+    return (0 if ok else 1), doc, None
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("bounds", n, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     report = bounds_report(n, args.eps, args.p)
@@ -216,19 +209,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "n": n,
         "eps": args.eps,
         "p": args.p,
-        "beta_epr": report.beta_epr,
-        "beta_qm": report.beta_qm,
-        "beta_epr_noisy": report.beta_epr_noisy,
-        "beta_qm_noisy": report.beta_qm_noisy,
-        "ratio": report.ratio,
-        "eta_min": report.eta_min,
+        **_bound_fields(report),
         "lhv": lhv_doc,
     }
-    _emit(_json_text(doc), args.out)
-    return 0
+    return 0, doc, None
 
 
-def cmd_eta_threshold(args: argparse.Namespace) -> int:
+def cmd_eta_threshold(args: argparse.Namespace) -> Output:
     _require_cap("eta-threshold", args.n, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     report = bounds_report(args.n, args.eps, args.p)
     doc = {
@@ -237,49 +224,27 @@ def cmd_eta_threshold(args: argparse.Namespace) -> int:
         "n": args.n,
         "eps": args.eps,
         "p": args.p,
-        "beta_epr_noisy": report.beta_epr_noisy,
-        "beta_qm_noisy": report.beta_qm_noisy,
-        "ratio": report.ratio,
-        "eta_min": report.eta_min,
+        **_bound_fields(report, NOISY_FIELDS),
         "feasible": report.eta_min <= 1.0,
     }
-    _emit(_json_text(doc), args.out)
-    return 0
+    return 0, doc, None
 
 
-def cmd_min_n(args: argparse.Namespace) -> int:
+def cmd_min_n(args: argparse.Namespace) -> Output:
     _require_cap("min-n", args.n_cap, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
+    params = {"eta": args.eta, "eps": args.eps, "p": args.p}
     try:
         result = min_blocks(args.eta, args.eps, args.p, n_cap=args.n_cap)
     except NoViolationError as exc:
-        doc = {
-            "command": "min-n",
-            "schema_version": 1,
-            "eta": args.eta,
-            "eps": args.eps,
-            "p": args.p,
-            "n_star": None,
-            "error": str(exc),
-        }
-        _emit(_json_text(doc), args.out)
-        return 1
+        doc = {"command": "min-n", "schema_version": 1, **params, "n_star": None, "error": str(exc)}
+        return 1, doc, None
     rows = [_output_row(report, args.eta) for report in result.table]
-    meta = {
-        "eta": args.eta,
-        "eps": args.eps,
-        "p": args.p,
-        "visibility": result.visibility,
-        "n_star": result.n_star,
-    }
-    if args.format == "csv":
-        _emit(_csv_text(OUTPUT_COLUMNS, rows, meta), args.out)
-    else:
-        doc = {"command": "min-n", "schema_version": 1, **meta, "rows": rows}
-        _emit(_json_text(doc), args.out)
-    return 0
+    meta = {**params, "visibility": result.visibility, "n_star": result.n_star}
+    doc = {"command": "min-n", "schema_version": 1, **meta, "rows": rows}
+    return 0, doc, (OUTPUT_COLUMNS, rows, meta)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Output:
     if args.n_min > args.n_max:
         raise _usage_error(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     _require_cap("sweep", args.n_max, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
@@ -288,15 +253,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in range(args.n_min, args.n_max + 1)
     ]
     meta = {"n_min": args.n_min, "n_max": args.n_max, "eta": args.eta, "eps": args.eps, "p": args.p}
-    if args.format == "csv":
-        _emit(_csv_text(OUTPUT_COLUMNS, rows, meta), args.out)
-    else:
-        doc = {"command": "sweep", "schema_version": 1, "params": meta, "rows": rows}
-        _emit(_json_text(doc), args.out)
-    return 0
+    doc = {"command": "sweep", "schema_version": 1, "params": meta, "rows": rows}
+    return 0, doc, (OUTPUT_COLUMNS, rows, meta)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Output:
     _require_cap("simulate", args.n, ESTIMATE_BLOCK_CAP, "16.0**N overflows a float above it")
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
@@ -313,13 +274,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": seed,
             "error": str(exc),
         }
-        _emit(_json_text(doc), args.out)
-        return 1
-    _emit(_json_text(estimate.to_json_dict()), args.out)
-    return 0
+        return 1, doc, None
+    return 0, estimate.to_json_dict(), None
 
 
-def cmd_dump_terms(args: argparse.Namespace) -> int:
+def cmd_dump_terms(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("dump-terms", n, DUMP_TERMS_CAP, f"{4**DUMP_TERMS_CAP} terms")
     rows = [
@@ -331,21 +290,52 @@ def cmd_dump_terms(args: argparse.Namespace) -> int:
         }
         for term in enumerate_terms(n)
     ]
-    if args.format == "csv":
-        _emit(_csv_text(("index", "choices", "sign", "operator"), rows, {"n": n, "terms": n_terms(n)}), args.out)
-    else:
-        doc = {"command": "dump-terms", "schema_version": 1, "n": n, "terms": rows}
-        _emit(_json_text(doc), args.out)
-    return 0
+    doc = {"command": "dump-terms", "schema_version": 1, "n": n, "terms": rows}
+    return 0, doc, (("index", "choices", "sign", "operator"), rows, {"n": n, "terms": n_terms(n)})
 
 
-def _add_noise_flags(
-    parser: argparse.ArgumentParser, with_eta: bool = True, p_type: Callable[[str], Any] = _unit_interval
-) -> None:
-    parser.add_argument("--eps", type=_unit_interval, default=0.15, help="certainty-relation error tolerance (default 0.15)")
-    parser.add_argument("--p", type=p_type, default=0.98, help="intended-state weight in the prepared mixture (default 0.98)")
-    if with_eta:
-        parser.add_argument("--eta", type=_positive_unit, default=0.33, help="detection efficiency per particle (default 0.33)")
+_N = ("--n", dict(type=_positive_int, required=True))
+_EPS = ("--eps", dict(type=_unit_interval, default=0.15, help="certainty-relation error tolerance (default 0.15)"))
+_P_HELP = "intended-state weight in the prepared mixture (default 0.98)"
+_P = ("--p", dict(type=_unit_interval, default=0.98, help=_P_HELP))
+_ETA = ("--eta", dict(type=_positive_unit, default=0.33, help="detection efficiency per particle (default 0.33)"))
+_NOISE = (_EPS, _P, _ETA)
+
+
+def _format(default: str) -> tuple[str, dict[str, Any]]:
+    return "--format", dict(choices=("json", "csv"), default=default)
+
+
+# (name, handler, help, flags) of each subcommand, a flag being the arguments
+# of one add_argument call; build_parser adds --out to each, last
+COMMANDS = (
+    ("verify", cmd_verify, "re-derive the exact correlations and bounds", (
+        ("--n", dict(type=_positive_int, required=True, help="number of blocks")),
+    )),
+    ("bounds", cmd_bounds, "ideal and noise-adjusted bounds for one N", (_N, _EPS, _P)),
+    ("eta-threshold", cmd_eta_threshold, "minimum detection efficiency for one N", (_N, _EPS, _P)),
+    ("min-n", cmd_min_n, "smallest N that violates at a given efficiency", (
+        _EPS,
+        ("--p", dict(type=_positive_unit, default=0.98, help=_P_HELP)),
+        _ETA,
+        ("--n-cap", dict(type=_positive_int, default=64, help=f"search cap (default 64, at most {FLOAT_BLOCK_CAP})")),
+        _format("json"),
+    )),
+    ("sweep", cmd_sweep, "bound table over a range of N", (
+        ("--n-min", dict(type=_positive_int, default=1)),
+        ("--n-max", dict(type=_positive_int, required=True)),
+        *_NOISE,
+        _format("csv"),
+    )),
+    ("simulate", cmd_simulate, "finite-statistics estimate of the Bell value", (
+        _N,
+        ("--shots", dict(type=_positive_int, required=True, help="runs per term")),
+        *_NOISE,
+        ("--seed", dict(type=_nonnegative_int, default=None, help=f"master seed (default 0, or ${SEED_ENV_VAR})")),
+        ("--term-budget", dict(type=_positive_int, default=4096)),
+    )),
+    ("dump-terms", cmd_dump_terms, "print the expanded Bell expression", (_N, _format("csv"))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,61 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell inequalities for block-structured hyperentangled states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="re-derive the exact correlations and bounds")
-    p_verify.add_argument("--n", type=_positive_int, required=True, help="number of blocks")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_bounds = sub.add_parser("bounds", help="ideal and noise-adjusted bounds for one N")
-    p_bounds.add_argument("--n", type=_positive_int, required=True)
-    _add_noise_flags(p_bounds, with_eta=False)
-    p_bounds.add_argument("--out", default=None)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_eta = sub.add_parser("eta-threshold", help="minimum detection efficiency for one N")
-    p_eta.add_argument("--n", type=_positive_int, required=True)
-    _add_noise_flags(p_eta, with_eta=False)
-    p_eta.add_argument("--out", default=None)
-    p_eta.set_defaults(func=cmd_eta_threshold)
-
-    p_min = sub.add_parser("min-n", help="smallest N that violates at a given efficiency")
-    _add_noise_flags(p_min, p_type=_positive_unit)
-    p_min.add_argument("--n-cap", type=_positive_int, default=64, help=f"search cap (default 64, at most {FLOAT_BLOCK_CAP})")
-    p_min.add_argument("--format", choices=("json", "csv"), default="json")
-    p_min.add_argument("--out", default=None)
-    p_min.set_defaults(func=cmd_min_n)
-
-    p_sweep = sub.add_parser("sweep", help="bound table over a range of N")
-    p_sweep.add_argument("--n-min", type=_positive_int, default=1)
-    p_sweep.add_argument("--n-max", type=_positive_int, required=True)
-    _add_noise_flags(p_sweep)
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="finite-statistics estimate of the Bell value")
-    p_sim.add_argument("--n", type=_positive_int, required=True)
-    p_sim.add_argument("--shots", type=_positive_int, required=True, help="runs per term")
-    _add_noise_flags(p_sim)
-    p_sim.add_argument("--seed", type=_nonnegative_int, default=None, help=f"master seed (default 0, or ${SEED_ENV_VAR})")
-    p_sim.add_argument("--term-budget", type=_positive_int, default=4096)
-    p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_dump = sub.add_parser("dump-terms", help="print the expanded Bell expression")
-    p_dump.add_argument("--n", type=_positive_int, required=True)
-    p_dump.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_dump.add_argument("--out", default=None)
-    p_dump.set_defaults(func=cmd_dump_terms)
-
+    for name, handler, help_text, flags in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, ("--out", dict(default=None))):
+            command.add_argument(flag, **options)
+        command.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, table = args.func(args)
+        if table is not None and args.format == "csv":
+            _emit(_csv_text(*table), args.out)
+        else:
+            _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        return code
     except BrokenPipeError:
         return 0
 

@@ -133,11 +133,6 @@ def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
     )
 
 
-def violates(n_blocks: int, noise: NoiseParams) -> bool:
-    """Strict violation test at the given efficiency and preparation noise."""
-    return bounds_report(n_blocks, noise.epsilon, noise.p).violated(noise.eta)
-
-
 @dataclass(frozen=True, slots=True)
 class MinBlocksResult:
     n_star: int

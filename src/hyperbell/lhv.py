@@ -73,17 +73,6 @@ class LhvAssignment:
             raise KeyError(f"{obs} is not assigned for {self.n_blocks} blocks")
         return 1 - 2 * ((self.mask >> ((obs.block - 1) * _BITS_PER_BLOCK + pos)) & 1)
 
-    @classmethod
-    def from_bitmask(cls, mask: int, n_blocks: int) -> "LhvAssignment":
-        return cls(n_blocks, mask)
-
-    @classmethod
-    def random(cls, n_blocks: int, rng: np.random.Generator) -> "LhvAssignment":
-        mask = 0
-        for chunk in range(n_blocks):  # keep draws exact for any block count
-            mask |= int(rng.integers(0, 1 << _BITS_PER_BLOCK)) << (chunk * _BITS_PER_BLOCK)
-        return cls(n_blocks, mask)
-
 
 def evaluate(assignment: LhvAssignment) -> int:
     """Bell-expression value of a deterministic assignment.

@@ -70,7 +70,7 @@ import numpy as np
 from .bell import _MENU_SIGNS, BLOCK_TERM_MENU, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
 from .pauli import Observable, identity, pauli_mul
-from .state import build_state, expectation
+from .state import _expect_xz, _xz_arrays, build_state
 
 
 class UndefinedEstimateError(ValueError):
@@ -96,16 +96,6 @@ class CountsTable:
             )
         if min(self.n_total, self.n_pp, self.n_mm, self.n_single_1, self.n_single_2, self.n_00) < 0:
             raise ValueError("counts must be nonnegative")
-
-    def __add__(self, other: "CountsTable") -> "CountsTable":
-        return CountsTable(
-            self.n_total + other.n_total,
-            self.n_pp + other.n_pp,
-            self.n_mm + other.n_mm,
-            self.n_single_1 + other.n_single_1,
-            self.n_single_2 + other.n_single_2,
-            self.n_00 + other.n_00,
-        )
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)  # keys in field order
@@ -145,7 +135,17 @@ def _outcome_table() -> _OutcomeTable:
     of H at the mask of that observer's observables.  Padding cells, past a
     choice's 2**k outcomes, have probability 0 and products +1.
     """
+    # every choice's subset products, 2**k for k observables (one block is
+    # four qubits), all eliminated in one pass
+    products = []
+    for menu in BLOCK_TERM_MENU:
+        k = len(menu.observables)
+        bits = [1 << (k - 1 - i) for i in range(k)]
+        ops = [Observable(letter, particle, 1).to_pauli(1) for letter, particle in menu.observables]
+        subsets = [[op for op, bit in zip(ops, bits) if mask & bit] for mask in range(1 << k)]
+        products += [reduce(pauli_mul, subset, identity(4)) for subset in subsets]
     state = build_state(1)
+    sub_exps = iter(_expect_xz(state, *_xz_arrays(products, state.n)).tolist())
     shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
     n_outcomes = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
     noise_shift = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
@@ -157,10 +157,7 @@ def _outcome_table() -> _OutcomeTable:
         k = len(menu.observables)
         size = 1 << k
         bits = [1 << (k - 1 - i) for i in range(k)]
-        ops = [Observable(letter, particle, 1).to_pauli(1) for letter, particle in menu.observables]
-        subsets = [[op for op, bit in zip(ops, bits) if mask & bit] for mask in range(size)]
-        # one block is four qubits
-        sub_exp = [expectation(state, reduce(pauli_mul, subset, identity(4))) for subset in subsets]
+        sub_exp = [next(sub_exps) for _ in range(size)]
         keys = np.arange(size)
         hadamard = np.where(np.bitwise_count(keys[:, None] & keys) & 1, -1, 1)
         p = hadamard @ sub_exp / size
@@ -449,14 +446,6 @@ def _tally_chunk(
     return tallies
 
 
-def estimate_correlation(counts: CountsTable) -> float:
-    """(n_pp - n_mm) / (n_total - n_00); singles dilute instead of postselect."""
-    denom = counts.n_total - counts.n_00
-    if denom == 0:
-        raise UndefinedEstimateError("no runs with at least one detection")
-    return (counts.n_pp - counts.n_mm) / denom
-
-
 @dataclass(frozen=True, slots=True)
 class TermEstimate:
     term_index: int
@@ -464,10 +453,6 @@ class TermEstimate:
     correlation: float
     stderr: float
     counts: CountsTable
-
-    @property
-    def signed_value(self) -> float:
-        return self.sign * self.correlation
 
 
 def _estimate_chunk(

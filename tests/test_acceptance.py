@@ -85,13 +85,13 @@ def test_criterion_3_classical_bound():
     )
     # parity property: every deterministic assignment gives exactly +-2^N
     for mask in range(2**7):
-        ok = ok and evaluate(LhvAssignment.from_bitmask(mask, 1)) in (-2, 2)
+        ok = ok and evaluate(LhvAssignment(1, mask)) in (-2, 2)
     for mask in range(2**14):
         value = _BLOCK_SUM_TABLE[mask & 127] * _BLOCK_SUM_TABLE[mask >> 7]
         ok = ok and value in (-4, 4)
     rng = np.random.default_rng(424242)
     for _ in range(200):
-        a = LhvAssignment.random(2, rng)
+        a = LhvAssignment(2, int(rng.integers(0, 1 << 14)))
         ok = ok and evaluate(a) in (-4, 4)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -159,12 +159,12 @@ def test_criterion_7_monte_carlo_fidelity():
     flip_noise = NoiseParams(epsilon=0.15, p=1.0, eta=1.0)
     for t in range(4):
         est = estimate_term(term_at(1, t), flip_noise, shots, seed=20240901 + t)
-        ok = ok and abs(est.signed_value - 0.85) < 5 * est.stderr
+        ok = ok and abs(est.sign * est.correlation - 0.85) < 5 * est.stderr
 
     half_eta = NoiseParams(epsilon=0.0, p=1.0, eta=0.5)
     for t in range(4):
         est = estimate_term(term_at(1, t), half_eta, shots, seed=20240901 + t)
-        ok = ok and abs(est.signed_value - 1.0 / 3.0) < 5 * est.stderr
+        ok = ok and abs(est.sign * est.correlation - 1.0 / 3.0) < 5 * est.stderr
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _line(

@@ -40,9 +40,10 @@ def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.C
     )
 
 
-# stdout of a fixed set of commands, recorded before the sampler's outcome
-# table was rebuilt; every later version must reproduce it byte for byte
-GOLDEN_STDOUT = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
+# exit code and stdout of a fixed set of commands, each recorded before a
+# change that could move it (the sampler's outcome table, the CLI's output
+# path); every later version must reproduce them byte for byte
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
 
 
 def csv_rows(text: str) -> list[dict[str, str]]:
@@ -361,9 +362,9 @@ class TestUsageErrors:
 
 
 class TestGoldenStdout:
-    @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+    @pytest.mark.parametrize("command", list(GOLDEN))
     def test_bytes_unchanged(self, command, capsys, monkeypatch):
         # in-process, so the whole set costs a fraction of a second
         monkeypatch.delenv("HYPERBELL_SEED", raising=False)
-        assert cli.main(command.split()) == 0
-        assert capsys.readouterr().out == GOLDEN_STDOUT[command]
+        assert cli.main(command.split()) == GOLDEN[command]["exit"]
+        assert capsys.readouterr().out == GOLDEN[command]["stdout"]

@@ -16,7 +16,6 @@ from hyperbell.efficiency import (
     expected_estimate,
     min_blocks,
     noisy_bounds,
-    violates,
     visibility_factor,
 )
 
@@ -163,13 +162,12 @@ class TestBoundsReport:
 
 class TestViolates:
     def test_reference_crossing(self):
-        noise = NoiseParams()
-        assert not violates(4, noise)
-        assert violates(5, noise)
-        assert violates(6, noise)
+        assert not bounds_report(4, 0.15, 0.98).violated(0.33)
+        assert bounds_report(5, 0.15, 0.98).violated(0.33)
+        assert bounds_report(6, 0.15, 0.98).violated(0.33)
 
     def test_perfect_everything(self):
-        assert violates(1, NoiseParams(epsilon=0.0, p=1.0, eta=1.0))
+        assert bounds_report(1, 0.0, 1.0).violated(1.0)
 
     def test_report_predicate_is_the_strict_crossing(self):
         for n in range(1, 9):
@@ -177,7 +175,6 @@ class TestViolates:
                 rep = bounds_report(n, 0.15, 0.98)
                 want = visibility_factor(eta) * rep.beta_qm_noisy > rep.beta_epr_noisy
                 assert rep.violated(eta) is want
-                assert violates(n, NoiseParams(epsilon=0.15, p=0.98, eta=eta)) is want
 
 
 class TestMinBlocks:
@@ -194,9 +191,8 @@ class TestMinBlocks:
 
     def test_first_crossing_is_minimal(self):
         res = min_blocks(eta=0.5, eps=0.05, p=0.95)
-        noise = NoiseParams(epsilon=0.05, p=0.95, eta=0.5)
-        assert violates(res.n_star, noise)
-        assert all(not violates(n, noise) for n in range(1, res.n_star))
+        assert bounds_report(res.n_star, 0.05, 0.95).violated(0.5)
+        assert all(not bounds_report(n, 0.05, 0.95).violated(0.5) for n in range(1, res.n_star))
 
     def test_asymptotically_impossible(self):
         # eps/p at or above the visibility factor: no N can help

@@ -32,42 +32,38 @@ class TestAssignment:
         for n in (1, 2, 3):
             for _ in range(50):
                 mask = int(rng.integers(0, 1 << (7 * n)))
-                a = LhvAssignment.from_bitmask(mask, n)
-                assert a == LhvAssignment(n, mask)
-                assert a.mask == mask
+                a = LhvAssignment(n, mask)
+                # the mask read back from the +-1 values, bit by bit
+                signs = [a[Observable(l, p, b)] for b in range(1, n + 1) for l, p in BOUND_LABELS]
+                assert sum((s < 0) << i for i, s in enumerate(signs)) == mask
 
     def test_bit_positions(self):
         # bit (block-1)*7 + i flips the i-th bound label of that block
         for n in (1, 2):
             for block in range(1, n + 1):
                 for i, (letter, particle) in enumerate(BOUND_LABELS):
-                    a = LhvAssignment.from_bitmask(1 << ((block - 1) * 7 + i), n)
+                    a = LhvAssignment(n, 1 << ((block - 1) * 7 + i))
                     for b in range(1, n + 1):
                         for j, (l2, p2) in enumerate(BOUND_LABELS):
                             want = -1 if (b, j) == (block, i) else 1
                             assert a[Observable(l2, p2, b)] == want
 
     def test_all_plus(self):
-        a = LhvAssignment.from_bitmask(0, 2)
+        a = LhvAssignment(2, 0)
         assert all(a[Observable(l, p, b)] == 1 for l, p in BOUND_LABELS for b in (1, 2))
-
-    def test_random_is_seed_deterministic(self):
-        a = LhvAssignment.random(3, np.random.default_rng(5))
-        b = LhvAssignment.random(3, np.random.default_rng(5))
-        assert a.mask == b.mask
 
     def test_observable_outside_the_assignment_rejected(self):
         # a clear bit must not read as +1 for an observable that has no bit
-        a = LhvAssignment.from_bitmask(0, 2)
+        a = LhvAssignment(2, 0)
         for obs in (Observable("X", 1, 3), Observable("z", 1, 1), Observable("Z", 2, 2)):
             with pytest.raises(KeyError, match="not assigned"):
                 a[obs]
 
     def test_out_of_range_bitmask_rejected(self):
         with pytest.raises(ValueError):
-            LhvAssignment.from_bitmask(1 << 7, 1)
+            LhvAssignment(1, 1 << 7)
         with pytest.raises(ValueError):
-            LhvAssignment.from_bitmask(-1, 1)
+            LhvAssignment(1, -1)
         with pytest.raises(ValueError):
             LhvAssignment(2, 1 << 14)
 
@@ -87,13 +83,13 @@ class TestBlockSum:
     def test_all_plus_block_sum(self):
         # +1 everywhere: terms contribute +1, -1, +1, +1
         assert _BLOCK_SUM_TABLE[0] == 2
-        assert evaluate(LhvAssignment.from_bitmask(0, 1)) == 2
+        assert evaluate(LhvAssignment(1, 0)) == 2
 
     def test_block_sum_matches_table(self):
         # the table entry is the four signed menu terms summed under the
         # assignment's values, read one observable at a time
         for mask in range(128):
-            a = LhvAssignment.from_bitmask(mask, 1)
+            a = LhvAssignment(1, mask)
             want = sum(
                 t.sign * prod(a[Observable(l, p, 1)] for l, p in t.observables) for t in BLOCK_TERM_MENU
             )
@@ -108,20 +104,20 @@ class TestBlockSum:
 class TestEvaluate:
     def test_all_plus_values(self):
         for n, want in ((1, 2), (2, 4), (6, 64)):
-            assert evaluate(LhvAssignment.from_bitmask(0, n)) == want
+            assert evaluate(LhvAssignment(n, 0)) == want
 
     def test_single_block_exhaustive(self):
         # evaluate() internally cross-checks the expanded 4**N-term sum
         # against the block-product form for every one of these
         for mask in range(128):
-            a = LhvAssignment.from_bitmask(mask, 1)
+            a = LhvAssignment(1, mask)
             assert evaluate(a) == _BLOCK_SUM_TABLE[mask]
 
     def test_two_blocks_factor(self):
         rng = np.random.default_rng(202)
         for _ in range(200):
             mask = int(rng.integers(0, 1 << 14))
-            a = LhvAssignment.from_bitmask(mask, 2)
+            a = LhvAssignment(2, mask)
             want = _BLOCK_SUM_TABLE[mask & 127] * _BLOCK_SUM_TABLE[mask >> 7]
             assert evaluate(a) == want
 
@@ -163,7 +159,7 @@ class TestBounds:
         for n in (2, 3):
             cap = factored_bound(n)
             for _ in range(300):
-                a = LhvAssignment.random(n, rng)
+                a = LhvAssignment(n, int(rng.integers(0, 1 << (7 * n))))
                 assert abs(evaluate(a)) <= cap
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])

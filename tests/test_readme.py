@@ -1,7 +1,9 @@
-"""README's library example, run as written.
+"""README's examples, run as written.
 
 Each line of the ```python block that ends in a ``# <value>`` comment is an
 expression whose value the comment states; the test evaluates it and compares.
+Each line of the CLI block must parse with the CLI's own parser, and the block
+must show every subcommand.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from hyperbell import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +37,19 @@ def test_library_example_states_true_values():
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
     assert checked == ["21/21 perfect correlations hold", 65536, 4, 5]
+
+
+def test_cli_block_matches_the_parser():
+    blocks = re.findall(r"```\n(.*?)```", README.read_text("utf-8"), re.S)
+    (block,) = [b for b in blocks if b.startswith("hyperbell ")]
+    parser = cli.build_parser()
+    shown = set()
+    for line in block.splitlines():
+        prog, *argv = line.split("#")[0].split()
+        assert prog == "hyperbell", line
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's CLI line does not parse: {line}")
+        shown.add(argv[0])
+    assert {name for name, *_ in cli.COMMANDS} <= shown
