@@ -31,14 +31,13 @@ fixed order: per block, ``shots`` uniforms for the ideal/noise selector,
 outcome; then ``shots`` uniforms each for the sign flip and the two detectors.
 
 The sampler reads that order as numpy's ``random`` and ``integers`` would on
-a fresh generator, but from raw 64-bit words, one ``random_raw`` fetch per
-term through one PCG64 set to each term's state in turn, decoded in numpy:
-a uniform draw is an integer compare, the ideal
-outcome's 1/16 cell is the top four bits, and a noise outcome over 2**k
-outcomes is a 32-bit half x shifted to x >> (32 - k), Lemire's bounded draw,
-which never rejects for a power-of-two range.  PCG64 hands out a word's low
-half first and keeps the high half for the next 32-bit draw, also across
-blocks.
+a fresh generator, but from raw 64-bit words, fetched through one PCG64 set
+to each term's state in turn and decoded in numpy: a uniform draw is an
+integer compare, the ideal outcome's 1/16 cell is the top four bits, and a
+noise outcome over 2**k outcomes is a 32-bit half x shifted to x >> (32 - k),
+Lemire's bounded draw, which never rejects for a power-of-two range.  PCG64
+hands out a word's low half first and keeps the high half for the next
+32-bit draw, also across blocks.
 
 Every block reads one outcome table, built on first use: for each of the four
 menu choices, the joint distribution of its k observables is the
@@ -48,13 +47,15 @@ outcome is the uniform's position in the choice's cumulative distribution,
 exactly the draw ``Generator.choice(p=...)`` makes; every cdf entry is a
 multiple of 1/16, so the table holds that position per 1/16 cell of [0, 1).
 
-Terms are sampled in chunks of about SAMPLE_CHUNK term-shots: the terms'
-words are stacked into one ``(terms, words)`` buffer, and the selection,
-outcome lookups, flip, detectors and per-term tallies then run once per
-block over the whole chunk.  A term with more shots than SAMPLE_CHUNK is
-drawn in slices of that many shots, each reaching its words with
-``PCG64.advance``, and tallied slice by slice, so memory stays flat in
-shots.  ``estimate_term`` is a chunk of one through the same kernel.
+Terms are sampled in chunks of about SAMPLE_CHUNK term-shots, a term with
+more shots in slices of that many, each reaching its words with
+``PCG64.advance``, so memory stays flat in shots; every slice's words fill
+one buffer that lives as long as the estimate.  The estimator classifies a
+run that is not a coincidence by its two detector words alone, so those are
+compared first, and the flip and outcome words are read only where both
+detectors fire, about eta**2 of the runs: each block adds one parity bit,
+whether prod1 * prod2 is -1, and a coincidence of odd parity counts in
+n_mm.  ``estimate_term`` is a chunk of one through the same kernel.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class _OutcomeTable(NamedTuple):
     probs: np.ndarray  # the rest are flat, one entry per choice * 16 + outcome
     prod1: np.ndarray  # each particle's product of its outcome signs
     prod2: np.ndarray
+    odd: np.ndarray  # whether prod1 * prod2 is -1
     drawn: np.ndarray  # ideal outcome for each 1/16 cell of the uniform
 
 
@@ -180,9 +182,8 @@ def _outcome_table() -> _OutcomeTable:
     # where Lemire's bounded draw never rejects
     if np.any(n_outcomes & (n_outcomes - 1)) or n_outcomes.max() > _MAX_OUTCOMES:
         raise AssertionError(f"outcome counts {n_outcomes.tolist()} are not powers of two <= 16")
-    return _OutcomeTable(
-        n_outcomes, noise_shift, probs.ravel(), prod1.ravel(), prod2.ravel(), drawn.ravel()
-    )
+    flat = (probs, prod1, prod2, prod1 != prod2, drawn)
+    return _OutcomeTable(n_outcomes, noise_shift, *(table.ravel() for table in flat))
 
 
 class _SlicePlan(NamedTuple):
@@ -331,19 +332,29 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
     return states
 
 
-def _fetch(bitgen: np.random.PCG64, states: list[dict], plan: _SlicePlan) -> np.ndarray:
-    """Row t: the plan's words of the stream that starts in ``states[t]``,
-    read through ``bitgen`` after setting it to that state."""
-    buf = np.empty((len(states), plan.size), dtype=np.uint64)
-    for row, state in zip(buf, states):
-        bitgen.state = state
-        pos = here = 0
-        for start, count in plan.runs:
-            if start != here:
-                bitgen.advance(start - here)
-            row[pos : pos + count] = bitgen.random_raw(count)
-            pos, here = pos + count, start + count
-    return buf
+class _Reader:
+    """One PCG64, set to each term's state in turn, and the one word buffer it
+    fills; one per estimate, so that no slice allocates either."""
+
+    def __init__(self) -> None:
+        self.bitgen = np.random.PCG64(0)  # its own state is never read
+        self.words = np.empty(0, dtype=np.uint64)
+
+    def fetch(self, states: list[dict], plan: _SlicePlan) -> np.ndarray:
+        """Row t: the plan's words of the stream that starts in ``states[t]``,
+        in the buffer, which the next fetch overwrites."""
+        if self.words.size < len(states) * plan.size:
+            self.words = np.empty(len(states) * plan.size, dtype=np.uint64)
+        buf = self.words[: len(states) * plan.size].reshape(len(states), plan.size)
+        for row, state in zip(buf, states):
+            self.bitgen.state = state
+            pos = here = 0
+            for start, count in plan.runs:
+                if start != here:
+                    self.bitgen.advance(start - here)
+                row[pos : pos + count] = self.bitgen.random_raw(count)
+                pos, here = pos + count, start + count
+        return buf
 
 
 def _sample_chunk(
@@ -352,75 +363,62 @@ def _sample_chunk(
     noise: NoiseParams,
     seed: int,
     shots: int,
-    carrier: np.random.PCG64,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Runs of a chunk of terms, SAMPLE_CHUNK shots at a time: local products
-    A, B and detection flags, (terms, slice shots) each.
+    reader: _Reader,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per slice of SAMPLE_CHUNK shots: the chunk's (terms, 5) tally in
+    CountsTable order minus n_total, the flat (terms, slice shots) indices of
+    its coincidences, and whether A * B is -1 at each.
 
     Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn in
     the module's draw order from the stream of ``PCG64(SeedSequence(
     entropy=seed, spawn_key=(1, indices[t])))``, whose state is derived by
-    ``_term_states`` and loaded, slice by slice, into ``carrier``, a PCG64
-    whose own state is never read.
+    ``_term_states`` and loaded, slice by slice, into ``reader``.  The
+    detector words alone give the singles and n_00; the flip and outcome
+    words are read only at the coincidences.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     states = _term_states(seed, indices)
     table = _outcome_table()
-    shift = table.noise_shift[choices]
+    keys, shift = (_MAX_OUTCOMES * choices).T, table.noise_shift[choices].T
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
-    # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact)
+    # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact); a Python int, as
+    # x = 1 gives 2**64
     below_p, below_flip, below_eta = (
         math.ceil(x * 2.0**53) << 11 for x in (noise.p, noise.epsilon / 2.0, noise.eta)
     )
     for lo in range(0, shots, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, shots - lo)
         plan = _slice_plan(choices.shape[1], shots, lo, lo + n)
-        buf = _fetch(carrier, states, plan)
-        a = np.ones((len(states), n), dtype=np.int8)
-        b = np.ones((len(states), n), dtype=np.int8)
-        outcome = np.empty((len(states), n), dtype=np.intp)
-        for column, block_shift, (sel, ideal_at, carry, own, first, halves) in zip(
-            choices.T, shift.T, plan.blocks
-        ):
-            offset = _MAX_OUTCOMES * column[:, None]
-            ideal = buf[:, sel : sel + n] < below_p
+        buf = reader.fetch(states, plan)
+        det1, det2 = (buf[:, t : t + n] < below_eta for t in plan.tail[1:])
+        hits = np.flatnonzero(det1 & det2)
+        rows = hits // n
+        # a coincidence's word in the flat buffer, and its half in the flat
+        # buffer's 32-bit view, for the span that starts at column 0
+        at = hits + rows * (plan.size - n)
+        half_at = at + rows * plan.size
+        words = buf.ravel()
+        halves = words.astype("<u8", copy=False).view("<u4")
+        odd = words[plan.tail[0] :][at] < below_flip
+        for b, (sel, ideal_at, carry, own, first, used) in enumerate(plan.blocks):
+            key = keys[b][rows]
+            ideal = words[sel:][at] < below_p
             # the top four bits are the uniform's 1/16 cell
-            cell = (buf[:, ideal_at : ideal_at + n] >> 60).view(np.intp)
-            cell += offset
+            cell = (words[ideal_at:][at] >> 60).view(np.intp)
+            # shot j's noise draw is the block's half first + j - (n - used),
+            # but shot 0 may read the high half the block before left pending
+            own_at = 2 * own + first - (n - used)
+            if carry >= 0:
+                own_at = np.where(hits % n == 0, 2 * carry + 1, own_at)
+            draw = halves[half_at + own_at]
             # Lemire's bounded draw of a 32-bit x with a range of 2**k
             # outcomes is x >> (32 - k), never rejecting
-            words = buf[:, own : own + (first + halves + 1) // 2].astype("<u8", copy=False)
-            outcome[:, n - halves :] = words.view("<u4")[:, first : first + halves]
-            if carry >= 0:
-                outcome[:, 0] = buf[:, carry] >> 32
-            outcome >>= block_shift[:, None]
-            np.copyto(outcome, table.drawn[cell], where=ideal)
-            outcome += offset
-            a *= table.prod1[outcome]
-            b *= table.prod2[outcome]
-        flip, det1, det2 = (
-            buf[:, t : t + n] < below
-            for t, below in zip(plan.tail, (below_flip, below_eta, below_eta))
-        )
-        np.negative(b, out=b, where=flip)
-        yield a, b, det1, det2
-
-
-def _tally(a: np.ndarray, b: np.ndarray, det1: np.ndarray, det2: np.ndarray) -> np.ndarray:
-    """Per-term detection categories, one row per term in CountsTable order minus n_total."""
-    both = det1 & det2
-    same = a == b
-    return np.stack(
-        [
-            np.count_nonzero(both & same, axis=1),
-            np.count_nonzero(both & ~same, axis=1),
-            np.count_nonzero(det1 & ~det2, axis=1),
-            np.count_nonzero(det2 & ~det1, axis=1),
-            np.count_nonzero(~(det1 | det2), axis=1),
-        ],
-        axis=1,
-    )
+            outcome = np.where(ideal, table.drawn[key + cell], draw >> shift[b][rows])
+            odd ^= table.odd[key + outcome]
+        tally = [np.bincount(rows[odd == sign], minlength=len(buf)) for sign in (False, True)]
+        tally += [np.count_nonzero(d, axis=1) for d in (det1 & ~det2, det2 & ~det1, ~(det1 | det2))]
+        yield np.array(tally).T, hits, odd
 
 
 def _tally_chunk(
@@ -429,13 +427,12 @@ def _tally_chunk(
     noise: NoiseParams,
     seed: int,
     shots: int,
-    carrier: np.random.PCG64,
+    reader: _Reader,
 ) -> np.ndarray:
-    """``_tally`` of a chunk's runs, summed over its slices; the five
-    categories of every term must tile its ``shots`` runs."""
-    tallies = sum(
-        _tally(*runs) for runs in _sample_chunk(indices, choices, noise, seed, shots, carrier)
-    )
+    """``_sample_chunk``'s tallies summed over its slices, one row per term;
+    the five categories of every term must tile its ``shots`` runs."""
+    slices = _sample_chunk(indices, choices, noise, seed, shots, reader)
+    tallies = sum(tally for tally, _, _ in slices)
     untiled = np.flatnonzero(tallies.sum(axis=1) != shots)
     if untiled.size:
         row = untiled[0]
@@ -461,14 +458,14 @@ def _estimate_chunk(
     noise: NoiseParams,
     seed: int,
     shots: int,
-    carrier: np.random.PCG64,
+    reader: _Reader,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-term correlation, standard error and tallies of a chunk of terms.
 
     The standard error is binomial-style: sqrt((m2 - corr**2) / d) with
     m2 = (n_pp + n_mm) / d and d = n_total - n_00.
     """
-    tally = _tally_chunk(indices, choices, noise, seed, shots, carrier)
+    tally = _tally_chunk(indices, choices, noise, seed, shots, reader)
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
@@ -488,7 +485,7 @@ def estimate_term(term: BellTerm, noise: NoiseParams, shots: int, seed: int) -> 
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
     (corr,), (stderr,), (tally,) = _estimate_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
+        [term.index], np.array([term.choices]), noise, seed, shots, _Reader()
     )
     counts = CountsTable(shots, *tally.tolist())
     return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
@@ -586,12 +583,12 @@ def estimate_beta(
     stderrs = np.empty(m)
     tallies = np.zeros(5, dtype=np.int64)
     step = max(1, SAMPLE_CHUNK // shots)
-    carrier = np.random.PCG64(0)  # _fetch sets its state per term
+    reader = _Reader()  # one PCG64 and word buffer for every chunk
     for lo in range(0, m, step):
         chunk = np.asarray(indices[lo : lo + step], dtype=index_type)
         choices = np.stack(_digits(n_blocks, chunk), axis=1).astype(np.intp, copy=False)
         corr, stderrs[lo : lo + step], tally = _estimate_chunk(
-            chunk, choices, noise, seed, shots, carrier
+            chunk, choices, noise, seed, shots, reader
         )
         values[lo : lo + step] = _MENU_SIGNS[choices].prod(axis=1) * corr
         tallies += tally.sum(axis=0)

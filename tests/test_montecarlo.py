@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
@@ -19,9 +19,9 @@ from hyperbell.montecarlo import (
     CountsTable,
     UndefinedEstimateError,
     _outcome_table,
+    _Reader,
     _sample_chunk,
     _sample_indices,
-    _tally,
     _tally_chunk,
     _term_states,
     _uniform_below,
@@ -138,12 +138,13 @@ class TestChoiceTables:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _runs(term, noise: NoiseParams, seed: int, shots: int) -> list[np.ndarray]:
-    """One term's local products A, B and detection flags, straight from the chunk sampler."""
-    slices = _sample_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
+def _coincidences(term, noise: NoiseParams, seed: int, shots: int) -> list[np.ndarray]:
+    """One term's coincident shots, and whether A * B is -1 at each, straight
+    from the chunk sampler (one slice: ``shots`` <= SAMPLE_CHUNK)."""
+    ((_, hits, odd),) = _sample_chunk(
+        [term.index], np.array([term.choices]), noise, seed, shots, _Reader()
     )
-    return [np.concatenate(runs, axis=1)[0] for runs in zip(*slices)]
+    return [hits, odd]
 
 
 class TestSampling:
@@ -156,13 +157,15 @@ class TestSampling:
                 assert est.sign * est.correlation == 1.0
 
     def test_draw_order_is_parameter_independent(self):
-        # the same seed yields the same local products whatever eta is,
-        # because detector draws come after the outcome draws
+        # the same seed yields the same products whatever eta is, because
+        # detector draws come after the outcome draws; with noise and flips
+        # the products vary from shot to shot, so a shifted draw would show
         term = term_at(2, 9)
-        noisy = NoiseParams(epsilon=0.0, p=1.0, eta=0.3)
-        a1, b1, _, _ = _runs(term, IDEAL, 42, 500)
-        a2, b2, _, _ = _runs(term, noisy, 42, 500)
-        assert (a1 == a2).all() and (b1 == b2).all()
+        every, every_odd = _coincidences(term, NoiseParams(epsilon=0.3, p=0.5, eta=1.0), 42, 500)
+        hits, odd = _coincidences(term, NoiseParams(epsilon=0.3, p=0.5, eta=0.3), 42, 500)
+        assert (every == np.arange(500)).all() and 0 < every_odd.sum() < 500
+        assert 0 < len(hits) < 500
+        assert (odd == every_odd[hits]).all()
 
     def test_flip_rate_shows_in_the_product(self):
         # at eta = 1 every run is a coincidence, so the correlation is mean(A B)
@@ -336,7 +339,9 @@ REF_NOISE = NoiseParams(epsilon=0.15, p=0.98, eta=0.33)
 
 
 class TestGoldenStreams:
-    """Values recorded from the one-term-at-a-time sampler the chunked one replaced.
+    """Values recorded from earlier samplers: the one-term-at-a-time sampler
+    the chunked one replaced, and the full-width decode before the tally read
+    outcomes only at coincidences.
 
     Repeat-determinism alone would not notice a changed draw order; these do.
     """
@@ -382,6 +387,22 @@ class TestGoldenStreams:
                 "0x1.cd8b8744172a3p+10",
                 "0x1.3e2c60ab0654ep+8",
                 CountsTable(1280, 51, 65, 315, 284, 565),
+            ),
+            # the benchmark's shapes: 4096 terms in chunks of 40 terms ...
+            (
+                (6, 200),
+                {"seed": 4242},
+                "0x1.2f972af9c6838p+9",
+                "0x1.453388fc0846cp+1",
+                CountsTable(819200, 45044, 43735, 181405, 181378, 367638),
+            ),
+            # ... and terms in three slices, odd shots leaving a half pending
+            (
+                (3, 2 * SAMPLE_CHUNK + 5),
+                {"seed": 4242},
+                "0x1.426553cf8fd8cp+3",
+                "0x1.1e2cb0d52c6b7p-5",
+                CountsTable(1048896, 62571, 51282, 232034, 232092, 470917),
             ),
         ],
     )
@@ -430,9 +451,7 @@ def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> Counts
 def _term_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
     """One term's counts through the chunk tally, which, unlike ``estimate_term``,
     also holds for a term with no detection."""
-    (tally,) = _tally_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots, np.random.PCG64(0)
-    )
+    (tally,) = _tally_chunk([term.index], np.array([term.choices]), noise, seed, shots, _Reader())
     return CountsTable(shots, *tally.tolist())
 
 
@@ -446,6 +465,11 @@ class TestChunkedSampler:
         p=st.floats(0.0, 1.0),
         eta=st.floats(0.05, 1.0),
     )
+    # thresholds of 2**64 (eta = 1, p = 1) and of 0 (p = 0), and the widest flip
+    @example(n=2, shots=33, seed=7, eps=0.0, p=1.0, eta=1.0)
+    @example(n=3, shots=5, seed=1, eps=1.0, p=0.0, eta=1.0)
+    @example(n=1, shots=300, seed=2**32 - 1, eps=1.0, p=1.0, eta=0.5)
+    @example(n=2, shots=1, seed=0, eps=0.5, p=0.0, eta=0.05)
     def test_counts_match_the_per_term_loop(self, n, shots, seed, eps, p, eta):
         noise = NoiseParams(epsilon=eps, p=p, eta=eta)
         reference = []
@@ -472,6 +496,34 @@ class TestChunkedSampler:
             assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
 
 
+class TestChunkRows:
+    """Every row of a many-term chunk against the loop, term by term: summed
+    counts, or one-term chunks, would not see a coincidence tallied on the
+    wrong row."""
+
+    NOISE = NoiseParams(epsilon=0.2, p=0.5, eta=0.6)
+
+    @pytest.mark.parametrize(
+        "n, shots, indices",
+        [
+            (4, 333, range(5, 256, 10)),
+            (5, 333, range(7, 1024, 41)),
+            (4, 1, range(256)),
+            (5, 1, range(1024)),
+            (7, 333, _sample_indices(4**7, 24, seed=12)),
+        ],
+    )
+    def test_each_row_is_its_term(self, n, shots, indices):
+        terms = [term_at(n, t) for t in indices]
+        assert len(terms) >= 24
+        chunk = np.array(indices, dtype=np.int64)
+        choices = np.array([term.choices for term in terms])
+        tally = _tally_chunk(chunk, choices, self.NOISE, 21, shots, _Reader())
+        for term, row in zip(terms, tally, strict=True):
+            want = _reference_counts(term, self.NOISE, shots, 21)
+            assert CountsTable(shots, *row.tolist()) == want, term.index
+
+
 class TestRawStreamEdges:
     """Terms drawn in slices, against the loop."""
 
@@ -492,28 +544,29 @@ class TestRawStreamEdges:
         want = [_reference_counts(term_at(1, t), self.NOISE, shots, 4) for t in range(4)]
         est = estimate_beta(1, shots, self.NOISE, seed=4)
         assert est.counts_summary == _summed(want)
-        # one carrier for both: its state is set before every read
-        carrier = np.random.PCG64(0)
+        # one reader for both: its PCG64 state is set before every read, and
+        # each slice is decoded before the other chunk refills the buffer
+        reader = _Reader()
         first, second = (
-            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots, carrier)
+            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots, reader)
             for t in (2, 3)
         )
         tallies = {2: 0, 3: 0}
-        for runs2, runs3 in zip(first, second):
-            tallies[2] += _tally(*runs2)
-            tallies[3] += _tally(*runs3)
+        for (tally2, _, _), (tally3, _, _) in zip(first, second):
+            tallies[2] += tally2
+            tallies[3] += tally3
         for t, (tally,) in tallies.items():
             assert CountsTable(shots, *tally.tolist()) == want[t]
 
     def test_untiled_counts_name_the_term_and_seed(self, monkeypatch):
         import hyperbell.montecarlo as mc
 
-        def miscount(*runs):
-            tally = _tally(*runs)
-            tally[3, 4] += 1
-            return tally
+        def miscount(*args):
+            for tally, hits, odd in _sample_chunk(*args):
+                tally[3, 4] += 1
+                yield tally, hits, odd
 
-        monkeypatch.setattr(mc, "_tally", miscount)
+        monkeypatch.setattr(mc, "_sample_chunk", miscount)
         term = _sample_indices(4**7, 8, seed=9)[3]
         with pytest.raises(
             ValueError,
