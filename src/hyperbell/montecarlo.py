@@ -25,37 +25,36 @@ exactly a term's share of ``estimate_beta``.  The sampler builds no
 SeedSequence per term: ``_term_states`` derives the starting state of every
 term in a chunk at once, in numpy, by the hash SeedSequence applies and the
 seeding PCG64 applies to its output, both of which numpy's
-stream-compatibility policy (NEP 19) keeps fixed.  A term's stream is read in a
-fixed order: per block, ``shots`` uniforms for the ideal/noise selector,
-``shots`` uniforms for the ideal outcome, ``shots`` integers for the noise
-outcome; then ``shots`` uniforms each for the sign flip and the two detectors.
+stream-compatibility policy (NEP 19) keeps fixed.
 
-The sampler reads that order as numpy's ``random`` and ``integers`` would on
-a fresh generator, but from raw 64-bit words, fetched through one PCG64 set
-to each term's state in turn and decoded in numpy: a uniform draw is an
-integer compare, the ideal outcome's 1/16 cell is the top four bits, and a
-noise outcome over 2**k outcomes is a 32-bit half x shifted to x >> (32 - k),
-Lemire's bounded draw, which never rejects for a power-of-two range.  PCG64
-hands out a word's low half first and keeps the high half for the next
-32-bit draw, also across blocks.
+A term of S shots reads its stream's raw 64-bit words detectors first: words
+2j and 2j + 1 are shot j's two detectors.  The estimator classifies a run
+that is not a coincidence by those two words alone, so only a coincidence
+reads more: the i-th, in shot order, owns the N + 1 words from
+2S + (N + 1) i on, one per block and then the sign flip.  That is
+2 + eta**2 (N + 1) words per term-shot.  A uniform draw below x is numpy's
+``(w >> 11) * 2**-53 < x`` done as an integer compare on the word's top 53
+bits.  A block's word chooses ideal or noise that way, and its low four bits,
+independent of the top 53, are a nibble: an ideal run's outcome is the one
+whose cumulative probability covers the nibble's 1/16 cell, a noisy run's
+over 2**k outcomes is the nibble's top k bits.  Both draws are exact.
 
 Every block reads one outcome table, built on first use: for each of the four
 menu choices, the joint distribution of its k observables is the
 Walsh-Hadamard transform of the block state's 2**k subset expectations, and
 the observers' products are columns of the same transform.  The ideal
-outcome is the uniform's position in the choice's cumulative distribution,
+outcome is a uniform's position in the choice's cumulative distribution,
 exactly the draw ``Generator.choice(p=...)`` makes; every cdf entry is a
-multiple of 1/16, so the table holds that position per 1/16 cell of [0, 1).
+multiple of 1/16, so that position is the same across each 1/16 cell of the
+uniform.  A coincidence needs one bit from each block, whether
+prod1 * prod2 is -1, so the table keeps that bit per selector, choice and
+nibble, and a coincidence of odd parity counts in n_mm.
 
 Terms are sampled in chunks of about SAMPLE_CHUNK term-shots, a term with
 more shots in slices of that many, each reaching its words with
 ``PCG64.advance``, so memory stays flat in shots; every slice's words fill
-one buffer that lives as long as the estimate.  The estimator classifies a
-run that is not a coincidence by its two detector words alone, so those are
-compared first, and the flip and outcome words are read only where both
-detectors fire, about eta**2 of the runs: each block adds one parity bit,
-whether prod1 * prod2 is -1, and a coincidence of odd parity counts in
-n_mm.  ``estimate_term`` is a chunk of one through the same kernel.
+one buffer that lives as long as the estimate.  ``estimate_term`` is a chunk
+of one through the same kernel.
 """
 
 from __future__ import annotations
@@ -110,7 +109,8 @@ SAMPLE_CHUNK = 1 << 13
 # float (16**255 = 2**1020)
 ESTIMATE_BLOCK_CAP = 255
 
-# widest menu choice (four observables); every choice's outcomes pad to this
+# widest menu choice (four observables); every choice's outcomes pad to this,
+# and a block's word draws its outcome from as many cells, its low four bits
 _MAX_OUTCOMES = 16
 
 
@@ -118,12 +118,14 @@ class _OutcomeTable(NamedTuple):
     """The sampler's outcome model of every menu choice on one block."""
 
     n_outcomes: np.ndarray  # per choice: 2**k outcomes for k observables
-    noise_shift: np.ndarray  # per choice: 32 - k, a 32-bit word's shift to a noise outcome
-    probs: np.ndarray  # the rest are flat, one entry per choice * 16 + outcome
+    probs: np.ndarray  # flat, one entry per choice * 16 + outcome
     prod1: np.ndarray  # each particle's product of its outcome signs
     prod2: np.ndarray
-    odd: np.ndarray  # whether prod1 * prod2 is -1
-    drawn: np.ndarray  # ideal outcome for each 1/16 cell of the uniform
+    drawn: np.ndarray  # ideal outcome for each 1/16 cell, per choice * 16 + cell
+    # whether prod1 * prod2 is -1 at the outcome a nibble draws, per
+    # 64 * ideal + 16 * choice + nibble: the noise outcome (the nibble's top
+    # k bits) in the first half, the ideal one (``drawn``) in the second
+    odd: np.ndarray
 
 
 @cache
@@ -150,11 +152,11 @@ def _outcome_table() -> _OutcomeTable:
     sub_exps = iter(_expect_xz(state, *_xz_arrays(products, state.n)).tolist())
     shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
     n_outcomes = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
-    noise_shift = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
     probs = np.zeros(shape)
     prod1 = np.ones(shape, dtype=np.int8)
     prod2 = np.ones(shape, dtype=np.int8)
     drawn = np.zeros(shape, dtype=np.intp)
+    noisy = np.zeros(shape, dtype=np.intp)
     for choice, menu in enumerate(BLOCK_TERM_MENU):
         k = len(menu.observables)
         size = 1 << k
@@ -173,78 +175,19 @@ def _outcome_table() -> _OutcomeTable:
             raise AssertionError(f"cdf of choice {menu.label} is not on the 1/16 grid")
         mask1 = sum(bit for bit, (_, particle) in zip(bits, menu.observables) if particle == 1)
         n_outcomes[choice] = size
-        noise_shift[choice] = 32 - k
         probs[choice, :size] = p
         prod1[choice, :size] = hadamard[:, mask1]
         prod2[choice, :size] = hadamard[:, (size - 1) ^ mask1]
-        drawn[choice] = cdf.searchsorted(np.arange(_MAX_OUTCOMES) / _MAX_OUTCOMES, side="right")
-    # the raw decoder's noise draw is exact only for power-of-two ranges,
-    # where Lemire's bounded draw never rejects
+        cells = np.arange(_MAX_OUTCOMES)
+        drawn[choice] = cdf.searchsorted(cells / _MAX_OUTCOMES, side="right")
+        noisy[choice] = cells >> (4 - k)
+    # a nibble's top k bits are a uniform noise outcome only for 2**k <= 16
     if np.any(n_outcomes & (n_outcomes - 1)) or n_outcomes.max() > _MAX_OUTCOMES:
         raise AssertionError(f"outcome counts {n_outcomes.tolist()} are not powers of two <= 16")
-    flat = (probs, prod1, prod2, prod1 != prod2, drawn)
-    return _OutcomeTable(n_outcomes, noise_shift, *(table.ravel() for table in flat))
-
-
-class _SlicePlan(NamedTuple):
-    """Where the draws for shots [lo, hi) of a term sit in its raw stream."""
-
-    runs: tuple[tuple[int, int], ...]  # (stream offset, words) fetched, in order
-    size: int  # words fetched; every position below is a column of that buffer
-    # per block: selector, ideal outcome, the word whose high half is the
-    # first noise draw (-1: none), the block's own noise words, its first
-    # half, and the halves it uses
-    blocks: tuple[tuple[int, int, int, int, int, int], ...]
-    tail: tuple[int, ...]  # the flip and the two detectors
-
-
-@lru_cache(maxsize=256)  # bounded: a term with many shots has a plan per slice
-def _slice_plan(n_blocks: int, shots: int, lo: int, hi: int) -> _SlicePlan:
-    """Word offsets of one slice of a term's stream, in the module's draw order.
-
-    Per block the stream holds ``shots`` selector words, ``shots`` ideal
-    outcome words, then the words whose 32-bit halves, low half first, are
-    the noise draws; a high half left over by one block is the next block's
-    first noise draw.  Then ``shots`` words each for the flip and the two
-    detectors.  The slice's spans are merged into runs of contiguous words.
-    """
-    runs: list[list[int]] = []
-    size = 0
-
-    def place(start: int, stop: int) -> int:
-        """Buffer column of the stream span [start, stop); spans come in stream order."""
-        nonlocal size
-        if start == stop:
-            return -1
-        end = runs[-1][0] + runs[-1][1] if runs else -1
-        if start > end:
-            runs.append([start, 0])
-            end = start
-        column = size - (end - start)
-        grow = max(stop - end, 0)
-        runs[-1][1] += grow
-        size += grow
-        return column
-
-    blocks = []
-    off = 0
-    for b in range(n_blocks):
-        h = b * shots & 1  # a half is pending as block b starts
-        q_lo, q_hi = max(lo - h, 0), hi - h  # the block's own halves used here
-        noise = off + 2 * shots
-        blocks.append((
-            place(off + lo, off + hi),
-            place(off + shots + lo, off + shots + hi),
-            # the slice's first noise draw is the half pending as the block
-            # starts, or else one of the block's own halves
-            place(off - 1, off) if h and lo == 0 else -1,
-            place(noise + q_lo // 2, noise + (q_hi + 1) // 2),
-            q_lo & 1,
-            q_hi - q_lo,
-        ))
-        off = noise + (shots - h + 1) // 2
-    tail = tuple(place(off + j * shots + lo, off + j * shots + hi) for j in range(3))
-    return _SlicePlan(tuple(map(tuple, runs)), size, tuple(blocks), tail)
+    rows = np.arange(len(BLOCK_TERM_MENU))[:, None]
+    odd = (prod1 != prod2)[rows, np.stack([noisy, drawn])]
+    flat = (probs, prod1, prod2, drawn, odd)
+    return _OutcomeTable(n_outcomes, *(table.ravel() for table in flat))
 
 
 # numpy's SeedSequence hash (pool of four uint32 words) and the multiplier of
@@ -332,6 +275,24 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
     return states
 
 
+def _jumped(states: list[dict[str, Any]], words: int) -> list[dict[str, Any]]:
+    """``states`` after ``words`` draws each, jumped to in Python ints.
+
+    A draw steps PCG64's LCG, state -> state * MULT + inc, so ``words`` of
+    them give state * MULT**w + inc * (MULT**w - 1) / (MULT - 1), mod 2**128;
+    the geometric sum is taken modulo (MULT - 1) * 2**128, where the division
+    is exact.
+    """
+    mult = pow(_PCG64_MULT, words, 1 << 128)
+    steps = (pow(_PCG64_MULT, words, (_PCG64_MULT - 1) << 128) - 1) // (_PCG64_MULT - 1)
+    jumped = []
+    for state in states:
+        pcg = state["state"]
+        moved = {"state": pcg["state"] * mult + pcg["inc"] * steps & _MASK128, "inc": pcg["inc"]}
+        jumped.append({**state, "state": moved})
+    return jumped
+
+
 class _Reader:
     """One PCG64, set to each term's state in turn, and the one word buffer it
     fills; one per estimate, so that no slice allocates either."""
@@ -340,20 +301,22 @@ class _Reader:
         self.bitgen = np.random.PCG64(0)  # its own state is never read
         self.words = np.empty(0, dtype=np.uint64)
 
-    def fetch(self, states: list[dict], plan: _SlicePlan) -> np.ndarray:
-        """Row t: the plan's words of the stream that starts in ``states[t]``,
-        in the buffer, which the next fetch overwrites."""
-        if self.words.size < len(states) * plan.size:
-            self.words = np.empty(len(states) * plan.size, dtype=np.uint64)
-        buf = self.words[: len(states) * plan.size].reshape(len(states), plan.size)
-        for row, state in zip(buf, states):
-            self.bitgen.state = state
-            pos = here = 0
-            for start, count in plan.runs:
-                if start != here:
-                    self.bitgen.advance(start - here)
-                row[pos : pos + count] = self.bitgen.random_raw(count)
-                pos, here = pos + count, start + count
+    def fetch(self, states: list[dict], starts: list[int], counts: list[int]) -> np.ndarray:
+        """Words [starts[t], starts[t] + counts[t]) of the stream that starts
+        in ``states[t]``, for each t in turn, in the buffer, which the next
+        fetch overwrites."""
+        size = sum(counts)
+        if self.words.size < size:
+            self.words = np.empty(size, dtype=np.uint64)
+        buf = self.words[:size]
+        pos = 0
+        for state, start, count in zip(states, starts, counts):
+            if count:
+                self.bitgen.state = state
+                if start:
+                    self.bitgen.advance(start)
+                buf[pos : pos + count] = self.bitgen.random_raw(count)
+                pos += count
         return buf
 
 
@@ -369,55 +332,52 @@ def _sample_chunk(
     CountsTable order minus n_total, the flat (terms, slice shots) indices of
     its coincidences, and whether A * B is -1 at each.
 
-    Row t is term ``indices[t]``, with menu choices ``choices[t]``, drawn in
-    the module's draw order from the stream of ``PCG64(SeedSequence(
+    Row t is term ``indices[t]``, with menu choices ``choices[t]``, read in
+    the module's detector-first layout from the stream of ``PCG64(SeedSequence(
     entropy=seed, spawn_key=(1, indices[t])))``, whose state is derived by
-    ``_term_states`` and loaded, slice by slice, into ``reader``.  The
-    detector words alone give the singles and n_00; the flip and outcome
-    words are read only at the coincidences.
+    ``_term_states`` and loaded into ``reader``.  A slice of shots [lo, hi)
+    reads their detector words from 2 lo on, then, for the coincidences
+    among them, the records that follow those of the slices before; where a
+    term's records start, 2 * shots words in, is jumped to once per chunk.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     states = _term_states(seed, indices)
-    table = _outcome_table()
-    keys, shift = (_MAX_OUTCOMES * choices).T, table.noise_shift[choices].T
+    records = _jumped(states, 2 * shots)
+    terms, width = len(states), choices.shape[1] + 1  # a record: each block, then the flip
+    keys = (_MAX_OUTCOMES * choices).T
+    odd_at = _outcome_table().odd
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
     # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact); a Python int, as
     # x = 1 gives 2**64
     below_p, below_flip, below_eta = (
         math.ceil(x * 2.0**53) << 11 for x in (noise.p, noise.epsilon / 2.0, noise.eta)
     )
+    read = [0] * terms  # record words each term has read
     for lo in range(0, shots, SAMPLE_CHUNK):
         n = min(SAMPLE_CHUNK, shots - lo)
-        plan = _slice_plan(choices.shape[1], shots, lo, lo + n)
-        buf = reader.fetch(states, plan)
-        det1, det2 = (buf[:, t : t + n] < below_eta for t in plan.tail[1:])
-        hits = np.flatnonzero(det1 & det2)
+        # a shot's two detector bits as one little-endian uint16, det1 | det2 << 8
+        pair = (reader.fetch(states, [2 * lo] * terms, [2 * n] * terms) < below_eta).view("<u2")
+        pair = pair.reshape(terms, n)
+        hits = np.flatnonzero(pair == 0x0101)
         rows = hits // n
-        # a coincidence's word in the flat buffer, and its half in the flat
-        # buffer's 32-bit view, for the span that starts at column 0
-        at = hits + rows * (plan.size - n)
-        half_at = at + rows * plan.size
-        words = buf.ravel()
-        halves = words.astype("<u8", copy=False).view("<u4")
-        odd = words[plan.tail[0] :][at] < below_flip
-        for b, (sel, ideal_at, carry, own, first, used) in enumerate(plan.blocks):
-            key = keys[b][rows]
-            ideal = words[sel:][at] < below_p
-            # the top four bits are the uniform's 1/16 cell
-            cell = (words[ideal_at:][at] >> 60).view(np.intp)
-            # shot j's noise draw is the block's half first + j - (n - used),
-            # but shot 0 may read the high half the block before left pending
-            own_at = 2 * own + first - (n - used)
-            if carry >= 0:
-                own_at = np.where(hits % n == 0, 2 * carry + 1, own_at)
-            draw = halves[half_at + own_at]
-            # Lemire's bounded draw of a 32-bit x with a range of 2**k
-            # outcomes is x >> (32 - k), never rejecting
-            outcome = np.where(ideal, table.drawn[key + cell], draw >> shift[b][rows])
-            odd ^= table.odd[key + outcome]
-        tally = [np.bincount(rows[odd == sign], minlength=len(buf)) for sign in (False, True)]
-        tally += [np.count_nonzero(d, axis=1) for d in (det1 & ~det2, det2 & ~det1, ~(det1 | det2))]
+        found = np.bincount(rows, minlength=terms)
+        sizes = (width * found).tolist()
+        # one row per word of a record, so that numpy runs along the coincidences
+        words = reader.fetch(records, read, sizes).reshape(-1, width).T.copy()
+        read = [done + size for done, size in zip(read, sizes)]
+        # a block word's top 53 bits choose ideal or noise, its low four are
+        # the nibble its outcome is drawn from: the index of ``odd_at``
+        blocks = words[:-1]
+        at = (blocks < below_p) * 64 + keys.take(rows, axis=1) + (blocks & 15).view(np.intp)
+        odd = np.bitwise_xor.reduce(odd_at.take(at), axis=0) ^ (words[-1] < below_flip)
+        n_mm = np.bincount(rows[odd], minlength=terms)
+        tally = [found - n_mm, n_mm]
+        parts = (pair == 0x0001, pair == 0x0100, pair == 0)
+        if terms > 1:
+            tally += [np.count_nonzero(d, axis=1) for d in parts]
+        else:  # a term in slices is a chunk of one row, where a flat count is far cheaper
+            tally += [[np.count_nonzero(d)] for d in parts]
         yield np.array(tally).T, hits, odd
 
 

@@ -108,19 +108,25 @@ class TestChoiceTables:
             assert (table.drawn[16 * choice : 16 * (choice + 1)] < n).all()
 
     def test_outcome_counts_are_powers_of_two(self):
-        # the raw decoder's noise draw x >> (32 - k) is numpy's bounded draw
-        # only where the range is a power of two
+        # a noisy run's outcome is the top k bits of its word's low nibble,
+        # exactly uniform only where the 2**k outcomes divide its 16 values
         table = _outcome_table()
-        for n, shift in zip(table.n_outcomes.tolist(), table.noise_shift.tolist()):
+        for choice, n in enumerate(table.n_outcomes.tolist()):
             assert n & (n - 1) == 0 and 2 <= n <= 16
-            assert n << shift == 2**32
+            k = n.bit_length() - 1
+            assert (np.bincount(np.arange(16) >> (4 - k)) == 16 // n).all()
 
-    def test_noise_draw_is_numpys_bounded_draw(self):
+    def test_noise_draw_is_the_nibbles_top_bits(self):
+        # the parity a block adds is prod1 * prod2 < 0 at the outcome its
+        # nibble draws: the top k bits when noisy, drawn[cell] when ideal
         table = _outcome_table()
-        for n, shift in zip(table.n_outcomes.tolist(), table.noise_shift.tolist()):
-            want = np.random.default_rng(5).integers(0, n, size=9)
-            words = np.random.default_rng(5).bit_generator.random_raw(5).astype("<u8")
-            assert ((words.view("<u4")[:9] >> shift) == want).all()
+        for choice, n in enumerate(table.n_outcomes.tolist()):
+            rows = _choice_rows(choice)
+            parity = rows.prod1 * rows.prod2 < 0
+            cells = slice(16 * choice, 16 * (choice + 1))
+            noisy = np.arange(16) >> (4 - (n.bit_length() - 1))
+            assert (table.odd[cells] == parity[noisy]).all()
+            assert (table.odd[64:][cells] == parity[table.drawn[cells]]).all()
 
     def test_built_once_on_first_use(self):
         code = (
@@ -156,16 +162,17 @@ class TestSampling:
                 assert est.counts.n_pp + est.counts.n_mm == 64
                 assert est.sign * est.correlation == 1.0
 
-    def test_draw_order_is_parameter_independent(self):
-        # the same seed yields the same products whatever eta is, because
-        # detector draws come after the outcome draws; with noise and flips
-        # the products vary from shot to shot, so a shifted draw would show
+    def test_coincidences_do_not_depend_on_the_outcome_model(self):
+        # the detector words come first, so at one seed and eta the same shots
+        # coincide whatever eps and p are; with noise and flips the parities
+        # vary from shot to shot, without them each is the term's sign
         term = term_at(2, 9)
-        every, every_odd = _coincidences(term, NoiseParams(epsilon=0.3, p=0.5, eta=1.0), 42, 500)
         hits, odd = _coincidences(term, NoiseParams(epsilon=0.3, p=0.5, eta=0.3), 42, 500)
-        assert (every == np.arange(500)).all() and 0 < every_odd.sum() < 500
+        same, clean = _coincidences(term, NoiseParams(epsilon=0.0, p=1.0, eta=0.3), 42, 500)
         assert 0 < len(hits) < 500
-        assert (odd == every_odd[hits]).all()
+        assert (hits == same).all()
+        assert 0 < odd.sum() < len(odd)
+        assert (clean == (term.sign < 0)).all()
 
     def test_flip_rate_shows_in_the_product(self):
         # at eta = 1 every run is a coincidence, so the correlation is mean(A B)
@@ -339,9 +346,8 @@ REF_NOISE = NoiseParams(epsilon=0.15, p=0.98, eta=0.33)
 
 
 class TestGoldenStreams:
-    """Values recorded from earlier samplers: the one-term-at-a-time sampler
-    the chunked one replaced, and the full-width decode before the tally read
-    outcomes only at coincidences.
+    """Values recorded from the detector-first stream layout, once the
+    sampler matched the reference loop on every count.
 
     Repeat-determinism alone would not notice a changed draw order; these do.
     """
@@ -358,15 +364,15 @@ class TestGoldenStreams:
             "eps": 0.15,
             "p": 0.98,
             "seed": 7,
-            "beta_hat": 2.691504898719334,
-            "stderr": 0.07194329824038306,
+            "beta_hat": 2.5506936655438173,
+            "stderr": 0.07020867171420257,
             "counts_summary": {
                 "n_total": 16000,
-                "n_pp": 1103,
-                "n_mm": 712,
-                "n_single_1": 3499,
-                "n_single_2": 3481,
-                "n_00": 7205,
+                "n_pp": 1015,
+                "n_mm": 698,
+                "n_single_1": 3538,
+                "n_single_2": 3545,
+                "n_00": 7204,
             },
         }
 
@@ -374,35 +380,39 @@ class TestGoldenStreams:
         "args, kwargs, beta_hex, stderr_hex, counts",
         [
             # 1024 terms, 333 shots: chunks of 24 terms, the last one short
-            (
+            pytest.param(
                 (5, 333),
                 {"seed": 11},
-                "0x1.384aaa12ba2b2p+7",
-                "0x1.f772263d87ac7p-1",
-                CountsTable(340992, 18899, 18097, 75291, 75462, 153243),
+                "0x1.38d73ad1d85b9p+7",
+                "0x1.f97888e6b8f5cp-1",
+                CountsTable(340992, 19201, 18197, 75176, 75594, 152824),
+                id="n5-333-shots",
             ),
-            (
+            pytest.param(
                 (7, 20),
                 {"seed": 5, "term_budget": 64},
-                "0x1.cd8b8744172a3p+10",
-                "0x1.3e2c60ab0654ep+8",
-                CountsTable(1280, 51, 65, 315, 284, 565),
+                "0x1.f060cbde32404p+10",
+                "0x1.543f5cee12f3fp+8",
+                CountsTable(1280, 60, 65, 299, 304, 552),
+                id="n7-subsampled",
             ),
             # the benchmark's shapes: 4096 terms in chunks of 40 terms ...
-            (
+            pytest.param(
                 (6, 200),
                 {"seed": 4242},
-                "0x1.2f972af9c6838p+9",
-                "0x1.453388fc0846cp+1",
-                CountsTable(819200, 45044, 43735, 181405, 181378, 367638),
+                "0x1.30060d9a940f8p+9",
+                "0x1.4600ebc7c1094p+1",
+                CountsTable(819200, 45099, 44156, 181291, 181328, 367326),
+                id="n6-200-shots",
             ),
-            # ... and terms in three slices, odd shots leaving a half pending
-            (
+            # ... and terms in three slices, whose records follow one another
+            pytest.param(
                 (3, 2 * SAMPLE_CHUNK + 5),
                 {"seed": 4242},
-                "0x1.426553cf8fd8cp+3",
-                "0x1.1e2cb0d52c6b7p-5",
-                CountsTable(1048896, 62571, 51282, 232034, 232092, 470917),
+                "0x1.42e4f87db1127p+3",
+                "0x1.1dce47038b34cp-5",
+                CountsTable(1048896, 62475, 51161, 231762, 232551, 470947),
+                id="n3-three-slices",
             ),
         ],
     )
@@ -420,32 +430,34 @@ def _numpy_stream(seed: int, index: int) -> np.random.PCG64:
 
 
 def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
-    """One term at a time, drawing the ideal outcome with ``Generator.choice``
-    from numpy's calls on the term's stream."""
-    rng = np.random.Generator(_numpy_stream(seed, term.index))
-    a = np.ones(shots, dtype=np.int8)
-    b = np.ones(shots, dtype=np.int8)
-    for choice in term.choices:
-        table = _choice_rows(choice)
-        ideal = rng.random(shots) < noise.p
-        ideal_idx = rng.choice(table.n_outcomes, size=shots, p=table.probs)
-        noise_idx = rng.integers(0, table.n_outcomes, size=shots)
-        idx = np.where(ideal, ideal_idx, noise_idx)
-        a *= table.prod1[idx]
-        b *= table.prod2[idx]
-    flip = rng.random(shots) < noise.epsilon / 2.0
-    b = np.where(flip, -b, b)
-    det1 = rng.random(shots) < noise.eta
-    det2 = rng.random(shots) < noise.eta
-    both = det1 & det2
-    return CountsTable(
-        shots,
-        int(np.count_nonzero(both & (a * b == 1))),
-        int(np.count_nonzero(both & (a * b == -1))),
-        int(np.count_nonzero(det1 & ~det2)),
-        int(np.count_nonzero(det2 & ~det1)),
-        int(np.count_nonzero(~det1 & ~det2)),
-    )
+    """One term, shot by shot, from numpy's own words of the term's stream.
+
+    The stream holds the detectors first, two words a shot, then a record of
+    N + 1 words for each coincidence in shot order: one per block, then the
+    flip.  A word's uniform is numpy's (w >> 11) * 2**-53.  An ideal block
+    adds the parity of its menu sign, which every outcome the block state
+    allows shares; a noisy one over 2**k outcomes adds the parity of outcome
+    (w & 15) >> (4 - k), whose set bits are its -1 signs.
+    """
+    stream = _numpy_stream(seed, term.index)
+    detectors = stream.random_raw(2 * shots).tolist()
+    menus = [BLOCK_TERM_MENU[choice] for choice in term.choices]
+    counts = [0] * 5  # n_pp, n_mm, n_single_1, n_single_2, n_00
+    for j in range(shots):
+        fired = [(w >> 11) * 2.0**-53 < noise.eta for w in detectors[2 * j : 2 * j + 2]]
+        if fired == [True, True]:
+            *blocks, flip = stream.random_raw(len(menus) + 1).tolist()
+            odd = (flip >> 11) * 2.0**-53 < noise.epsilon / 2.0
+            for menu, w in zip(menus, blocks):
+                if (w >> 11) * 2.0**-53 < noise.p:
+                    odd ^= menu.sign < 0
+                else:
+                    outcome = (w & 15) >> (4 - len(menu.observables))
+                    odd ^= bin(outcome).count("1") % 2 == 1
+            counts[odd] += 1
+        else:
+            counts[{(True, False): 2, (False, True): 3, (False, False): 4}[tuple(fired)]] += 1
+    return CountsTable(shots, *counts)
 
 
 def _term_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
@@ -531,10 +543,11 @@ class TestRawStreamEdges:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_terms_longer_than_a_slice(self, n):
-        shots = 3 * SAMPLE_CHUNK + 1
-        for t in sorted({0, 4**n // 3, 4**n - 1}):
-            want = _reference_counts(term_at(n, t), self.NOISE, shots, 8)
-            assert _term_counts(term_at(n, t), self.NOISE, shots, 8) == want
+        # each slice reads its records after those of the slices before
+        for shots in (2 * SAMPLE_CHUNK + 5, 3 * SAMPLE_CHUNK + 1):
+            for t in sorted({0, 4**n // 3, 4**n - 1}):
+                want = _reference_counts(term_at(n, t), self.NOISE, shots, 8)
+                assert _term_counts(term_at(n, t), self.NOISE, shots, 8) == want
 
     def test_long_terms_in_turn_and_interleaved(self):
         # every slice resets the chunk's one PCG64 to its term's state and
