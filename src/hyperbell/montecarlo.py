@@ -1,12 +1,11 @@
 """Finite-statistics simulation of the Bell test with inefficient detectors.
 
-One run of a term works block by block: with probability p the block's
-commuting observables are sampled jointly from their exact distribution on
-the block state, and with probability 1-p from the uniform (white noise)
-distribution.  The two observers' outcome products are then degraded by a
-symmetric sign flip of the total product with probability eps/2 (per-term
-mean 1-eps when p=1), and each observer's detector fires independently with
-probability eta.
+One run of a term works block by block: with probability p the block is
+ideal, so the product A * B of its two observers' outcomes is its menu
+sign; with probability 1-p its outcomes are uniform (white noise).
+The total product is then degraded by a symmetric sign flip with probability
+eps/2 (per-term mean 1-eps when p=1), and each observer's detector fires
+independently with probability eta.
 
 Correlations are estimated with single-sided detections kept in the
 denominator,
@@ -35,20 +34,17 @@ reads more: the i-th, in shot order, owns the N + 1 words from
 2 + eta**2 (N + 1) words per term-shot.  A uniform draw below x is numpy's
 ``(w >> 11) * 2**-53 < x`` done as an integer compare on the word's top 53
 bits.  A block's word chooses ideal or noise that way, and its low four bits,
-independent of the top 53, are a nibble: an ideal run's outcome is the one
-whose cumulative probability covers the nibble's 1/16 cell, a noisy run's
-over 2**k outcomes is the nibble's top k bits.  Both draws are exact.
+independent of the top 53, are a nibble: a noisy run's outcome over 2**k
+outcomes is the nibble's top k bits, an exact uniform draw.  An ideal run's
+product does not depend on the nibble.
 
-Every block reads one outcome table, built on first use: for each of the four
-menu choices, the joint distribution of its k observables is the
-Walsh-Hadamard transform of the block state's 2**k subset expectations, and
-the observers' products are columns of the same transform.  The ideal
-outcome is a uniform's position in the choice's cumulative distribution,
-exactly the draw ``Generator.choice(p=...)`` makes; every cdf entry is a
-multiple of 1/16, so that position is the same across each 1/16 cell of the
-uniform.  A coincidence needs one bit from each block, whether
-prod1 * prod2 is -1, so the table keeps that bit per selector, choice and
-nibble, and a coincidence of odd parity counts in n_mm.
+A coincidence needs one bit from each block, whether A * B is -1 there.  An
+ideal block's product is its menu sign: each menu term is a certainty
+relation of the block state, which ``verify`` checks exactly (every signed
+term of the expression has expectation +1).  A noisy block's product is the
+parity of the nibble's top k bits, whose set bits are its outcome's -1
+signs.  ``_ODD`` holds that bit per selector, choice and nibble, and a
+coincidence of odd parity counts in n_mm.
 
 Terms are sampled in chunks of about SAMPLE_CHUNK term-shots, a term with
 more shots in slices of that many, each reaching its words with
@@ -62,15 +58,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import cache, lru_cache, reduce
-from typing import Any, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .bell import _MENU_SIGNS, BLOCK_TERM_MENU, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
-from .pauli import Observable, identity, pauli_mul
-from .state import _expect_xz, _xz_arrays, build_state
 
 
 class UndefinedEstimateError(ValueError):
@@ -109,85 +103,12 @@ SAMPLE_CHUNK = 1 << 13
 # float (16**255 = 2**1020)
 ESTIMATE_BLOCK_CAP = 255
 
-# widest menu choice (four observables); every choice's outcomes pad to this,
-# and a block's word draws its outcome from as many cells, its low four bits
-_MAX_OUTCOMES = 16
-
-
-class _OutcomeTable(NamedTuple):
-    """The sampler's outcome model of every menu choice on one block."""
-
-    n_outcomes: np.ndarray  # per choice: 2**k outcomes for k observables
-    probs: np.ndarray  # flat, one entry per choice * 16 + outcome
-    prod1: np.ndarray  # each particle's product of its outcome signs
-    prod2: np.ndarray
-    drawn: np.ndarray  # ideal outcome for each 1/16 cell, per choice * 16 + cell
-    # whether prod1 * prod2 is -1 at the outcome a nibble draws, per
-    # 64 * ideal + 16 * choice + nibble: the noise outcome (the nibble's top
-    # k bits) in the first half, the ideal one (``drawn``) in the second
-    odd: np.ndarray
-
-
-@cache
-def _outcome_table() -> _OutcomeTable:
-    """The outcome table, built once from the block state's subset expectations.
-
-    Outcomes s and observable subsets S are keyed alike (observable i is bit
-    k-1-i, set for outcome -1 or for membership), so the joint distribution
-    P(s) = 2^-k sum_S E_S prod_{i in S} s_i is H @ E / 2^k with
-    H[s, S] = (-1)^popcount(s & S), and each observer's product is the column
-    of H at the mask of that observer's observables.  Padding cells, past a
-    choice's 2**k outcomes, have probability 0 and products +1.
-    """
-    # every choice's subset products, 2**k for k observables (one block is
-    # four qubits), all eliminated in one pass
-    products = []
-    for menu in BLOCK_TERM_MENU:
-        k = len(menu.observables)
-        bits = [1 << (k - 1 - i) for i in range(k)]
-        ops = [Observable(letter, particle, 1).to_pauli(1) for letter, particle in menu.observables]
-        subsets = [[op for op, bit in zip(ops, bits) if mask & bit] for mask in range(1 << k)]
-        products += [reduce(pauli_mul, subset, identity(4)) for subset in subsets]
-    state = build_state(1)
-    sub_exps = iter(_expect_xz(state, *_xz_arrays(products, state.n)).tolist())
-    shape = (len(BLOCK_TERM_MENU), _MAX_OUTCOMES)
-    n_outcomes = np.empty(len(BLOCK_TERM_MENU), dtype=np.intp)
-    probs = np.zeros(shape)
-    prod1 = np.ones(shape, dtype=np.int8)
-    prod2 = np.ones(shape, dtype=np.int8)
-    drawn = np.zeros(shape, dtype=np.intp)
-    noisy = np.zeros(shape, dtype=np.intp)
-    for choice, menu in enumerate(BLOCK_TERM_MENU):
-        k = len(menu.observables)
-        size = 1 << k
-        bits = [1 << (k - 1 - i) for i in range(k)]
-        sub_exp = [next(sub_exps) for _ in range(size)]
-        keys = np.arange(size)
-        hadamard = np.where(np.bitwise_count(keys[:, None] & keys) & 1, -1, 1)
-        p = hadamard @ sub_exp / size
-        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-            raise AssertionError(f"invalid joint distribution for choice {menu.label}")
-        # built as Generator.choice builds it; every entry a multiple of 1/16,
-        # so the count of entries <= u is the same across each 1/16 cell of u
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        if np.any(cdf * _MAX_OUTCOMES % 1):
-            raise AssertionError(f"cdf of choice {menu.label} is not on the 1/16 grid")
-        mask1 = sum(bit for bit, (_, particle) in zip(bits, menu.observables) if particle == 1)
-        n_outcomes[choice] = size
-        probs[choice, :size] = p
-        prod1[choice, :size] = hadamard[:, mask1]
-        prod2[choice, :size] = hadamard[:, (size - 1) ^ mask1]
-        cells = np.arange(_MAX_OUTCOMES)
-        drawn[choice] = cdf.searchsorted(cells / _MAX_OUTCOMES, side="right")
-        noisy[choice] = cells >> (4 - k)
-    # a nibble's top k bits are a uniform noise outcome only for 2**k <= 16
-    if np.any(n_outcomes & (n_outcomes - 1)) or n_outcomes.max() > _MAX_OUTCOMES:
-        raise AssertionError(f"outcome counts {n_outcomes.tolist()} are not powers of two <= 16")
-    rows = np.arange(len(BLOCK_TERM_MENU))[:, None]
-    odd = (prod1 != prod2)[rows, np.stack([noisy, drawn])]
-    flat = (probs, prod1, prod2, drawn, odd)
-    return _OutcomeTable(n_outcomes, *(table.ravel() for table in flat))
+# whether a block adds -1 to A * B, per 64 * ideal + 16 * choice + nibble: the
+# parity of the nibble's top k bits when noisy, the menu sign's when ideal
+_ODD = np.concatenate(
+    [np.bitwise_count(np.arange(16) >> (4 - len(m.observables))) % 2 == 1 for m in BLOCK_TERM_MENU]
+    + [np.repeat(_MENU_SIGNS < 0, 16)]
+)
 
 
 # numpy's SeedSequence hash (pool of four uint32 words) and the multiplier of
@@ -345,8 +266,7 @@ def _sample_chunk(
     states = _term_states(seed, indices)
     records = _jumped(states, 2 * shots)
     terms, width = len(states), choices.shape[1] + 1  # a record: each block, then the flip
-    keys = (_MAX_OUTCOMES * choices).T
-    odd_at = _outcome_table().odd
+    keys = (16 * choices).T
     # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
     # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact); a Python int, as
     # x = 1 gives 2**64
@@ -367,10 +287,10 @@ def _sample_chunk(
         words = reader.fetch(records, read, sizes).reshape(-1, width).T.copy()
         read = [done + size for done, size in zip(read, sizes)]
         # a block word's top 53 bits choose ideal or noise, its low four are
-        # the nibble its outcome is drawn from: the index of ``odd_at``
+        # the nibble a noisy outcome is drawn from: the index of ``_ODD``
         blocks = words[:-1]
         at = (blocks < below_p) * 64 + keys.take(rows, axis=1) + (blocks & 15).view(np.intp)
-        odd = np.bitwise_xor.reduce(odd_at.take(at), axis=0) ^ (words[-1] < below_flip)
+        odd = np.bitwise_xor.reduce(_ODD.take(at), axis=0) ^ (words[-1] < below_flip)
         n_mm = np.bincount(rows[odd], minlength=terms)
         tally = [found - n_mm, n_mm]
         parts = (pair == 0x0001, pair == 0x0100, pair == 0)

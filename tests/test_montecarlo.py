@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +14,7 @@ from hyperbell.montecarlo import (
     SAMPLE_CHUNK,
     CountsTable,
     UndefinedEstimateError,
-    _outcome_table,
+    _ODD,
     _Reader,
     _sample_chunk,
     _sample_indices,
@@ -28,6 +24,7 @@ from hyperbell.montecarlo import (
     estimate_beta,
     estimate_term,
 )
+from hyperbell.state import _expect_xz, _xz_arrays, block_operator, build_state
 
 IDEAL = NoiseParams(epsilon=0.0, p=1.0, eta=1.0)
 
@@ -59,84 +56,30 @@ def _summed(tables: list[CountsTable]) -> CountsTable:
 
 
 # ═══════════════════════════════════════════════════════════════════════════
-# Exact per-choice outcome tables
+# The parity table
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def _choice_rows(choice: int) -> SimpleNamespace:
-    """One choice's rows of the flat outcome table, with its cdf built as ``Generator.choice`` does."""
-    table = _outcome_table()
-    n = int(table.n_outcomes[choice])
-    rows = slice(16 * choice, 16 * choice + n)
-    probs = table.probs[rows]
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return SimpleNamespace(
-        n_outcomes=n, probs=probs, cdf=cdf, prod1=table.prod1[rows], prod2=table.prod2[rows]
-    )
-
-
-class TestChoiceTables:
-    def test_uniform_on_constraint_surface(self):
-        # the joint distribution is uniform over the outcomes satisfying the
-        # block's certainty relation and zero elsewhere
-        for choice, menu in enumerate(BLOCK_TERM_MENU):
-            table = _choice_rows(choice)
-            assert table.n_outcomes == 1 << len(menu.observables)
-            support = table.probs > 0
-            assert support.sum() == table.n_outcomes // 2
-            np.testing.assert_allclose(table.probs[support], 2.0 / table.n_outcomes)
-            # on the support the local products multiply to the raw
-            # expectation of the term, which equals its menu sign
-            prod = table.prod1[support] * table.prod2[support]
-            assert (prod == menu.sign).all()
-
-    def test_local_marginals_are_unbiased(self):
-        for choice in range(4):
-            table = _choice_rows(choice)
-            assert float(table.probs @ table.prod1) == pytest.approx(0.0, abs=1e-12)
-            assert float(table.probs @ table.prod2) == pytest.approx(0.0, abs=1e-12)
-            got = float(table.probs @ (table.prod1 * table.prod2))
-            assert got == pytest.approx(BLOCK_TERM_MENU[choice].sign, abs=1e-12)
-
-    def test_padding_cells_are_never_drawn(self):
-        table = _outcome_table()
-        for choice, n in enumerate(table.n_outcomes.tolist()):
-            pad = slice(16 * choice + n, 16 * (choice + 1))
-            assert (table.probs[pad] == 0).all()
-            assert (table.prod1[pad] == 1).all() and (table.prod2[pad] == 1).all()
-            assert (table.drawn[16 * choice : 16 * (choice + 1)] < n).all()
-
-    def test_outcome_counts_are_powers_of_two(self):
-        # a noisy run's outcome is the top k bits of its word's low nibble,
-        # exactly uniform only where the 2**k outcomes divide its 16 values
-        table = _outcome_table()
-        for choice, n in enumerate(table.n_outcomes.tolist()):
-            assert n & (n - 1) == 0 and 2 <= n <= 16
-            k = n.bit_length() - 1
-            assert (np.bincount(np.arange(16) >> (4 - k)) == 16 // n).all()
-
-    def test_noise_draw_is_the_nibbles_top_bits(self):
-        # the parity a block adds is prod1 * prod2 < 0 at the outcome its
-        # nibble draws: the top k bits when noisy, drawn[cell] when ideal
-        table = _outcome_table()
-        for choice, n in enumerate(table.n_outcomes.tolist()):
-            rows = _choice_rows(choice)
-            parity = rows.prod1 * rows.prod2 < 0
-            cells = slice(16 * choice, 16 * (choice + 1))
-            noisy = np.arange(16) >> (4 - (n.bit_length() - 1))
-            assert (table.odd[cells] == parity[noisy]).all()
-            assert (table.odd[64:][cells] == parity[table.drawn[cells]]).all()
-
-    def test_built_once_on_first_use(self):
-        code = (
-            "import hyperbell.montecarlo as mc; "
-            "assert mc._outcome_table.cache_info().currsize == 0; "
-            "mc._outcome_table(); mc._outcome_table(); "
-            "info = mc._outcome_table.cache_info(); "
-            "assert (info.misses, info.hits) == (1, 1), info"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
+def test_parity_table_is_the_block_states_and_the_nibbles():
+    # against sources that share no code with the table: the block state's
+    # exact expectation of each unsigned menu operator, and Python-int bit
+    # counts of the nibble's top k bits
+    state = build_state(1)
+    ops = [block_operator(+1, menu.observables, 1, 1) for menu in BLOCK_TERM_MENU]
+    values = _expect_xz(state, *_xz_arrays(ops, state.n)).tolist()
+    assert _ODD.shape == (128,)
+    for choice, (menu, value) in enumerate(zip(BLOCK_TERM_MENU, values)):
+        # an ideal block's product is certain, so every nibble gives the same bit
+        assert value in (-1, 1)
+        assert _ODD[64 + 16 * choice : 64 + 16 * (choice + 1)].tolist() == [value == -1] * 16
+        # a noisy one over 2**k outcomes takes the nibble's top k bits, each
+        # outcome from 16 / 2**k nibbles, and adds their parity
+        k = len(menu.observables)
+        assert k <= 4
+        tops = [j >> (4 - k) for j in range(16)]
+        assert sorted(tops) == [t for t in range(1 << k) for _ in range(16 >> k)]
+        want = [bin(t).count("1") % 2 == 1 for t in tops]
+        assert _ODD[16 * choice : 16 * (choice + 1)].tolist() == want
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -495,17 +438,6 @@ class TestChunkedSampler:
                 estimate_beta(n, shots, noise, seed)
         else:
             assert estimate_beta(n, shots, noise, seed).counts_summary == _summed(reference)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), shots=st.integers(1, 1001))
-    def test_ideal_draw_is_the_choice_draw(self, seed, shots):
-        drawn = _outcome_table().drawn
-        for choice in range(len(BLOCK_TERM_MENU)):
-            table = _choice_rows(choice)
-            want = np.random.default_rng(seed).choice(table.n_outcomes, size=shots, p=table.probs)
-            u = np.random.default_rng(seed).random(shots)
-            assert (table.cdf.searchsorted(u, side="right") == want).all()
-            assert (drawn[16 * choice + (16 * u).astype(np.intp)] == want).all()
 
 
 class TestChunkRows:
