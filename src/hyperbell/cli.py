@@ -39,7 +39,7 @@ from .efficiency import (
     min_blocks,
 )
 from .lhv import BRUTE_FORCE_BLOCK_CAP, brute_force_bound, factored_bound
-from .montecarlo import ESTIMATE_BLOCK_CAP, UndefinedEstimateError, estimate_beta
+from .montecarlo import ESTIMATE_BLOCK_CAP, MAX_SHOTS, UndefinedEstimateError, estimate_beta
 from .pauli import pauli_to_string
 from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 
@@ -259,6 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> Output:
 
 def cmd_simulate(args: argparse.Namespace) -> Output:
     _require_cap("simulate", args.n, ESTIMATE_BLOCK_CAP, "16.0**N overflows a float above it")
+    if args.shots > MAX_SHOTS:
+        raise _usage_error(f"simulate supports up to {MAX_SHOTS} shots per term (an int64 count)")
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
     try:

@@ -66,21 +66,16 @@ def visibility_factor(eta: float) -> float:
 def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     """Mean of the simulator's beta_hat: v * (1 - eps) * (4p)**N, v = eta/(2-eta).
 
-    The simulator's noise model is not the one behind beta_qm'.  In a run of
-    one term each block is ideal with probability p, independently of the
-    other blocks; an ideal block's outcome product has mean s_c (the menu
-    sign of its choice c, since every signed term has quantum value +1) and a
-    white-noise block's has mean 0, so E[A B] = prod_c p s_c, p**N times
-    the term's sign.  The symmetric flip negates B with probability eps/2:
-    E[A B] gains a factor 1 - eps.
-
-    The term's estimate is the ratio (n_pp - n_mm) / (n_total - n_00).  Its
-    mean is E[num] / E[den] to first order in 1/shots, and here exactly,
-    given a nonempty denominator: the detectors fire independently of the
-    outcomes, so each of the d runs with a detection is a coincidence with
-    probability eta**2 / (eta (2 - eta)) = v, and E[num | d] = d v E[A B].
-    The signed estimate of every one of the 4**N terms is therefore
-    v (1 - eps) p**N on average, and so is a uniform subsample scaled up.
+    The simulator's noise model is not the one behind beta_qm'.  It draws a
+    term's counts from one multinomial, the per-term law derived in
+    ``montecarlo``'s docstring, under which a coincidence's outcome product
+    has mean c = s (1 - eps) p**N for a term of sign s.  The term's estimate
+    (n_pp - n_mm) / (n_total - n_00) then has mean v c, exactly, given a
+    nonempty denominator: each of the d runs with a detection is a
+    coincidence with probability eta**2 / (eta (2 - eta)) = v, independently
+    of its outcomes, so E[num | d] = d v c.  The signed estimate of every one
+    of the 4**N terms is therefore v (1 - eps) p**N on average, and so is a
+    uniform subsample scaled up.
     """
     if not 1 <= n_blocks <= FLOAT_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")

@@ -1,56 +1,30 @@
 """Finite-statistics simulation of the Bell test with inefficient detectors.
 
-One run of a term works block by block: with probability p the block is
-ideal, so the product A * B of its two observers' outcomes is its menu
-sign; with probability 1-p its outcomes are uniform (white noise).
-The total product is then degraded by a symmetric sign flip with probability
-eps/2 (per-term mean 1-eps when p=1), and each observer's detector fires
-independently with probability eta.
+In one run of a term each block is ideal with probability p, and then the
+product A * B of its two observers' outcomes is its menu sign (a certainty
+relation of the block state, which ``verify`` checks exactly); otherwise its
+outcomes are uniform over k = 3 or 4 observables, so its product is a fair
+coin.  A symmetric sign flip with probability eps/2 multiplies the product's
+mean by 1 - eps, and each observer's detector fires with probability eta,
+independently of the other and of the outcomes.  So a term of sign s has the
+mean product c = s (1-eps) p**N in a coincidence, and its five counts, in
+CountsTable order, are one draw of their exact law,
 
-Correlations are estimated with single-sided detections kept in the
-denominator,
+    Multinomial(shots; eta**2 (1+c)/2, eta**2 (1-c)/2, eta (1-eta), (1-eta) eta, (1-eta)**2).
+
+Correlations keep single-sided detections in the denominator,
 
     estimate = (n_pp - n_mm) / (n_total - n_00),
 
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-All randomness flows through numpy's PCG64, one stream per term: term
-``index`` under master ``seed`` reads the stream of
-``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a function of
-the two alone, so the result is byte-identical for a fixed seed whatever
-order or grouping the terms are measured in, and ``estimate_term`` gives
-exactly a term's share of ``estimate_beta``.  The sampler builds no
-SeedSequence per term: ``_term_states`` derives the starting state of every
-term in a chunk at once, in numpy, by the hash SeedSequence applies and the
-seeding PCG64 applies to its output, both of which numpy's
-stream-compatibility policy (NEP 19) keeps fixed.
-
-A term of S shots reads its stream's raw 64-bit words detectors first: words
-2j and 2j + 1 are shot j's two detectors.  The estimator classifies a run
-that is not a coincidence by those two words alone, so only a coincidence
-reads more: the i-th, in shot order, owns the N + 1 words from
-2S + (N + 1) i on, one per block and then the sign flip.  That is
-2 + eta**2 (N + 1) words per term-shot.  A uniform draw below x is numpy's
-``(w >> 11) * 2**-53 < x`` done as an integer compare on the word's top 53
-bits.  A block's word chooses ideal or noise that way, and its low four bits,
-independent of the top 53, are a nibble: a noisy run's outcome over 2**k
-outcomes is the nibble's top k bits, an exact uniform draw.  An ideal run's
-product does not depend on the nibble.
-
-A coincidence needs one bit from each block, whether A * B is -1 there.  An
-ideal block's product is its menu sign: each menu term is a certainty
-relation of the block state, which ``verify`` checks exactly (every signed
-term of the expression has expectation +1).  A noisy block's product is the
-parity of the nibble's top k bits, whose set bits are its outcome's -1
-signs.  ``_ODD`` holds that bit per selector, choice and nibble, and a
-coincidence of odd parity counts in n_mm.
-
-Terms are sampled in chunks of about SAMPLE_CHUNK term-shots, a term with
-more shots in slices of that many, each reaching its words with
-``PCG64.advance``, so memory stays flat in shots; every slice's words fill
-one buffer that lives as long as the estimate.  ``estimate_term`` is a chunk
-of one through the same kernel.
+Term ``index`` under master ``seed`` draws by ``Generator.multinomial`` from
+numpy's ``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a
+function of the two alone, so output is byte-identical for a fixed seed
+whatever order or grouping the terms are measured in.  ``_term_states``
+derives those starting states in numpy, a chunk of terms at once, and one
+carrier PCG64 is set to each in turn.
 """
 
 from __future__ import annotations
@@ -59,11 +33,11 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .bell import _MENU_SIGNS, BLOCK_TERM_MENU, BellTerm, _digits, n_terms
+from .bell import _MENU_SIGNS, BellTerm, _digits, n_terms
 from .efficiency import NoiseParams
 
 
@@ -95,20 +69,15 @@ class CountsTable:
         return asdict(self)  # keys in field order
 
 
-# term-shots per numpy pass of the sampler; keeps its buffers small whatever
-# the shot count (a term with more shots than this is drawn in slices of it)
-SAMPLE_CHUNK = 1 << 13
+# most shots per term: numpy's multinomial takes the count as an int64
+MAX_SHOTS = 2**63 - 1
+
+# terms per pass of estimate_beta, which holds a pass's PCG64 states at once
+TERM_CHUNK = 256
 
 # largest N for which the subsampled variance's (4**N)**2 = 16**N is a finite
 # float (16**255 = 2**1020)
 ESTIMATE_BLOCK_CAP = 255
-
-# whether a block adds -1 to A * B, per 64 * ideal + 16 * choice + nibble: the
-# parity of the nibble's top k bits when noisy, the menu sign's when ideal
-_ODD = np.concatenate(
-    [np.bitwise_count(np.arange(16) >> (4 - len(m.observables))) % 2 == 1 for m in BLOCK_TERM_MENU]
-    + [np.repeat(_MENU_SIGNS < 0, 16)]
-)
 
 
 # numpy's SeedSequence hash (pool of four uint32 words) and the multiplier of
@@ -196,131 +165,13 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
     return states
 
 
-def _jumped(states: list[dict[str, Any]], words: int) -> list[dict[str, Any]]:
-    """``states`` after ``words`` draws each, jumped to in Python ints.
-
-    A draw steps PCG64's LCG, state -> state * MULT + inc, so ``words`` of
-    them give state * MULT**w + inc * (MULT**w - 1) / (MULT - 1), mod 2**128;
-    the geometric sum is taken modulo (MULT - 1) * 2**128, where the division
-    is exact.
-    """
-    mult = pow(_PCG64_MULT, words, 1 << 128)
-    steps = (pow(_PCG64_MULT, words, (_PCG64_MULT - 1) << 128) - 1) // (_PCG64_MULT - 1)
-    jumped = []
-    for state in states:
-        pcg = state["state"]
-        moved = {"state": pcg["state"] * mult + pcg["inc"] * steps & _MASK128, "inc": pcg["inc"]}
-        jumped.append({**state, "state": moved})
-    return jumped
-
-
-class _Reader:
-    """One PCG64, set to each term's state in turn, and the one word buffer it
-    fills; one per estimate, so that no slice allocates either."""
-
-    def __init__(self) -> None:
-        self.bitgen = np.random.PCG64(0)  # its own state is never read
-        self.words = np.empty(0, dtype=np.uint64)
-
-    def fetch(self, states: list[dict], starts: list[int], counts: list[int]) -> np.ndarray:
-        """Words [starts[t], starts[t] + counts[t]) of the stream that starts
-        in ``states[t]``, for each t in turn, in the buffer, which the next
-        fetch overwrites."""
-        size = sum(counts)
-        if self.words.size < size:
-            self.words = np.empty(size, dtype=np.uint64)
-        buf = self.words[:size]
-        pos = 0
-        for state, start, count in zip(states, starts, counts):
-            if count:
-                self.bitgen.state = state
-                if start:
-                    self.bitgen.advance(start)
-                buf[pos : pos + count] = self.bitgen.random_raw(count)
-                pos += count
-        return buf
-
-
-def _sample_chunk(
-    indices: Sequence[int],
-    choices: np.ndarray,
-    noise: NoiseParams,
-    seed: int,
-    shots: int,
-    reader: _Reader,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per slice of SAMPLE_CHUNK shots: the chunk's (terms, 5) tally in
-    CountsTable order minus n_total, the flat (terms, slice shots) indices of
-    its coincidences, and whether A * B is -1 at each.
-
-    Row t is term ``indices[t]``, with menu choices ``choices[t]``, read in
-    the module's detector-first layout from the stream of ``PCG64(SeedSequence(
-    entropy=seed, spawn_key=(1, indices[t])))``, whose state is derived by
-    ``_term_states`` and loaded into ``reader``.  A slice of shots [lo, hi)
-    reads their detector words from 2 lo on, then, for the coincidences
-    among them, the records that follow those of the slices before; where a
-    term's records start, 2 * shots words in, is jumped to once per chunk.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    states = _term_states(seed, indices)
-    records = _jumped(states, 2 * shots)
-    terms, width = len(states), choices.shape[1] + 1  # a record: each block, then the flip
-    keys = (16 * choices).T
-    # numpy's uniform from word w, (w >> 11) * 2**-53, is below x exactly
-    # when w < ceil(x * 2**53) << 11 (x * 2**53 is exact); a Python int, as
-    # x = 1 gives 2**64
-    below_p, below_flip, below_eta = (
-        math.ceil(x * 2.0**53) << 11 for x in (noise.p, noise.epsilon / 2.0, noise.eta)
-    )
-    read = [0] * terms  # record words each term has read
-    for lo in range(0, shots, SAMPLE_CHUNK):
-        n = min(SAMPLE_CHUNK, shots - lo)
-        # a shot's two detector bits as one little-endian uint16, det1 | det2 << 8
-        pair = (reader.fetch(states, [2 * lo] * terms, [2 * n] * terms) < below_eta).view("<u2")
-        pair = pair.reshape(terms, n)
-        hits = np.flatnonzero(pair == 0x0101)
-        rows = hits // n
-        found = np.bincount(rows, minlength=terms)
-        sizes = (width * found).tolist()
-        # one row per word of a record, so that numpy runs along the coincidences
-        words = reader.fetch(records, read, sizes).reshape(-1, width).T.copy()
-        read = [done + size for done, size in zip(read, sizes)]
-        # a block word's top 53 bits choose ideal or noise, its low four are
-        # the nibble a noisy outcome is drawn from: the index of ``_ODD``
-        blocks = words[:-1]
-        at = (blocks < below_p) * 64 + keys.take(rows, axis=1) + (blocks & 15).view(np.intp)
-        odd = np.bitwise_xor.reduce(_ODD.take(at), axis=0) ^ (words[-1] < below_flip)
-        n_mm = np.bincount(rows[odd], minlength=terms)
-        tally = [found - n_mm, n_mm]
-        parts = (pair == 0x0001, pair == 0x0100, pair == 0)
-        if terms > 1:
-            tally += [np.count_nonzero(d, axis=1) for d in parts]
-        else:  # a term in slices is a chunk of one row, where a flat count is far cheaper
-            tally += [[np.count_nonzero(d)] for d in parts]
-        yield np.array(tally).T, hits, odd
-
-
-def _tally_chunk(
-    indices: Sequence[int],
-    choices: np.ndarray,
-    noise: NoiseParams,
-    seed: int,
-    shots: int,
-    reader: _Reader,
-) -> np.ndarray:
-    """``_sample_chunk``'s tallies summed over its slices, one row per term;
-    the five categories of every term must tile its ``shots`` runs."""
-    slices = _sample_chunk(indices, choices, noise, seed, shots, reader)
-    tallies = sum(tally for tally, _, _ in slices)
-    untiled = np.flatnonzero(tallies.sum(axis=1) != shots)
-    if untiled.size:
-        row = untiled[0]
-        raise ValueError(
-            f"counts do not tile the {shots} runs of term {indices[row]} "
-            f"(N = {choices.shape[1]}, seed {seed}, {noise}): {tallies[row].tolist()}"
-        )
-    return tallies
+def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
+    """The module's multinomial pvals, for a term of sign +1 and of sign -1."""
+    eta = noise.eta
+    both, single, neither = eta * eta, eta * (1.0 - eta), (1.0 - eta) ** 2
+    c = (1.0 - noise.epsilon) * noise.p**n_blocks
+    rows = ([both * (1 + x) / 2, both * (1 - x) / 2, single, single, neither] for x in (c, -c))
+    return tuple(np.array(row) for row in rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,20 +183,26 @@ class TermEstimate:
     counts: CountsTable
 
 
-def _estimate_chunk(
-    indices: Sequence[int],
-    choices: np.ndarray,
-    noise: NoiseParams,
-    seed: int,
-    shots: int,
-    reader: _Reader,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-term correlation, standard error and tallies of a chunk of terms.
+def _draw_counts(
+    indices: Sequence[int], negative: list[bool], pvals: tuple, seed: int, shots: int
+) -> np.ndarray:
+    """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
+    t's are one multinomial draw from its own stream at pvals[negative[t]]."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    bitgen = np.random.PCG64(0)  # its own state is never read
+    draw = np.random.Generator(bitgen).multinomial
+    tally = np.empty((len(indices), 5), dtype=np.int64)
+    for row, state, sign_bit in zip(tally, _term_states(seed, indices), negative):
+        bitgen.state = state
+        row[:] = draw(shots, pvals[sign_bit])
+    return tally
 
-    The standard error is binomial-style: sqrt((m2 - corr**2) / d) with
-    m2 = (n_pp + n_mm) / d and d = n_total - n_00.
-    """
-    tally = _tally_chunk(indices, choices, noise, seed, shots, reader)
+
+def _correlations(indices: Sequence[int], tally: np.ndarray, shots: int) -> tuple[np.ndarray, ...]:
+    """Per-term correlation and binomial-style standard error from a chunk's
+    counts: sqrt((m2 - corr**2) / d) with m2 = (n_pp + n_mm) / d and
+    d = n_total - n_00."""
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
@@ -355,19 +212,19 @@ def _estimate_chunk(
         )
     corr = (n_pp - n_mm) / denom
     variance = np.maximum((n_pp + n_mm) / denom - corr * corr, 0.0)
-    return corr, np.sqrt(variance / denom), tally
+    return corr, np.sqrt(variance / denom)
 
 
 def estimate_term(term: BellTerm, noise: NoiseParams, shots: int, seed: int) -> TermEstimate:
     """Correlation estimate for one term with a binomial-style standard error.
 
-    Drawn from the term's own stream under master ``seed``, so it is exactly
+    Its counts are one draw of the module's multinomial from the term's own
+    stream, a function of ``seed`` and ``term.index`` alone, so it is exactly
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
-    (corr,), (stderr,), (tally,) = _estimate_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots, _Reader()
-    )
-    counts = CountsTable(shots, *tally.tolist())
+    tally = _draw_counts([term.index], [term.sign < 0], _pvals(term.n_blocks, noise), seed, shots)
+    (corr,), (stderr,) = _correlations([term.index], tally, shots)
+    counts = CountsTable(shots, *tally[0].tolist())
     return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
 
 
@@ -440,11 +297,9 @@ def estimate_beta(
     Measures every expanded term when there are at most ``term_budget`` of
     them; otherwise measures a uniform sample of ``term_budget`` distinct
     terms and scales up, widening the error bar by the sampling variance.
-    Terms run through the sampler in chunks of about SAMPLE_CHUNK term-shots.
-    A term's stream depends on ``seed`` and its index only, so the per-term
-    estimates are those ``estimate_term`` gives at the same seed, summed in
-    index order.  N is capped at ESTIMATE_BLOCK_CAP, where the sampling
-    variance still fits a float.
+    Each term's counts are one multinomial draw from a stream fixed by
+    ``seed`` and its index, so the estimate sums what ``estimate_term`` gives
+    each term, in index order, and the counts in exact Python ints.
     """
     if not 1 <= n_blocks <= ESTIMATE_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
@@ -461,20 +316,18 @@ def estimate_beta(
     index_type = np.int64 if n_blocks < 32 else object
     values = np.empty(m)
     stderrs = np.empty(m)
-    tallies = np.zeros(5, dtype=np.int64)
-    step = max(1, SAMPLE_CHUNK // shots)
-    reader = _Reader()  # one PCG64 and word buffer for every chunk
-    for lo in range(0, m, step):
-        chunk = np.asarray(indices[lo : lo + step], dtype=index_type)
-        choices = np.stack(_digits(n_blocks, chunk), axis=1).astype(np.intp, copy=False)
-        corr, stderrs[lo : lo + step], tally = _estimate_chunk(
-            chunk, choices, noise, seed, shots, reader
-        )
-        values[lo : lo + step] = _MENU_SIGNS[choices].prod(axis=1) * corr
-        tallies += tally.sum(axis=0)
+    tallies = [0] * 5
+    pvals = _pvals(n_blocks, noise)
+    for lo in range(0, m, TERM_CHUNK):
+        chunk = np.asarray(indices[lo : lo + TERM_CHUNK], dtype=index_type)
+        signs = _MENU_SIGNS[np.array(_digits(n_blocks, chunk), dtype=np.intp)].prod(axis=0)
+        tally = _draw_counts(chunk, (signs < 0).tolist(), pvals, seed, shots)
+        corr, stderrs[lo : lo + TERM_CHUNK] = _correlations(chunk, tally, shots)
+        values[lo : lo + TERM_CHUNK] = signs * corr
+        tallies = [done + sum(column) for done, column in zip(tallies, tally.T.tolist())]
 
     measurement_var = float(sum(s**2 for s in stderrs.tolist()))
-    counts = CountsTable(shots * m, *tallies.tolist())
+    counts = CountsTable(shots * m, *tallies)
     if exhaustive:
         beta_hat = float(values.sum())
         variance = measurement_var

@@ -288,6 +288,27 @@ class TestSimulate:
                 "error: simulate supports up to 255 blocks (16.0**N overflows a float above it)\n"
             )
 
+    def test_shots_cap(self):
+        # numpy's multinomial takes the count as an int64
+        for shots in (str(2**63), "100000000000000000000"):
+            proc = run_cli("simulate", "--n", "1", "--shots", shots)
+            assert proc.returncode == 2, shots
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "error: simulate supports up to 9223372036854775807 shots per term"
+                " (an int64 count)\n"
+            )
+        proc = run_cli("simulate", "--n", "1", "--shots", str(2**63 - 1))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts_summary"]["n_total"] == 4 * (2**63 - 1)
+
+    def test_large_counts_are_exact(self, capsys):
+        argv = "simulate --n 2 --shots 4611686018427387904 --eta 1 --p 1 --eps 0".split()
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["counts_summary"]["n_total"] == 2**66
+        assert (doc["beta_hat"], doc["stderr"]) == (16.0, 0.0)
+
     def test_undefined_estimate_is_a_json_error(self):
         # one shot at eta = 0.01 detects nothing, so term 0 has no estimate
         proc = run_cli("simulate", "--n", "1", "--shots", "1", "--eta", "0.01")

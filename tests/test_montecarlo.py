@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,12 @@ from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
 from hyperbell.efficiency import NoiseParams, expected_estimate, noisy_bounds, visibility_factor
 from hyperbell.montecarlo import (
     ESTIMATE_BLOCK_CAP,
-    SAMPLE_CHUNK,
+    MAX_SHOTS,
     CountsTable,
     UndefinedEstimateError,
-    _ODD,
-    _Reader,
-    _sample_chunk,
+    _draw_counts,
+    _pvals,
     _sample_indices,
-    _tally_chunk,
     _term_states,
     _uniform_below,
     estimate_beta,
@@ -56,44 +56,91 @@ def _summed(tables: list[CountsTable]) -> CountsTable:
 
 
 # ═══════════════════════════════════════════════════════════════════════════
-# The parity table
+# The per-shot model against the per-term law
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-def test_parity_table_is_the_block_states_and_the_nibbles():
-    # against sources that share no code with the table: the block state's
-    # exact expectation of each unsigned menu operator, and Python-int bit
-    # counts of the nibble's top k bits
+def _block_products() -> list[int]:
+    """Each menu choice's product A * B in an ideal block: the block state's
+    exact expectation of the unsigned menu operator, a certainty, +1 or -1."""
     state = build_state(1)
     ops = [block_operator(+1, menu.observables, 1, 1) for menu in BLOCK_TERM_MENU]
     values = _expect_xz(state, *_xz_arrays(ops, state.n)).tolist()
-    assert _ODD.shape == (128,)
-    for choice, (menu, value) in enumerate(zip(BLOCK_TERM_MENU, values)):
-        # an ideal block's product is certain, so every nibble gives the same bit
-        assert value in (-1, 1)
-        assert _ODD[64 + 16 * choice : 64 + 16 * (choice + 1)].tolist() == [value == -1] * 16
-        # a noisy one over 2**k outcomes takes the nibble's top k bits, each
-        # outcome from 16 / 2**k nibbles, and adds their parity
-        k = len(menu.observables)
-        assert k <= 4
-        tops = [j >> (4 - k) for j in range(16)]
-        assert sorted(tops) == [t for t in range(1 << k) for _ in range(16 >> k)]
-        want = [bin(t).count("1") % 2 == 1 for t in tops]
-        assert _ODD[16 * choice : 16 * (choice + 1)].tolist() == want
+    assert all(value in (-1, 1) for value in values)
+    return values
+
+
+def _law(term, noise: NoiseParams) -> list[float]:
+    """The per-term multinomial's pvals in CountsTable order, written out:
+    eta**2 (1 + c) / 2, eta**2 (1 - c) / 2, eta (1 - eta), (1 - eta) eta,
+    (1 - eta)**2, with c = s (1 - eps) p**N."""
+    eta = noise.eta
+    c = term.sign * (1 - noise.epsilon) * noise.p**term.n_blocks
+    both, neither = eta * eta, (1 - eta) ** 2
+    return [both * (1 + c) / 2, both * (1 - c) / 2, eta * (1 - eta), (1 - eta) * eta, neither]
+
+
+class TestPerShotModel:
+    """Oracles that share no code with the sampler: the runs of the model,
+    played block by block, against the one multinomial the sampler draws."""
+
+    def test_odd_parity_given_a_coincidence(self):
+        # exact, in fractions: each block ideal (the block state's product) or
+        # noisy, then each of the 16 nibbles, whose top k bits are the outcome
+        # and their parity its sign, and last the flip
+        products = _block_products()
+        for eps, p in [(F(3, 20), F(49, 50)), (F(0), F(1)), (F(1), F(0)), (F(1, 3), F(1, 2))]:
+            for n in (1, 2, 3):
+                for term in enumerate_terms(n):
+                    odd = F(0)  # P(A * B = -1) over the blocks so far
+                    for choice in term.choices:
+                        k = len(BLOCK_TERM_MENU[choice].observables)
+                        nibbles = sum(F(bin(j >> (4 - k)).count("1") % 2, 16) for j in range(16))
+                        here = p * (products[choice] == -1) + (1 - p) * nibbles
+                        odd = odd * (1 - here) + (1 - odd) * here
+                    odd = odd * (1 - eps / 2) + (1 - odd) * eps / 2
+                    c = term.sign * (1 - eps) * p**n
+                    assert odd == (1 - c) / 2, (n, term.index, eps, p)
+
+    def test_per_shot_loop_matches_the_multinomial(self):
+        # each row one seed's experiment of 60 shots, played shot by shot with
+        # numpy Generator calls; the mean and variance of every count over the
+        # rows must be the multinomial's within 4 standard errors
+        products = _block_products()
+        rng = np.random.default_rng(2024)
+        seeds, shots = 1500, 60
+        points = [
+            (1, NoiseParams(epsilon=0.15, p=0.98, eta=0.33)),
+            (2, NoiseParams(epsilon=0.0, p=0.9, eta=1.0)),
+            (3, NoiseParams(epsilon=0.3, p=0.5, eta=0.6)),
+        ]
+        for n, noise in points:
+            by_sign = {term.sign: term for term in enumerate_terms(n)}
+            assert set(by_sign) == {-1, 1}
+            for term in by_sign.values():
+                fired = rng.random((2, seeds, shots)) < noise.eta
+                odd = rng.random((seeds, shots)) < noise.epsilon / 2
+                for choice in term.choices:
+                    k = len(BLOCK_TERM_MENU[choice].observables)
+                    ideal = rng.random((seeds, shots)) < noise.p
+                    noisy = np.bitwise_count(rng.integers(0, 2**k, (seeds, shots))) % 2 == 1
+                    odd ^= np.where(ideal, products[choice] == -1, noisy)
+                one, two = fired
+                cells = [one & two & ~odd, one & two & odd, one & ~two, ~one & two, ~one & ~two]
+                counts = np.array([cell.sum(axis=1) for cell in cells])
+                pvals = np.array(_law(term, noise))
+                mean, var = shots * pvals, shots * pvals * (1 - pvals)
+                fourth = var * (1 + 3 * (shots - 2) * pvals * (1 - pvals))
+                sd_mean = np.sqrt(var / seeds)
+                sd_var = np.sqrt((fourth - var**2 * (seeds - 3) / (seeds - 1)) / seeds)
+                where = (n, term.index, noise)
+                assert (abs(counts.mean(axis=1) - mean) <= 4 * sd_mean).all(), where
+                assert (abs(counts.var(axis=1, ddof=1) - var) <= 4 * sd_var).all(), where
 
 
 # ═══════════════════════════════════════════════════════════════════════════
 # Sampling
 # ═══════════════════════════════════════════════════════════════════════════
-
-
-def _coincidences(term, noise: NoiseParams, seed: int, shots: int) -> list[np.ndarray]:
-    """One term's coincident shots, and whether A * B is -1 at each, straight
-    from the chunk sampler (one slice: ``shots`` <= SAMPLE_CHUNK)."""
-    ((_, hits, odd),) = _sample_chunk(
-        [term.index], np.array([term.choices]), noise, seed, shots, _Reader()
-    )
-    return [hits, odd]
 
 
 class TestSampling:
@@ -105,18 +152,6 @@ class TestSampling:
                 assert est.counts.n_pp + est.counts.n_mm == 64
                 assert est.sign * est.correlation == 1.0
 
-    def test_coincidences_do_not_depend_on_the_outcome_model(self):
-        # the detector words come first, so at one seed and eta the same shots
-        # coincide whatever eps and p are; with noise and flips the parities
-        # vary from shot to shot, without them each is the term's sign
-        term = term_at(2, 9)
-        hits, odd = _coincidences(term, NoiseParams(epsilon=0.3, p=0.5, eta=0.3), 42, 500)
-        same, clean = _coincidences(term, NoiseParams(epsilon=0.0, p=1.0, eta=0.3), 42, 500)
-        assert 0 < len(hits) < 500
-        assert (hits == same).all()
-        assert 0 < odd.sum() < len(odd)
-        assert (clean == (term.sign < 0)).all()
-
     def test_flip_rate_shows_in_the_product(self):
         # at eta = 1 every run is a coincidence, so the correlation is mean(A B)
         noise = NoiseParams(epsilon=0.3, p=1.0, eta=1.0)
@@ -127,6 +162,16 @@ class TestSampling:
     def test_shots_validated(self):
         with pytest.raises(ValueError, match="shots"):
             estimate_term(term_at(1, 0), IDEAL, 0, seed=0)
+
+    def test_shots_up_to_numpys_int64_count(self):
+        # numpy's multinomial takes the count as an int64
+        assert MAX_SHOTS == 2**63 - 1
+        assert estimate_term(term_at(1, 0), IDEAL, MAX_SHOTS, seed=0).counts.n_pp == MAX_SHOTS
+        above = rf"^shots must be in \[1, 2\*\*63 - 1\], got {2**63}$"
+        with pytest.raises(ValueError, match=above):
+            estimate_term(term_at(1, 0), IDEAL, 2**63, seed=0)
+        with pytest.raises(ValueError, match=above):
+            estimate_beta(1, 2**63, IDEAL, seed=0)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -282,89 +327,10 @@ class TestEstimateBeta:
 
 
 # ═══════════════════════════════════════════════════════════════════════════
-# Draw-order contract: the chunked sampler against recorded and loop references
+# Draw-order contract: the per-term draw against numpy's and recorded values
 # ═══════════════════════════════════════════════════════════════════════════
 
 REF_NOISE = NoiseParams(epsilon=0.15, p=0.98, eta=0.33)
-
-
-class TestGoldenStreams:
-    """Values recorded from the detector-first stream layout, once the
-    sampler matched the reference loop on every count.
-
-    Repeat-determinism alone would not notice a changed draw order; these do.
-    """
-
-    def test_exhaustive_json_document(self):
-        assert estimate_beta(2, 1000, REF_NOISE, seed=7).to_json_dict() == {
-            "schema_version": 1,
-            "n": 2,
-            "shots_per_term": 1000,
-            "terms_sampled": 16,
-            "total_terms": 16,
-            "exhaustive": True,
-            "eta": 0.33,
-            "eps": 0.15,
-            "p": 0.98,
-            "seed": 7,
-            "beta_hat": 2.5506936655438173,
-            "stderr": 0.07020867171420257,
-            "counts_summary": {
-                "n_total": 16000,
-                "n_pp": 1015,
-                "n_mm": 698,
-                "n_single_1": 3538,
-                "n_single_2": 3545,
-                "n_00": 7204,
-            },
-        }
-
-    @pytest.mark.parametrize(
-        "args, kwargs, beta_hex, stderr_hex, counts",
-        [
-            # 1024 terms, 333 shots: chunks of 24 terms, the last one short
-            pytest.param(
-                (5, 333),
-                {"seed": 11},
-                "0x1.38d73ad1d85b9p+7",
-                "0x1.f97888e6b8f5cp-1",
-                CountsTable(340992, 19201, 18197, 75176, 75594, 152824),
-                id="n5-333-shots",
-            ),
-            pytest.param(
-                (7, 20),
-                {"seed": 5, "term_budget": 64},
-                "0x1.f060cbde32404p+10",
-                "0x1.543f5cee12f3fp+8",
-                CountsTable(1280, 60, 65, 299, 304, 552),
-                id="n7-subsampled",
-            ),
-            # the benchmark's shapes: 4096 terms in chunks of 40 terms ...
-            pytest.param(
-                (6, 200),
-                {"seed": 4242},
-                "0x1.30060d9a940f8p+9",
-                "0x1.4600ebc7c1094p+1",
-                CountsTable(819200, 45099, 44156, 181291, 181328, 367326),
-                id="n6-200-shots",
-            ),
-            # ... and terms in three slices, whose records follow one another
-            pytest.param(
-                (3, 2 * SAMPLE_CHUNK + 5),
-                {"seed": 4242},
-                "0x1.42e4f87db1127p+3",
-                "0x1.1dce47038b34cp-5",
-                CountsTable(1048896, 62475, 51161, 231762, 232551, 470947),
-                id="n3-three-slices",
-            ),
-        ],
-    )
-    def test_bits(self, args, kwargs, beta_hex, stderr_hex, counts):
-        assert SAMPLE_CHUNK % 333 and SAMPLE_CHUNK // 333 < 1024
-        est = estimate_beta(*args, REF_NOISE, **kwargs)
-        assert est.beta_hat.hex() == beta_hex
-        assert est.stderr.hex() == stderr_hex
-        assert est.counts_summary == counts
 
 
 def _numpy_stream(seed: int, index: int) -> np.random.PCG64:
@@ -373,44 +339,13 @@ def _numpy_stream(seed: int, index: int) -> np.random.PCG64:
 
 
 def _reference_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
-    """One term, shot by shot, from numpy's own words of the term's stream.
-
-    The stream holds the detectors first, two words a shot, then a record of
-    N + 1 words for each coincidence in shot order: one per block, then the
-    flip.  A word's uniform is numpy's (w >> 11) * 2**-53.  An ideal block
-    adds the parity of its menu sign, which every outcome the block state
-    allows shares; a noisy one over 2**k outcomes adds the parity of outcome
-    (w & 15) >> (4 - k), whose set bits are its -1 signs.
-    """
-    stream = _numpy_stream(seed, term.index)
-    detectors = stream.random_raw(2 * shots).tolist()
-    menus = [BLOCK_TERM_MENU[choice] for choice in term.choices]
-    counts = [0] * 5  # n_pp, n_mm, n_single_1, n_single_2, n_00
-    for j in range(shots):
-        fired = [(w >> 11) * 2.0**-53 < noise.eta for w in detectors[2 * j : 2 * j + 2]]
-        if fired == [True, True]:
-            *blocks, flip = stream.random_raw(len(menus) + 1).tolist()
-            odd = (flip >> 11) * 2.0**-53 < noise.epsilon / 2.0
-            for menu, w in zip(menus, blocks):
-                if (w >> 11) * 2.0**-53 < noise.p:
-                    odd ^= menu.sign < 0
-                else:
-                    outcome = (w & 15) >> (4 - len(menu.observables))
-                    odd ^= bin(outcome).count("1") % 2 == 1
-            counts[odd] += 1
-        else:
-            counts[{(True, False): 2, (False, True): 3, (False, False): 4}[tuple(fired)]] += 1
-    return CountsTable(shots, *counts)
+    """One term's counts: numpy's multinomial at the written-out law, drawn
+    from the term's stream as numpy itself seeds it."""
+    draw = np.random.Generator(_numpy_stream(seed, term.index)).multinomial(shots, _law(term, noise))
+    return CountsTable(shots, *draw.tolist())
 
 
-def _term_counts(term, noise: NoiseParams, shots: int, seed: int) -> CountsTable:
-    """One term's counts through the chunk tally, which, unlike ``estimate_term``,
-    also holds for a term with no detection."""
-    (tally,) = _tally_chunk([term.index], np.array([term.choices]), noise, seed, shots, _Reader())
-    return CountsTable(shots, *tally.tolist())
-
-
-class TestChunkedSampler:
+class TestMultinomialDraw:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 3),
@@ -420,18 +355,18 @@ class TestChunkedSampler:
         p=st.floats(0.0, 1.0),
         eta=st.floats(0.05, 1.0),
     )
-    # thresholds of 2**64 (eta = 1, p = 1) and of 0 (p = 0), and the widest flip
+    # pvals of 0 and 1 (eta = 1, p = 1, eps = 0), no correlation (p = 0), and
+    # the widest flip
     @example(n=2, shots=33, seed=7, eps=0.0, p=1.0, eta=1.0)
     @example(n=3, shots=5, seed=1, eps=1.0, p=0.0, eta=1.0)
     @example(n=1, shots=300, seed=2**32 - 1, eps=1.0, p=1.0, eta=0.5)
     @example(n=2, shots=1, seed=0, eps=0.5, p=0.0, eta=0.05)
-    def test_counts_match_the_per_term_loop(self, n, shots, seed, eps, p, eta):
+    def test_counts_are_the_terms_multinomial(self, n, shots, seed, eps, p, eta):
         noise = NoiseParams(epsilon=eps, p=p, eta=eta)
-        reference = []
-        for t in range(4**n):
-            want = _reference_counts(term_at(n, t), noise, shots, seed)
-            assert _term_counts(term_at(n, t), noise, shots, seed) == want
-            reference.append(want)
+        reference = [_reference_counts(term, noise, shots, seed) for term in enumerate_terms(n)]
+        for term, want in zip(enumerate_terms(n), reference):
+            if want.n_00 < shots:
+                assert estimate_term(term, noise, shots, seed).counts == want
         empty = [t for t, c in enumerate(reference) if c.n_00 == shots]
         if empty:
             with pytest.raises(UndefinedEstimateError, match=f"^term {empty[0]}: "):
@@ -439,11 +374,21 @@ class TestChunkedSampler:
         else:
             assert estimate_beta(n, shots, noise, seed).counts_summary == _summed(reference)
 
+    def test_large_counts_stay_exact(self):
+        # 2**66 runs in all: every term's counts and their sum in exact integers
+        ideal = estimate_beta(2, 2**62, IDEAL, seed=0)
+        assert ideal.counts_summary.n_total == 2**66
+        assert ideal.counts_summary.n_pp + ideal.counts_summary.n_mm == 2**66
+        assert (ideal.beta_hat, ideal.stderr) == (16.0, 0.0)
+        term = term_at(3, 41)
+        want = _reference_counts(term, REF_NOISE, MAX_SHOTS, seed=6)
+        assert estimate_term(term, REF_NOISE, MAX_SHOTS, seed=6).counts == want
+
 
 class TestChunkRows:
-    """Every row of a many-term chunk against the loop, term by term: summed
-    counts, or one-term chunks, would not see a coincidence tallied on the
-    wrong row."""
+    """Every row of a many-term chunk against its own term's draw: summed
+    counts, or one-term chunks, would not see a term's counts on the wrong
+    row, or drawn at the other sign's pvals."""
 
     NOISE = NoiseParams(epsilon=0.2, p=0.5, eta=0.6)
 
@@ -460,64 +405,90 @@ class TestChunkRows:
     def test_each_row_is_its_term(self, n, shots, indices):
         terms = [term_at(n, t) for t in indices]
         assert len(terms) >= 24
+        assert {term.sign for term in terms} == {-1, 1}
         chunk = np.array(indices, dtype=np.int64)
-        choices = np.array([term.choices for term in terms])
-        tally = _tally_chunk(chunk, choices, self.NOISE, 21, shots, _Reader())
+        negative = [term.sign < 0 for term in terms]
+        tally = _draw_counts(chunk, negative, _pvals(n, self.NOISE), 21, shots)
         for term, row in zip(terms, tally, strict=True):
             want = _reference_counts(term, self.NOISE, shots, 21)
             assert CountsTable(shots, *row.tolist()) == want, term.index
 
 
-class TestRawStreamEdges:
-    """Terms drawn in slices, against the loop."""
+class TestGoldenStreams:
+    """Values recorded from the per-term multinomial draw, once the sampler
+    matched numpy's own draw from each term's stream on every count.
 
-    NOISE = NoiseParams(epsilon=0.2, p=0.5, eta=0.6)
+    Repeat-determinism alone would not notice a changed draw; these do.
+    """
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_terms_longer_than_a_slice(self, n):
-        # each slice reads its records after those of the slices before
-        for shots in (2 * SAMPLE_CHUNK + 5, 3 * SAMPLE_CHUNK + 1):
-            for t in sorted({0, 4**n // 3, 4**n - 1}):
-                want = _reference_counts(term_at(n, t), self.NOISE, shots, 8)
-                assert _term_counts(term_at(n, t), self.NOISE, shots, 8) == want
+    def test_exhaustive_json_document(self):
+        assert estimate_beta(2, 1000, REF_NOISE, seed=7).to_json_dict() == {
+            "schema_version": 1,
+            "n": 2,
+            "shots_per_term": 1000,
+            "terms_sampled": 16,
+            "total_terms": 16,
+            "exhaustive": True,
+            "eta": 0.33,
+            "eps": 0.15,
+            "p": 0.98,
+            "seed": 7,
+            "beta_hat": 2.630446242315755,
+            "stderr": 0.0708647867330989,
+            "counts_summary": {
+                "n_total": 16000,
+                "n_pp": 1063,
+                "n_mm": 718,
+                "n_single_1": 3568,
+                "n_single_2": 3517,
+                "n_00": 7134,
+            },
+        }
 
-    def test_long_terms_in_turn_and_interleaved(self):
-        # every slice resets the chunk's one PCG64 to its term's state and
-        # advances it; consecutive long terms, and two chunks sampled in
-        # alternation, must each still read their own streams
-        shots = SAMPLE_CHUNK + 5
-        want = [_reference_counts(term_at(1, t), self.NOISE, shots, 4) for t in range(4)]
-        est = estimate_beta(1, shots, self.NOISE, seed=4)
-        assert est.counts_summary == _summed(want)
-        # one reader for both: its PCG64 state is set before every read, and
-        # each slice is decoded before the other chunk refills the buffer
-        reader = _Reader()
-        first, second = (
-            _sample_chunk([t], np.array([term_at(1, t).choices]), self.NOISE, 4, shots, reader)
-            for t in (2, 3)
-        )
-        tallies = {2: 0, 3: 0}
-        for (tally2, _, _), (tally3, _, _) in zip(first, second):
-            tallies[2] += tally2
-            tallies[3] += tally3
-        for t, (tally,) in tallies.items():
-            assert CountsTable(shots, *tally.tolist()) == want[t]
-
-    def test_untiled_counts_name_the_term_and_seed(self, monkeypatch):
-        import hyperbell.montecarlo as mc
-
-        def miscount(*args):
-            for tally, hits, odd in _sample_chunk(*args):
-                tally[3, 4] += 1
-                yield tally, hits, odd
-
-        monkeypatch.setattr(mc, "_sample_chunk", miscount)
-        term = _sample_indices(4**7, 8, seed=9)[3]
-        with pytest.raises(
-            ValueError,
-            match=rf"^counts do not tile the 50 runs of term {term} \(N = 7, seed 9, NoiseParams\(",
-        ):
-            estimate_beta(7, 50, IDEAL, seed=9, term_budget=8)
+    @pytest.mark.parametrize(
+        "args, kwargs, beta_hex, stderr_hex, counts",
+        [
+            pytest.param(
+                (5, 333),
+                {"seed": 11},
+                "0x1.3acd3ce107fc4p+7",
+                "0x1.f8e73e94bd7c8p-1",
+                CountsTable(340992, 19271, 17991, 75037, 75575, 153118),
+                id="n5-333-shots",
+            ),
+            pytest.param(
+                (7, 20),
+                {"seed": 5, "term_budget": 64},
+                "0x1.41248f603bd54p+11",
+                "0x1.67993e6e6ef33p+8",
+                CountsTable(1280, 67, 69, 303, 286, 555),
+                id="n7-subsampled",
+            ),
+            # the benchmark's shape: 4096 terms, 16 passes of TERM_CHUNK ...
+            pytest.param(
+                (6, 200),
+                {"seed": 4242},
+                "0x1.3163cf5384f73p+9",
+                "0x1.4657837f26320p+1",
+                CountsTable(819200, 45262, 43928, 180846, 180891, 368273),
+                id="n6-200-shots",
+            ),
+            # ... and 10**8 shots a term, each term's counts one draw
+            pytest.param(
+                (1, 10**8),
+                {"seed": 4242},
+                "0x1.510823fbb5c8ep-1",
+                "0x1.d294d80269976p-14",
+                CountsTable(400000000, 30845014, 12708394, 88436828, 88449906, 179559858),
+                id="n1-1e8-shots",
+            ),
+        ],
+    )
+    def test_bits(self, args, kwargs, beta_hex, stderr_hex, counts):
+        est = estimate_beta(*args, REF_NOISE, **kwargs)
+        assert est.beta_hat.hex() == beta_hex
+        assert est.stderr.hex() == stderr_hex
+        assert est.counts_summary == counts
 
 
 class TestTermStates:
