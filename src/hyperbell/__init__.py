@@ -13,17 +13,14 @@ from .efficiency import (
     NoiseParams,
     NoViolationError,
     bounds_report,
-    eta_threshold,
     expected_estimate,
     min_blocks,
     noisy_bounds,
     visibility_factor,
 )
 from .lhv import (
-    LhvAssignment,
     LhvBoundResult,
     brute_force_bound,
-    evaluate,
     factored_bound,
 )
 from .montecarlo import (
@@ -39,9 +36,7 @@ from .pauli import (
     PauliOp,
     QubitIndex,
     commutes,
-    identity,
     named_observable,
-    parse_pauli,
     pauli_mul,
     pauli_to_string,
 )
@@ -50,9 +45,7 @@ from .state import (
     DenseState,
     StabilizerState,
     build_state,
-    dense_expectation,
     dense_state,
-    expectation,
     verify_perfect_correlations,
 )
 

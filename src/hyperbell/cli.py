@@ -199,7 +199,7 @@ def cmd_bounds(args: argparse.Namespace) -> Output:
             "method": "brute_force",
             "value": lhv.max_value,
             "assignments_scanned": lhv.assignments_scanned,
-            "argmax_bitmask": lhv.argmax.mask,
+            "argmax_bitmask": lhv.argmax_mask,
         }
     else:
         lhv_doc = {"method": "factored", "value": factored_bound(n)}

@@ -82,20 +82,6 @@ def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     return visibility_factor(noise.eta) * (1.0 - noise.epsilon) * (4.0 * noise.p) ** n_blocks
 
 
-def eta_threshold(beta_epr: float, beta_qm: float) -> float:
-    """Minimum detection efficiency for violation: 2r/(1+r), r = beta_epr/beta_qm.
-
-    r = 1 is allowed and returns 1.0 (no quantum advantage, so only a perfect
-    detector reaches even equality); r > 1 admits no violation at all.
-    """
-    if beta_epr <= 0 or beta_qm <= 0:
-        raise ValueError("bounds must be positive")
-    r = beta_epr / beta_qm
-    if r > 1.0:
-        raise NoViolationError(f"bound ratio {r} exceeds 1: no violation at any efficiency")
-    return 2.0 * r / (1.0 + r)
-
-
 @dataclass(frozen=True, slots=True)
 class BoundsReport:
     """Ideal and noise-adjusted bounds for one scenario size."""

@@ -20,8 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .bell import BLOCK_TERM_MENU, enumerate_terms
-from .pauli import Observable
+from .bell import BLOCK_TERM_MENU
 from .state import LetterPair
 
 BRUTE_FORCE_BLOCK_CAP = 3
@@ -54,56 +53,16 @@ _BLOCK_SUM_TABLE = tuple(_block_sum_from_mask(m) for m in range(1 << _BITS_PER_B
 
 
 @dataclass(frozen=True, slots=True)
-class LhvAssignment:
-    """A total deterministic assignment of +-1 to the bound observables.
-
-    Stored as its bitmask: bit (block-1)*7 + label position, set for -1.
-    """
-
-    n_blocks: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < 1 << (_BITS_PER_BLOCK * self.n_blocks):
-            raise ValueError(f"bitmask {self.mask} out of range for {self.n_blocks} blocks")
-
-    def __getitem__(self, obs: Observable) -> int:
-        pos = _LABEL_POS.get((obs.letter, obs.particle))
-        if pos is None or obs.block > self.n_blocks:
-            raise KeyError(f"{obs} is not assigned for {self.n_blocks} blocks")
-        return 1 - 2 * ((self.mask >> ((obs.block - 1) * _BITS_PER_BLOCK + pos)) & 1)
-
-
-def evaluate(assignment: LhvAssignment) -> int:
-    """Bell-expression value of a deterministic assignment.
-
-    Computed as the product of block sums; for N <= 3 the expanded 4**N-term
-    sum is also evaluated and cross-checked against the product form.
-    """
-    n_blocks, mask = assignment.n_blocks, assignment.mask
-    by_product = prod(
-        _BLOCK_SUM_TABLE[(mask >> (_BITS_PER_BLOCK * b)) & 127] for b in range(n_blocks)
-    )
-    if n_blocks <= 3:
-        by_terms = _evaluate_by_terms(assignment, n_blocks)
-        if by_terms != by_product:
-            raise AssertionError(
-                f"term sum {by_terms} disagrees with block product {by_product}"
-            )
-    return by_product
-
-
-def _evaluate_by_terms(assignment: LhvAssignment, n_blocks: int) -> int:
-    return sum(
-        term.sign * prod(assignment[o] for o in term.observables())
-        for term in enumerate_terms(n_blocks)
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class LhvBoundResult:
+    """Exhaustive-scan maximum and the lowest assignment mask reaching it.
+
+    ``argmax_mask`` has bit (block-1)*7 + label position in ``BOUND_LABELS``
+    set where that observable is -1; ``bounds`` reports it as
+    ``argmax_bitmask``.
+    """
+
     max_value: int
-    argmax: LhvAssignment
+    argmax_mask: int
     assignments_scanned: int
 
 
@@ -131,9 +90,7 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
         # strictly greater only, so an earlier (lower) mask keeps a tie
         if best_value is None or values[k] > best_value:
             best_value, best_mask = int(values[k]), top * lower.size + k
-    return LhvBoundResult(
-        best_value, LhvAssignment(n_blocks, best_mask), table.size * lower.size
-    )
+    return LhvBoundResult(best_value, best_mask, table.size * lower.size)
 
 
 def factored_bound(n_blocks: int) -> int:

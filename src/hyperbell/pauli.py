@@ -21,7 +21,6 @@ x/y/z on the lower slot.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,12 +30,6 @@ LOWER = "lower"
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_STR_PHASE = {v: k for k, v in _PHASE_STR.items()}
-
-_ITEM_RE = re.compile(r"([XYZxyz])([12])\((\d+)\)")
-_STRING_RE = re.compile(
-    r"^([+-]i?)(I|[XYZxyz][12]\(\d+\)(?:\.[XYZxyz][12]\(\d+\))*)$"
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +130,6 @@ class PauliOp:
         return pauli_to_string(self)
 
 
-def identity(n_qubits: int) -> PauliOp:
-    return PauliOp(n_qubits, 0, 0, 0)
-
-
 def named_observable(letter: str, particle: int, block: int, n_blocks: int) -> PauliOp:
     """Single-letter observable as a register-wide Pauli with phase +1."""
     obs = Observable(letter, particle, block)
@@ -189,23 +178,3 @@ def pauli_to_string(op: PauliOp) -> str:
         items.append(f"{letter}{idx.particle}({idx.block})")
     body = ".".join(items) if items else "I"
     return _PHASE_STR[op.e] + body
-
-
-def parse_pauli(text: str, n_blocks: int) -> PauliOp:
-    """Inverse of :func:`pauli_to_string` for a register of ``n_blocks`` blocks."""
-    m = _STRING_RE.match(text)
-    if m is None:
-        raise ValueError(f"malformed Pauli string: {text!r}")
-    phase_exp = _STR_PHASE[m.group(1)]
-    op = PauliOp(4 * n_blocks, 0, 0, phase_exp)
-    if m.group(2) == "I":
-        return op
-    seen = set()
-    for letter, particle, block in _ITEM_RE.findall(m.group(2)):
-        factor = named_observable(letter, int(particle), int(block), n_blocks)
-        q = next(factor.support())
-        if q in seen:
-            raise ValueError(f"duplicate qubit in Pauli string: {text!r}")
-        seen.add(q)
-        op = pauli_mul(op, factor)
-    return op

@@ -249,17 +249,6 @@ def _xz_arrays(ops: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray, np.n
     return x, z, np.array([_xz_exponent(op) for op in ops], dtype=np.int64)
 
 
-def expectation(state: StabilizerState, op: PauliOp) -> int:
-    """Exact <op> on a stabilizer state: always one of -1, 0, +1.
-
-    Eliminates op against the group's reduced rows.  If the masks cannot be
-    cleared the operator is outside the (maximal) group and averages to zero;
-    otherwise the accumulated phase of op times the matched group element is
-    i**0 or i**2, giving +1 or -1.
-    """
-    return int(_expect_xz(state, *_xz_arrays([op], state.n))[0])
-
-
 class DenseState:
     """Statevector over the flat qubit order; qubit 0 is the most significant bit."""
 
@@ -300,11 +289,6 @@ def dense_state(n_blocks: int) -> DenseState:
         )
         amps[(m << half) | m] = -scale if sign_bits & 1 else scale
     return DenseState(amps)
-
-
-def dense_expectation(state: DenseState, op: PauliOp) -> float:
-    """<psi| op |psi> summed over the state's nonzero amplitudes; exact to 1e-12."""
-    return float(_dense_expect_xz(state, *_xz_arrays([op], state.n))[0])
 
 
 def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -16,20 +16,19 @@ import numpy as np
 from hyperbell.bell import quantum_value, term_at
 from hyperbell.efficiency import (
     NoiseParams,
-    eta_threshold,
+    bounds_report,
     min_blocks,
     noisy_bounds,
     visibility_factor,
 )
 from hyperbell.lhv import (
     _BLOCK_SUM_TABLE,
-    LhvAssignment,
     brute_force_bound,
-    evaluate,
     factored_bound,
 )
 from hyperbell.montecarlo import estimate_beta, estimate_term
 from hyperbell.state import verify_perfect_correlations
+from test_lhv import term_sum
 
 SIGN_PATTERN = (1, -1, 1, 1, -1, -1, 1)
 
@@ -83,16 +82,16 @@ def test_criterion_3_classical_bound():
         and r2.max_value == 4
         and r2.assignments_scanned == 2**14
     )
-    # parity property: every deterministic assignment gives exactly +-2^N
+    # parity property: every deterministic assignment gives exactly +-2^N,
+    # read from the expanded term sum
     for mask in range(2**7):
-        ok = ok and evaluate(LhvAssignment(1, mask)) in (-2, 2)
+        ok = ok and term_sum(1, mask) in (-2, 2)
     for mask in range(2**14):
         value = _BLOCK_SUM_TABLE[mask & 127] * _BLOCK_SUM_TABLE[mask >> 7]
         ok = ok and value in (-4, 4)
     rng = np.random.default_rng(424242)
     for _ in range(200):
-        a = LhvAssignment(2, int(rng.integers(0, 1 << 14)))
-        ok = ok and evaluate(a) in (-4, 4)
+        ok = ok and term_sum(2, int(rng.integers(0, 1 << 14))) in (-4, 4)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _line(
@@ -135,10 +134,12 @@ def test_criterion_5_noise_adjusted_bounds():
 
 
 def test_criterion_6_efficiency_thresholds():
-    ok = abs(eta_threshold(2, 4) - 2.0 / 3.0) < 1e-12
-    r = 1.0 / math.sqrt(2.0)
-    ok = ok and abs(eta_threshold(r, 1.0) - 0.8284) < 1e-4
-    thresholds = [eta_threshold(2**n, 4**n) for n in range(1, 9)]
+    ok = abs(bounds_report(1, 0.0, 1.0).eta_min - 2.0 / 3.0) < 1e-12
+    # eps = 1/sqrt(2) - 1/2 makes beta_epr' = 2*sqrt(2) against beta_qm' = 4
+    rep = bounds_report(1, 1.0 / math.sqrt(2.0) - 0.5, 1.0)
+    ok = ok and abs(rep.ratio - 1.0 / math.sqrt(2.0)) < 1e-12
+    ok = ok and abs(rep.eta_min - 0.8284) < 1e-4
+    thresholds = [bounds_report(n, 0.0, 1.0).eta_min for n in range(1, 9)]
     ok = ok and all(a > b for a, b in zip(thresholds, thresholds[1:]))
     _line(
         "efficiency thresholds",

@@ -21,16 +21,14 @@ from hyperbell.bell import (
     quantum_value,
     term_at,
 )
-from hyperbell.pauli import _xz_exponent, commutes, identity, pauli_mul
+from hyperbell.pauli import PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
     EXACT_BLOCK_CAP,
     block_operator,
     build_state,
-    dense_expectation,
     dense_state,
-    expectation,
 )
-from test_state import _reference_expect
+from test_state import _dense_expect, _expect, _reference_expect
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -60,7 +58,7 @@ class TestMenu:
         state = build_state(1)
         for t in BLOCK_TERM_MENU:
             op = block_operator(+1, t.observables, 1, 1)
-            assert t.sign * expectation(state, op) == 1
+            assert t.sign * _expect(state, op) == 1
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -104,7 +102,7 @@ class TestEnumeration:
         # product of the chosen block operators
         for term in enumerate_terms(2):
             want_sign = 1
-            op = identity(8)
+            op = PauliOp(8, 0, 0, 0)
             for block, c in enumerate(term.choices, start=1):
                 entry = BLOCK_TERM_MENU[c]
                 want_sign *= entry.sign
@@ -208,10 +206,10 @@ class TestQuantumValue:
             per_block = 1.0
             for block, c in enumerate(term.choices, start=1):
                 blk = block_operator(+1, BLOCK_TERM_MENU[c].observables, 1, 1)
-                per_block *= dense_expectation(psi1, blk)
-            got = dense_expectation(psi2, term.operator)
+                per_block *= _dense_expect(psi1, blk)
+            got = _dense_expect(psi2, term.operator)
             assert got == pytest.approx(per_block, abs=1e-12)
-            assert expectation(stab2, term.operator) == pytest.approx(got, abs=1e-12)
+            assert _expect(stab2, term.operator) == pytest.approx(got, abs=1e-12)
 
     def test_value_is_four_to_the_n(self):
         for n in (1, 2, 3, 4):

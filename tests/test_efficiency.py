@@ -12,7 +12,6 @@ from hyperbell.efficiency import (
     NoiseParams,
     NoViolationError,
     bounds_report,
-    eta_threshold,
     expected_estimate,
     min_blocks,
     noisy_bounds,
@@ -95,40 +94,38 @@ class TestVisibility:
 
 
 class TestEtaThreshold:
+    # the threshold is bounds_report's eta_min = 2r/(1+r), r = beta_epr'/beta_qm'
+
     def test_single_block_ideal(self):
-        assert eta_threshold(2, 4) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert bounds_report(1, 0.0, 1.0).eta_min == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_matches_visibility_crossing(self):
         # at the threshold the rescaled quantum value meets the local bound
         for n in (1, 2, 5):
-            epr, qm = noisy_bounds(n, 0.05, 0.99)
-            eta = eta_threshold(epr, qm)
-            assert visibility_factor(eta) * qm == pytest.approx(epr, rel=1e-12)
+            rep = bounds_report(n, 0.05, 0.99)
+            assert visibility_factor(rep.eta_min) * rep.beta_qm_noisy == pytest.approx(
+                rep.beta_epr_noisy, rel=1e-12
+            )
 
     def test_reference_ratio(self):
-        # r = 1/sqrt(2) is the familiar two-setting ratio
-        got = eta_threshold(1.0, math.sqrt(2.0))
-        assert got == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-12)
-        assert got == pytest.approx(0.8284271247461902, abs=1e-15)
+        # r = 1/sqrt(2) is the familiar two-setting ratio: 2 + 4 eps = 4/sqrt(2)
+        rep = bounds_report(1, 2**-0.5 - 0.5, 1.0)
+        assert rep.ratio == pytest.approx(2**-0.5, abs=1e-15)
+        assert rep.eta_min == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-12)
+        assert rep.eta_min == pytest.approx(0.8284271247461902, abs=1e-15)
 
     def test_threshold_decreases_with_blocks(self):
         # ideal bounds: r = 2**-N, so larger N tolerates worse detectors
-        thresholds = [eta_threshold(2**n, 4**n) for n in range(1, 9)]
+        thresholds = [bounds_report(n, 0.0, 1.0).eta_min for n in range(1, 9)]
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
-        assert thresholds[-1] == pytest.approx(2.0 / 257.0, rel=1e-12)
+        assert thresholds == [2.0 / (2**n + 1) for n in range(1, 9)]
 
     def test_equal_bounds_need_a_perfect_detector(self):
-        assert eta_threshold(5.0, 5.0) == 1.0
-
-    def test_no_violation_when_ratio_exceeds_one(self):
-        with pytest.raises(NoViolationError):
-            eta_threshold(4.3, 4.2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eta_threshold(0.0, 1.0)
-        with pytest.raises(ValueError):
-            eta_threshold(1.0, -2.0)
+        # N = 1, eps = 1/2, p = 1: beta_epr' = beta_qm' = 4
+        rep = bounds_report(1, 0.5, 1.0)
+        assert rep.ratio == 1.0
+        assert rep.eta_min == 1.0
+        assert not rep.violated(1.0)
 
 
 # ═══════════════════════════════════════════════════════════════════════════

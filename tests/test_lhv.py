@@ -2,70 +2,52 @@
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 
 import numpy as np
 import pytest
 
 from hyperbell import lhv
-from hyperbell.bell import BLOCK_TERM_MENU
+from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms
 from hyperbell.lhv import (
     BOUND_LABELS,
     BRUTE_FORCE_BLOCK_CAP,
     _BLOCK_SUM_TABLE,
-    LhvAssignment,
     brute_force_bound,
-    evaluate,
     factored_bound,
 )
-from hyperbell.pauli import Observable
 
 
 # ═══════════════════════════════════════════════════════════════════════════
-# Assignments
+# Reference: the expanded term sum
 # ═══════════════════════════════════════════════════════════════════════════
 
 
-class TestAssignment:
-    def test_bitmask_round_trip(self):
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            for _ in range(50):
-                mask = int(rng.integers(0, 1 << (7 * n)))
-                a = LhvAssignment(n, mask)
-                # the mask read back from the +-1 values, bit by bit
-                signs = [a[Observable(l, p, b)] for b in range(1, n + 1) for l, p in BOUND_LABELS]
-                assert sum((s < 0) << i for i, s in enumerate(signs)) == mask
+@cache
+def _term_bits(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # each term's sign and the mask bits of its observables:
+    # bit (block-1)*7 + label position in BOUND_LABELS, set for -1
+    return tuple(
+        (
+            term.sign,
+            tuple((o.block - 1) * 7 + BOUND_LABELS.index((o.letter, o.particle)) for o in term.observables()),
+        )
+        for term in enumerate_terms(n)
+    )
 
-    def test_bit_positions(self):
-        # bit (block-1)*7 + i flips the i-th bound label of that block
-        for n in (1, 2):
-            for block in range(1, n + 1):
-                for i, (letter, particle) in enumerate(BOUND_LABELS):
-                    a = LhvAssignment(n, 1 << ((block - 1) * 7 + i))
-                    for b in range(1, n + 1):
-                        for j, (l2, p2) in enumerate(BOUND_LABELS):
-                            want = -1 if (b, j) == (block, i) else 1
-                            assert a[Observable(l2, p2, b)] == want
 
-    def test_all_plus(self):
-        a = LhvAssignment(2, 0)
-        assert all(a[Observable(l, p, b)] == 1 for l, p in BOUND_LABELS for b in (1, 2))
+def term_sum(n: int, mask: int) -> int:
+    """Bell value of a deterministic assignment as the expanded 4**N-term sum.
 
-    def test_observable_outside_the_assignment_rejected(self):
-        # a clear bit must not read as +1 for an observable that has no bit
-        a = LhvAssignment(2, 0)
-        for obs in (Observable("X", 1, 3), Observable("z", 1, 1), Observable("Z", 2, 2)):
-            with pytest.raises(KeyError, match="not assigned"):
-                a[obs]
+    Independent of the block factorization the scan relies on: every term of
+    the stream is multiplied out from its observables' +-1 values.
+    """
+    return sum(sign * prod(1 - 2 * ((mask >> b) & 1) for b in bits) for sign, bits in _term_bits(n))
 
-    def test_out_of_range_bitmask_rejected(self):
-        with pytest.raises(ValueError):
-            LhvAssignment(1, 1 << 7)
-        with pytest.raises(ValueError):
-            LhvAssignment(1, -1)
-        with pytest.raises(ValueError):
-            LhvAssignment(2, 1 << 14)
+
+def _block_product(n: int, mask: int) -> int:
+    return prod(_BLOCK_SUM_TABLE[(mask >> (7 * j)) & 127] for j in range(n))
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -83,16 +65,14 @@ class TestBlockSum:
     def test_all_plus_block_sum(self):
         # +1 everywhere: terms contribute +1, -1, +1, +1
         assert _BLOCK_SUM_TABLE[0] == 2
-        assert evaluate(LhvAssignment(1, 0)) == 2
+        assert term_sum(1, 0) == 2
 
     def test_block_sum_matches_table(self):
         # the table entry is the four signed menu terms summed under the
         # assignment's values, read one observable at a time
         for mask in range(128):
-            a = LhvAssignment(1, mask)
-            want = sum(
-                t.sign * prod(a[Observable(l, p, 1)] for l, p in t.observables) for t in BLOCK_TERM_MENU
-            )
+            value = {lp: 1 - 2 * ((mask >> i) & 1) for i, lp in enumerate(BOUND_LABELS)}
+            want = sum(t.sign * prod(value[lp] for lp in t.observables) for t in BLOCK_TERM_MENU)
             assert _BLOCK_SUM_TABLE[mask] == want
 
 
@@ -102,24 +82,27 @@ class TestBlockSum:
 
 
 class TestEvaluate:
+    # the expanded term sum against the block product the scan multiplies
+
     def test_all_plus_values(self):
-        for n, want in ((1, 2), (2, 4), (6, 64)):
-            assert evaluate(LhvAssignment(n, 0)) == want
+        for n, want in ((1, 2), (2, 4), (3, 8), (6, 64)):
+            assert term_sum(n, 0) == want
 
     def test_single_block_exhaustive(self):
-        # evaluate() internally cross-checks the expanded 4**N-term sum
-        # against the block-product form for every one of these
         for mask in range(128):
-            a = LhvAssignment(1, mask)
-            assert evaluate(a) == _BLOCK_SUM_TABLE[mask]
+            assert term_sum(1, mask) == _BLOCK_SUM_TABLE[mask]
 
     def test_two_blocks_factor(self):
         rng = np.random.default_rng(202)
         for _ in range(200):
             mask = int(rng.integers(0, 1 << 14))
-            a = LhvAssignment(2, mask)
-            want = _BLOCK_SUM_TABLE[mask & 127] * _BLOCK_SUM_TABLE[mask >> 7]
-            assert evaluate(a) == want
+            assert term_sum(2, mask) == _block_product(2, mask)
+
+    def test_three_blocks_factor(self):
+        rng = np.random.default_rng(203)
+        for _ in range(200):
+            mask = int(rng.integers(0, 1 << 21))
+            assert term_sum(3, mask) == _block_product(3, mask)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -132,11 +115,11 @@ class TestBounds:
         r1 = brute_force_bound(1)
         assert r1.max_value == 2
         assert r1.assignments_scanned == 128
-        assert r1.argmax.mask == 0
+        assert r1.argmax_mask == 0
         r2 = brute_force_bound(2)
         assert r2.max_value == 4
         assert r2.assignments_scanned == 16384
-        assert r2.argmax.mask == 0
+        assert r2.argmax_mask == 0
 
     def test_three_blocks_agrees_with_factored(self):
         r = brute_force_bound(3)
@@ -144,9 +127,9 @@ class TestBounds:
         assert r.assignments_scanned == 1 << 21
 
     def test_argmax_attains_the_bound(self):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             r = brute_force_bound(n)
-            assert evaluate(r.argmax) == r.max_value
+            assert term_sum(n, r.argmax_mask) == r.max_value
 
     def test_factored_values(self):
         for n in (1, 2, 3, 8, 20):
@@ -159,8 +142,7 @@ class TestBounds:
         for n in (2, 3):
             cap = factored_bound(n)
             for _ in range(300):
-                a = LhvAssignment(n, int(rng.integers(0, 1 << (7 * n))))
-                assert abs(evaluate(a)) <= cap
+                assert abs(term_sum(n, int(rng.integers(0, 1 << (7 * n))))) <= cap
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
     def test_lowest_mask_wins_ties(self, monkeypatch, seed):
@@ -179,7 +161,7 @@ class TestBounds:
             want = max(range(1 << (7 * n)), key=value)  # the first maximal mask
             r = brute_force_bound(n)
             assert r.max_value == value(want)
-            assert r.argmax.mask == want
+            assert r.argmax_mask == want
             assert r.assignments_scanned == 1 << (7 * n)
 
     def test_brute_force_cap(self):

@@ -14,9 +14,7 @@ from hyperbell.pauli import (
     PauliOp,
     QubitIndex,
     commutes,
-    identity,
     named_observable,
-    parse_pauli,
     pauli_mul,
     pauli_to_string,
 )
@@ -148,14 +146,14 @@ class TestAlgebra:
     def test_letters_square_to_identity(self):
         for letter in "XYZxyz":
             op = named_observable(letter, 2, 1, 2)
-            assert op * op == identity(8)
+            assert op * op == PauliOp(8, 0, 0, 0)
 
     def test_identity_is_neutral(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             op = random_pauli(rng, 8)
-            assert op * identity(8) == op
-            assert identity(8) * op == op
+            assert op * PauliOp(8, 0, 0, 0) == op
+            assert PauliOp(8, 0, 0, 0) * op == op
 
     def test_associativity(self):
         rng = np.random.default_rng(11)
@@ -165,7 +163,7 @@ class TestAlgebra:
 
     def test_phase_group_closure(self):
         rng = np.random.default_rng(12)
-        op = identity(8)
+        op = PauliOp(8, 0, 0, 0)
         for _ in range(100):
             op = op * random_pauli(rng, 8)
             assert op.e in (0, 1, 2, 3)
@@ -177,9 +175,9 @@ class TestAlgebra:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pauli_mul(identity(4), identity(8))
+            pauli_mul(PauliOp(4, 0, 0, 0), PauliOp(8, 0, 0, 0))
         with pytest.raises(ValueError):
-            commutes(identity(4), identity(8))
+            commutes(PauliOp(4, 0, 0, 0), PauliOp(8, 0, 0, 0))
 
 
 class TestCommutation:
@@ -236,14 +234,6 @@ class TestAlgebraProperties:
     def test_product_is_the_matrix_product(self, a, b):
         assert np.array_equal(pauli_matrix(pauli_mul(a, b)), pauli_matrix(a) @ pauli_matrix(b))
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n_blocks=st.integers(1, 3))
-    def test_string_round_trip(self, data, n_blocks):
-        op = data.draw(paulis(4 * n_blocks))
-        text = pauli_to_string(op)
-        assert parse_pauli(text, n_blocks) == op
-        assert pauli_to_string(parse_pauli(text, n_blocks)) == text
-
 
 # ═══════════════════════════════════════════════════════════════════
 # String format
@@ -252,30 +242,28 @@ class TestAlgebraProperties:
 
 class TestStringFormat:
     def test_reference_strings(self):
-        op = parse_pauli("+X1(1).x1(1).Y2(1).y2(1)", 1)
+        factors = [named_observable(l, p, 1, 1) for l, p in (("X", 1), ("x", 1), ("Y", 2), ("y", 2))]
+        op = reduce(pauli_mul, factors)
         assert pauli_to_string(op) == "+X1(1).x1(1).Y2(1).y2(1)"
         assert op.x == 0b1111 and op.z == 0b1100 and op.e == 0
 
     def test_identity_and_phases(self):
-        for text in ("+I", "-I", "+iI", "-iI"):
-            assert pauli_to_string(parse_pauli(text, 2)) == text
+        for e, text in enumerate(("+I", "+iI", "-I", "-iI")):
+            assert pauli_to_string(PauliOp(8, 0, 0, e)) == text
 
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(14)
-        for n_blocks in (1, 2, 3):
-            for _ in range(200):
-                op = random_pauli(rng, 4 * n_blocks)
-                assert parse_pauli(pauli_to_string(op), n_blocks) == op
+    def test_strings_are_injective(self):
+        # every signed Pauli on one block, 4 phases x 4**4 letter strings,
+        # renders to its own string, so the format loses nothing
+        ops = [PauliOp(4, x, z, e) for x in range(16) for z in range(16) for e in range(4)]
+        assert len({pauli_to_string(op) for op in ops}) == len(ops) == 1024
 
     def test_items_follow_flat_order(self):
-        op = parse_pauli("-z2(2).X1(1).y1(2)", 2)
+        factors = [named_observable(l, p, b, 2) for l, p, b in (("z", 2, 2), ("X", 1, 1), ("y", 1, 2))]
+        op = -reduce(pauli_mul, factors)
         assert pauli_to_string(op) == "-X1(1).y1(2).z2(2)"
 
-    def test_malformed_rejected(self):
-        for bad in ("X1(1)", "+X1", "+X3(1)", "+X1(0)", "+X1(1)..x1(1)", "", "+X1(1).X1(1)"):
-            with pytest.raises(ValueError):
-                parse_pauli(bad, 2)
-
     def test_block_out_of_register(self):
-        with pytest.raises(ValueError):
-            parse_pauli("+X1(3)", 2)
+        # items are named by block, so a register that is not whole blocks
+        # (here qubits 4 and 5 of a 6-qubit register) has no string form
+        with pytest.raises(ValueError, match="4N-qubit"):
+            pauli_to_string(PauliOp(6, 1 << 4, 0, 0))

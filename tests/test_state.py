@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell.pauli import PauliOp, _xz_exponent, commutes, identity, named_observable, pauli_mul
+from hyperbell.pauli import PauliOp, commutes, named_observable, pauli_mul
 from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
@@ -20,12 +20,12 @@ from hyperbell.state import (
     STABILIZER_QUBIT_CAP,
     DenseState,
     StabilizerState,
+    _dense_expect_xz,
     _expect_xz,
+    _xz_arrays,
     block_operator,
     build_state,
-    dense_expectation,
     dense_state,
-    expectation,
     verify_perfect_correlations,
 )
 
@@ -75,6 +75,16 @@ def _reference_expect(state: StabilizerState, op: PauliOp) -> int:
     return 1 - op.e
 
 
+def _expect(state: StabilizerState, op: PauliOp) -> int:
+    """<op> through the elimination core, as a batch of one."""
+    return int(_expect_xz(state, *_xz_arrays([op], state.n))[0])
+
+
+def _dense_expect(psi: DenseState, op: PauliOp) -> float:
+    """<op> through the dense core, as a batch of one."""
+    return float(_dense_expect_xz(psi, *_xz_arrays([op], psi.n))[0])
+
+
 # ═══════════════════════════════════════════════════════════════════════════
 # Generators and stabilizer construction
 # ═══════════════════════════════════════════════════════════════════════════
@@ -94,7 +104,7 @@ class TestGenerators:
         # every generator is one of the certainty relations, sign included
         state = build_state(2)
         for g in state.generators:
-            assert expectation(state, g) == 1
+            assert _expect(state, g) == 1
 
     def test_subset_products_stabilize(self):
         # the full group (all 2**4 subset products at N=1) fixes the state
@@ -103,8 +113,8 @@ class TestGenerators:
         seen = set()
         for mask in range(16):
             ops = [gens[i] for i in range(4) if (mask >> i) & 1]
-            op = reduce(pauli_mul, ops, identity(4))
-            assert expectation(state, op) == 1
+            op = reduce(pauli_mul, ops, PauliOp(4, 0, 0, 0))
+            assert _expect(state, op) == 1
             seen.add((op.x, op.z))
         # 16 distinct mask pairs: the generators are independent
         assert len(seen) == 16
@@ -174,7 +184,7 @@ class TestGenerators:
 
 class TestExpectation:
     def test_identity(self):
-        assert expectation(build_state(2), identity(8)) == 1
+        assert _expect(build_state(2), PauliOp(8, 0, 0, 0)) == 1
 
     def test_single_observables_vanish(self):
         # no local observable has a definite value on the entangled state
@@ -182,14 +192,14 @@ class TestExpectation:
         for letter in "XYZxyz":
             for particle in (1, 2):
                 op = named_observable(letter, particle, 1, 1)
-                assert expectation(state, op) == 0
+                assert _expect(state, op) == 0
 
     def test_correlation_signs(self):
         state = build_state(1)
         for sign, letters in PERFECT_CORRELATIONS:
             op = block_operator(+1, letters, 1, 1)
-            assert expectation(state, op) == sign
-            assert expectation(state, -op) == -sign
+            assert _expect(state, op) == sign
+            assert _expect(state, -op) == -sign
 
     def test_batch_matches_one_operator_elimination(self):
         # random Paulis (mostly outside the group, so 0) and random signed
@@ -201,12 +211,12 @@ class TestExpectation:
         for _ in range(200):
             mask = int(rng.integers(0, 1 << 8))
             chosen = [g for i, g in enumerate(state.generators) if (mask >> i) & 1]
-            op = reduce(pauli_mul, chosen, identity(8))
+            op = reduce(pauli_mul, chosen, PauliOp(8, 0, 0, 0))
             ops.append(-op if rng.integers(0, 2) else op)
         want = [_reference_expect(state, op) for op in ops]
-        got = _expect_xz(state, *_xz_arrays(ops))
+        got = _expect_xz(state, *_xz_arrays(ops, state.n))
         assert got.tolist() == want
-        assert [expectation(state, op) for op in ops] == want
+        assert [_expect(state, op) for op in ops] == want
         assert set(want) == {-1, 0, 1}
         # i * identity is not Hermitian: its phase stays odd after elimination
         for n in (1, 2, 5, EXACT_BLOCK_CAP):
@@ -225,24 +235,15 @@ class TestExpectation:
             st.lists(st.one_of(_hermitian_paulis(stab.n), _group_elements(stab)), min_size=1, max_size=16)
         )
         want = [_reference_expect(stab, op) for op in ops]
-        assert _expect_xz(stab, *_xz_arrays(ops)).tolist() == want
+        assert _expect_xz(stab, *_xz_arrays(ops, stab.n)).tolist() == want
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            expectation(build_state(1), PauliOp(4, 1, 0, 1))
+            _expect(build_state(1), PauliOp(4, 1, 0, 1))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="size"):
-            expectation(build_state(1), identity(8))
-
-
-def _xz_arrays(ops: list[PauliOp]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's inputs: uint64 masks and int64 X^x Z^z exponents."""
-    return (
-        np.array([op.x for op in ops], dtype=np.uint64),
-        np.array([op.z for op in ops], dtype=np.uint64),
-        np.array([_xz_exponent(op) for op in ops], dtype=np.int64),
-    )
+            _expect(build_state(1), PauliOp(8, 0, 0, 0))
 
 
 class TestReducedRows:
@@ -260,7 +261,7 @@ class TestReducedRows:
             stab, dense = _states(n)
             for _, _, x, z, e in stab._rows:
                 op = PauliOp(4 * n, x, z, (e - (x & z).bit_count()) % 4)
-                assert dense_expectation(dense, op) == pytest.approx(1, abs=1e-12)
+                assert _dense_expect(dense, op) == pytest.approx(1, abs=1e-12)
 
     def test_register_cap(self):
         # Z on each qubit is a maximal set on any register; one uint64 mask
@@ -270,8 +271,8 @@ class TestReducedRows:
 
         top = STABILIZER_QUBIT_CAP - 1
         state = z_state(STABILIZER_QUBIT_CAP)
-        assert expectation(state, PauliOp(STABILIZER_QUBIT_CAP, 0, 1 << top, 2)) == -1
-        assert expectation(state, PauliOp(STABILIZER_QUBIT_CAP, 1 << top, 0, 0)) == 0
+        assert _expect(state, PauliOp(STABILIZER_QUBIT_CAP, 0, 1 << top, 2)) == -1
+        assert _expect(state, PauliOp(STABILIZER_QUBIT_CAP, 1 << top, 0, 0)) == 0
         with pytest.raises(ValueError, match="capped"):
             z_state(STABILIZER_QUBIT_CAP + 1)
 
@@ -320,15 +321,15 @@ class TestDense:
         basis = DenseState(np.eye(16, dtype=np.complex128)[1])
         for q in range(4):
             z = PauliOp(4, 0, 1 << q, 0)
-            assert dense_expectation(basis, z) == (-1.0 if q == 3 else 1.0)
-        assert dense_expectation(basis, PauliOp(4, 1 << 3, 0, 0)) == 0.0
+            assert _dense_expect(basis, z) == (-1.0 if q == 3 else 1.0)
+        assert _dense_expect(basis, PauliOp(4, 1 << 3, 0, 0)) == 0.0
 
     def test_expectation_guards(self):
         d = dense_state(1)
         with pytest.raises(ValueError, match="Hermitian"):
-            dense_expectation(d, PauliOp(4, 1, 0, 1))
+            _dense_expect(d, PauliOp(4, 1, 0, 1))
         with pytest.raises(ValueError, match="size"):
-            dense_expectation(d, identity(8))
+            _dense_expect(d, PauliOp(8, 0, 0, 0))
 
 
 @cache
@@ -346,7 +347,7 @@ def _group_elements(stab: StabilizerState) -> st.SearchStrategy[PauliOp]:
     gens = stab.generators
 
     def element(mask: int, negate: bool) -> PauliOp:
-        op = reduce(pauli_mul, [g for i, g in enumerate(gens) if (mask >> i) & 1], identity(stab.n))
+        op = reduce(pauli_mul, [g for i, g in enumerate(gens) if (mask >> i) & 1], PauliOp(stab.n, 0, 0, 0))
         return -op if negate else op
 
     return st.builds(element, st.integers(0, (1 << len(gens)) - 1), st.booleans())
@@ -380,9 +381,9 @@ class TestBackendAgreement:
             for block in range(1, n + 1):
                 for sign, letters in PERFECT_CORRELATIONS:
                     op = block_operator(+1, letters, block, n)
-                    got = dense_expectation(dense, op)
+                    got = _dense_expect(dense, op)
                     assert got == pytest.approx(sign, abs=1e-12)
-                    assert expectation(stab, op) == sign
+                    assert _expect(stab, op) == sign
 
     def test_random_paulis_agree(self):
         rng = np.random.default_rng(20240917)
@@ -391,8 +392,8 @@ class TestBackendAgreement:
             dense = dense_state(n)
             for _ in range(500):
                 op = random_hermitian(rng, 4 * n)
-                got = dense_expectation(dense, op)
-                want = expectation(stab, op)
+                got = _dense_expect(dense, op)
+                want = _expect(stab, op)
                 assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -400,7 +401,7 @@ class TestBackendAgreement:
     def test_random_paulis_agree_property(self, data, n):
         stab, dense = _states(n)
         op = data.draw(st.one_of(_hermitian_paulis(4 * n), _group_elements(stab)))
-        assert dense_expectation(dense, op) == pytest.approx(expectation(stab, op), abs=1e-12)
+        assert _dense_expect(dense, op) == pytest.approx(_expect(stab, op), abs=1e-12)
 
     def test_random_group_elements_agree(self):
         rng = np.random.default_rng(7)
@@ -411,14 +412,14 @@ class TestBackendAgreement:
             for _ in range(50):
                 mask = int(rng.integers(0, 1 << (4 * n)))
                 ops = [gens[i] for i in range(4 * n) if (mask >> i) & 1]
-                op = reduce(pauli_mul, ops, identity(4 * n))
+                op = reduce(pauli_mul, ops, PauliOp(4 * n, 0, 0, 0))
                 if rng.integers(0, 2):
                     op = -op
-                    assert expectation(stab, op) == -1
-                    assert dense_expectation(dense, op) == pytest.approx(-1, abs=1e-12)
+                    assert _expect(stab, op) == -1
+                    assert _dense_expect(dense, op) == pytest.approx(-1, abs=1e-12)
                 else:
-                    assert expectation(stab, op) == 1
-                    assert dense_expectation(dense, op) == pytest.approx(1, abs=1e-12)
+                    assert _expect(stab, op) == 1
+                    assert _dense_expect(dense, op) == pytest.approx(1, abs=1e-12)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
