@@ -10,11 +10,15 @@ block-structured state every signed term takes the value +1, so the quantum
 value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
-significant base-4 digit) and never materialized as a whole: both exact
-backends, stabilizer and dense, read them from one source of fixed-size
-chunks of numpy arrays.  That source and the one-term path ``term_at`` assemble
-terms from the per-block table of 4N operators, which is built once per N
-and shared.
+significant base-4 digit) and never materialized as a whole.  A term is its
+low part, the last LOW_BLOCKS blocks, times its high prefix, the blocks
+above, on disjoint qubits; both parts are read from joint tables built once
+per N, and each chunk of numpy arrays holds the terms of one prefix.  The
+dense backend reads the chunks' operators.  The stabilizer backend never
+eliminates a term on its own: it eliminates the two tables once and combines
+an entry of each per term (``state._product_expectations``).  The one-term
+path ``term_at`` reads the per-block table of 4N operators that the joint
+tables are built from.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .state import (
     LetterPair,
     StabilizerState,
     _dense_expect_xz,
-    _expect_xz,
+    _product_expectations,
     block_operator,
     build_state,
     dense_state,
@@ -76,10 +80,10 @@ class BellTerm:
                 yield Observable(letter, particle, block)
 
 
-# terms per numpy pass of the exact backends; keeps their memory flat in N
-EVAL_CHUNK = 4096
 # a term's last LOW_BLOCKS blocks are read from one joint table of
-# 4**LOW_BLOCKS entries per N; the blocks above them are decoded per chunk
+# 4**LOW_BLOCKS entries per N, and the blocks above them, its high prefix,
+# from a second; the exact backends take one chunk per prefix, so their
+# memory stays flat in N
 LOW_BLOCKS = 6
 _MENU_SIGNS = np.array([t.sign for t in BLOCK_TERM_MENU])
 
@@ -137,84 +141,77 @@ def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
         yield term_at(n_blocks, index)
 
 
-def _fold_blocks(
-    masks: np.ndarray,
-    exps: np.ndarray,
-    choices: tuple,
-    x: np.ndarray,
-    z: np.ndarray,
-    e: np.ndarray,
-    sign: np.ndarray,
-) -> None:
-    """Fold per-block entries into term arrays in place.
+def _joint_table(masks: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, z, e, sign) of every combination of menu choices on some blocks.
 
-    ``masks`` is [block, choice, (x, z)], ``exps`` [block, choice] and
-    ``choices`` one choice array per block.  Blocks sit on disjoint qubits, so
-    masks OR together and exponents add with no cross phase; signs multiply.
+    ``masks`` is [block, choice, (x, z)] and ``exps`` [block, choice]; entry i
+    takes its choices from the base-4 digits of i, the first block most
+    significant.  Blocks sit on disjoint qubits, so masks OR together and
+    exponents add with no cross phase; signs multiply.
     """
-    for mask, exp, choice in zip(masks, exps, choices):
+    size = 4 ** len(exps)
+    x, z = np.zeros((2, size), dtype=np.uint64)
+    e, sign = np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)
+    for mask, exp, choice in zip(masks, exps, _digits(len(exps), np.arange(size))):
         x |= mask[:, 0].take(choice)
         z |= mask[:, 1].take(choice)
         e += exp.take(choice)
         sign *= _MENU_SIGNS.take(choice)
+    return x, z, e, sign
 
 
 @cache
 def _chunk_tables(n_blocks: int) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(k, high, low): the arrays ``_term_chunks`` reads, built once per N.
+    """(k, high, low): the joint (x, z, e, sign) tables of a term's two parts.
 
-    ``low`` is the joint (x, z, e, sign) table of the last k = min(N,
-    LOW_BLOCKS) blocks, indexed by a term's low k base-4 digits, index &
-    (4**k - 1); ``high`` the per-block (masks, exps) of the first N - k
-    blocks.  Read-only, since the cache shares them.
+    ``low`` covers the last k = min(N, LOW_BLOCKS) blocks and is indexed by a
+    term's low k base-4 digits, index & (4**k - 1); ``high`` covers the first
+    N - k blocks and is indexed by the term's high prefix, index >> 2k (one
+    identity entry when N <= LOW_BLOCKS).  Built once per N; read-only, since
+    the cache shares them.
     """
     tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
     masks, exps = tables[..., :2], tables[..., 2].astype(np.int64)
     k = min(n_blocks, LOW_BLOCKS)
-    size = 4**k
-    low = (
-        np.zeros(size, dtype=np.uint64),
-        np.zeros(size, dtype=np.uint64),
-        np.zeros(size, dtype=np.int64),
-        np.ones(size, dtype=np.int64),
-    )
-    _fold_blocks(masks[-k:], exps[-k:], _digits(k, np.arange(size)), *low)
-    high = (masks[:-k], exps[:-k])
+    high = _joint_table(masks[: n_blocks - k], exps[: n_blocks - k])
+    low = _joint_table(masks[n_blocks - k :], exps[n_blocks - k :])
     for array in (*low, *high):
         array.flags.writeable = False
     return k, high, low
 
 
 def _term_chunks(
-    n_blocks: int, start: int, stop: int
+    n_blocks: int,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Terms [start, stop) as arrays, EVAL_CHUNK terms at a time.
+    """Every term as arrays, one chunk per high prefix, in index order.
 
     Yields (first index, x, z, e, sign): uint64 masks and the int64 exponent
-    in X^x Z^z normal form, and each term's sign.  The low blocks come from
-    one lookup in ``_chunk_tables``; the high blocks are decoded and folded in.
+    in X^x Z^z normal form, and each term's sign; a chunk is the low table
+    with its prefix's entry folded in.
+    """
+    k, high, (x, z, e, sign) = _chunk_tables(n_blocks)
+    for prefix, (hx, hz, he, hsign) in enumerate(zip(*high)):
+        yield prefix << 2 * k, x | hx, z | hz, e + he, sign * hsign
+
+
+def _signed_chunks(n_blocks: int, state: StabilizerState) -> Iterator[tuple[int, np.ndarray]]:
+    """Signed stabilizer expectations of every term, one chunk per high prefix:
+    (first index, values).
+
+    A term is its low-table entry times its prefix's entry, on disjoint
+    qubits, so ``_product_expectations`` eliminates the two tables once and
+    combines them per term.  Each entry carries its sign in its phase: a
+    sign of -1 adds 2 to the exponent.
     """
     k, high, low = _chunk_tables(n_blocks)
-    for lo in range(start, stop, EVAL_CHUNK):
-        index = np.arange(lo, min(lo + EVAL_CHUNK, stop))
-        x, z, e, sign = (t.take(index & (4**k - 1)) for t in low)
-        _fold_blocks(*high, _digits(n_blocks - k, index >> 2 * k), x, z, e, sign)
-        yield lo, x, z, e, sign
+    signed = [(x, z, e + 1 - sign) for x, z, e, sign in (low, high)]
+    for prefix, values in enumerate(_product_expectations(state, *signed)):
+        yield prefix << 2 * k, values
 
 
-def _signed_chunks(
-    n_blocks: int, state: StabilizerState, start: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Signed stabilizer expectations of terms [start, stop): (first index, values)."""
-    for lo, x, z, e, sign in _term_chunks(n_blocks, start, stop):
-        yield lo, sign * _expect_xz(state, x, z, e)
-
-
-def _dense_signed(
-    n_blocks: int, psi: DenseState, start: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def _dense_signed(n_blocks: int, psi: DenseState) -> Iterator[tuple[int, np.ndarray]]:
     """``_signed_chunks`` on the explicit statevector, each value rounded to an integer."""
-    for lo, x, z, e, sign in _term_chunks(n_blocks, start, stop):
+    for lo, x, z, e, sign in _term_chunks(n_blocks):
         values = sign * _dense_expect_xz(psi, x, z, e)
         signed = np.rint(values)
         off = np.flatnonzero(np.abs(values - signed) > 1e-12)
@@ -235,9 +232,9 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     if n_blocks > EXACT_BLOCK_CAP:
         raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
     if backend == "dense":
-        chunks = _dense_signed(n_blocks, dense_state(n_blocks), 0, n_terms(n_blocks))
+        chunks = _dense_signed(n_blocks, dense_state(n_blocks))
     else:
-        chunks = _signed_chunks(n_blocks, build_state(n_blocks), 0, n_terms(n_blocks))
+        chunks = _signed_chunks(n_blocks, build_state(n_blocks))
     total = n_bad = 0
     head: list[tuple[int, int]] = []
     for lo, signed in chunks:

@@ -22,7 +22,11 @@ element that can cancel it is fixed before any row is multiplied in.  That
 product is read from tables ("four Russians"): the pivots are cut into 8-bit
 windows of the x and the z mask, and each window tabulates the product of
 the rows selected by each of its keys.  Eliminating an operator costs one
-lookup per window (6 at N = 9), on whole arrays of operators at once.
+lookup per window (6 at N = 9), on whole arrays of operators at once.  A
+product of two operators on disjoint qubits is eliminated from its factors'
+eliminations, with a sign from their masks (``_product_expectations``), so
+the 4**N Bell terms, each a product of two table entries, cost one
+elimination of each table and a few array operations per term.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
 from .pauli import Observable, PauliOp, _xz_exponent, commutes, pauli_mul, pauli_to_string
 
 DENSE_BLOCK_CAP = 5
-# Exact evaluation visits all 4**N Bell terms, about 4 s at N=12 on a
+# Exact evaluation visits all 4**N Bell terms, about 0.4 s at N=12 on a
 # 2-core machine and four times that per further block.
 EXACT_BLOCK_CAP = 12
 # the stabilizer backend holds each Pauli mask in one uint64 word
@@ -209,16 +214,13 @@ def build_state(n_blocks: int) -> StabilizerState:
     return StabilizerState(tuple(gens))
 
 
-def _expect_xz(
-    state: StabilizerState, x: np.ndarray, z: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """Elimination core: expectations of i**e X^x Z^z across arrays of uint64
-    masks and int64 exponents.
+def _eliminate(state: StabilizerState, x: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
+    """Multiply each operator i**e X^x Z^z, in place, by the group element its
+    pivot bits select, across arrays of uint64 masks and int64 exponents.
 
     Each window's key is read from the operator's own masks, and the table
     entry it selects is multiplied in; the masks clear exactly when the
-    operator is in the group up to phase.  Updates the arrays in place and
-    returns the expectations as int64.
+    operator is in the group up to phase.
     """
     masks = (x, z)
     keys = [
@@ -230,12 +232,66 @@ def _expect_xz(
         e += te.take(key) + 2 * (np.bitwise_count(z & px) & 1)
         x ^= px
         z ^= tz.take(key)
+
+
+def _verdict(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Expectations, as int64, of operators left as i**e X^x Z^z by elimination:
+    0 unless the masks cleared, else the sign the phase leaves."""
     cleared = (x | z) == 0
-    e %= 4
-    # impossible for a Hermitian operator; guards the phase algebra
-    if np.any(e[cleared] & 1):
+    e &= 3  # e mod 4, also for negative e
+    # an odd phase on a cleared operator is impossible for a Hermitian
+    # operator; guards the phase algebra
+    if np.any(e & cleared):
         raise AssertionError("odd phase after elimination of a Hermitian operator")
     return np.where(cleared, 1 - (e & 2), 0)
+
+
+def _expect_xz(
+    state: StabilizerState, x: np.ndarray, z: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """Expectations of i**e X^x Z^z across arrays of uint64 masks and int64
+    exponents.  Updates the arrays in place and returns the expectations as int64.
+    """
+    _eliminate(state, x, z, e)
+    return _verdict(x, z, e)
+
+
+def _product_expectations(
+    state: StabilizerState,
+    low: tuple[np.ndarray, np.ndarray, np.ndarray],
+    high: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Iterator[np.ndarray]:
+    """Expectations of every product L·H, one array over the L for each H.
+
+    ``low`` and ``high`` are (x, z, e) arrays of operators in X^x Z^z normal
+    form, every L on qubits disjoint from every H, so L·H has masks x_L | x_H,
+    z_L | z_H and exponent e_L + e_H.  Its bit at each pivot is L's or H's,
+    so the group element that eliminates it is R_L·R_H, where R_L eliminates
+    L and R_H eliminates H.  Both tables are eliminated once, to L' = L·R_L and
+    H' = H·R_H, and each product is then combined from the two:
+
+        L·H·R_L·R_H = (-1)**w(H, R_L) · L'·H'
+
+    with w(A, B) = parity(x_A & z_B) ^ parity(z_A & x_B) the symplectic form,
+    which is bilinear in the masks.  The masks of H are those of H' XOR those
+    of R_H, and rows commute, so w(H, R_L) = w(H', R_L) ^ w(R_H, R_L) =
+    w(H', R_L).  Moving Z^z_L' past X^x_H' puts L'·H' in normal form at the
+    sign parity(z_L' & x_H'), and z_L' ^ z_RL = z_L, so the product's
+    exponent is
+
+        e_L' + e_H' + 2 * parity((z_L & x_H') ^ (x_RL & z_H'))
+
+    where x_RL = x_L ^ x_L' and z_RL are R_L's masks.  The inputs are not
+    modified.
+    """
+    lx, lz, le = (a.copy() for a in low)
+    _eliminate(state, lx, lz, le)
+    z_low, x_rl = low[1], low[0] ^ lx
+    hx, hz, he = (a.copy() for a in high)
+    _eliminate(state, hx, hz, he)
+    for x, z, e in zip(hx, hz, he):
+        odd = np.bitwise_count((z_low & x) ^ (x_rl & z)) & 1
+        yield _verdict(lx ^ x, lz ^ z, le + (e + 2 * odd))
 
 
 def _xz_arrays(ops: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,10 +8,8 @@ from itertools import product
 import pytest
 
 import hyperbell.bell
-import hyperbell.state
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
-    EVAL_CHUNK,
     LOW_BLOCKS,
     _dense_signed,
     _signed_chunks,
@@ -24,6 +22,7 @@ from hyperbell.bell import (
 from hyperbell.pauli import PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
     EXACT_BLOCK_CAP,
+    StabilizerState,
     block_operator,
     build_state,
     dense_state,
@@ -219,47 +218,45 @@ class TestQuantumValue:
         for n in (1, 2, 3, 4, 5):
             assert quantum_value(n, backend="dense") == 4**n
 
-    def test_chunks_match_scalar_reference(self, monkeypatch):
+    def test_chunks_match_scalar_reference(self):
         # the test-side one-term-at-a-time elimination is the reference for
-        # both backends' chunks; a chunk of 7 makes ranges span several
-        # chunks with unaligned bounds
-        for chunk in (EVAL_CHUNK, 7):
-            monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
-            for n in range(1, 6):
-                state = build_state(n)
-                want = [t.sign * _reference_expect(state, t.operator) for t in enumerate_terms(n)]
-                total = n_terms(n)
-                psi = dense_state(n) if n <= 4 else None
-                for start, stop in ((0, total), (1, total - 2), (total // 3, 2 * total // 3 + 1), (2, 2)):
-                    backends = [_signed_chunks(n, state, start, stop)]
-                    if psi is not None:
-                        backends.append(_dense_signed(n, psi, start, stop))
-                    for chunks in map(list, backends):
-                        assert [lo for lo, _ in chunks] == list(range(start, stop, chunk))
-                        got = [int(v) for _, values in chunks for v in values]
-                        assert got == want[start:stop], (chunk, n, start, stop)
+        # both backends' chunks; up to LOW_BLOCKS blocks there is one chunk
+        for n in range(1, 6):
+            state = build_state(n)
+            want = [t.sign * _reference_expect(state, t.operator) for t in enumerate_terms(n)]
+            for chunks in (_signed_chunks(n, state), _dense_signed(n, dense_state(n))):
+                chunks = list(chunks)
+                assert [lo for lo, _ in chunks] == [0]
+                assert [int(v) for _, values in chunks for v in values] == want, n
 
-    def test_chunks_match_term_at_above_the_low_table(self, monkeypatch):
-        # above LOW_BLOCKS blocks the high blocks are decoded per chunk; ranges
-        # cross a 4**LOW_BLOCKS boundary and end at the last term
+    def test_chunks_match_term_at_above_the_low_table(self):
+        # above LOW_BLOCKS blocks each chunk is the low table with one high
+        # prefix folded in: every term at N = 7, and at larger N the terms
+        # around the first prefix boundary and the last terms
         period = 4**LOW_BLOCKS
-        for chunk in (EVAL_CHUNK, 7):
-            monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", chunk)
-            for n in (LOW_BLOCKS + 1, 9, EXACT_BLOCK_CAP):
-                total = n_terms(n)
-                for start, stop in ((period - 9, period + 20), (total // 3 + 3, total // 3 + 30), (total - 25, total)):
-                    chunks = list(_term_chunks(n, start, stop))
-                    assert [lo for lo, *_ in chunks] == list(range(start, stop, chunk))
-                    got = [
-                        (int(x[i]), int(z[i]), int(e[i]) % 4, int(sign[i]))
-                        for lo, x, z, e, sign in chunks
-                        for i in range(x.size)
-                    ]
-                    want = []
-                    for index in range(start, stop):
-                        t = term_at(n, index)
-                        want.append((t.operator.x, t.operator.z, _xz_exponent(t.operator), t.sign))
-                    assert got == want, (chunk, n, start, stop)
+        for n in (LOW_BLOCKS + 1, 9, EXACT_BLOCK_CAP):
+            total = n_terms(n)
+            indices = [*range(period - 9, period + 20), *range(total - 25, total)]
+            if n == LOW_BLOCKS + 1:
+                indices = range(total)
+            # keep only the chunks the indices fall in: N = 12 has 4**6 of them
+            needed = {index - index % period for index in indices}
+            starts, kept = [], {}
+            for lo, *arrays in _term_chunks(n):
+                starts.append(lo)
+                if lo in needed:
+                    kept[lo] = arrays
+            assert starts == list(range(0, total, period))
+            got = []
+            for index in indices:
+                x, z, e, sign = kept[index - index % period]
+                i = index % period
+                got.append((int(x[i]), int(z[i]), int(e[i]) % 4, int(sign[i])))
+            want = []
+            for index in indices:
+                t = term_at(n, index)
+                want.append((t.operator.x, t.operator.z, _xz_exponent(t.operator), t.sign))
+            assert got == want, n
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):
@@ -272,14 +269,18 @@ class TestQuantumValue:
     def test_wrong_state_is_a_hard_failure(self, monkeypatch):
         # flipping one generator sign makes some expanded terms -1, which
         # must raise instead of silently lowering the sum, and name the same
-        # terms as the one-term-at-a-time reference
-        flipped = ((-1,) + hyperbell.state.BLOCK_GENERATORS[0][1:],) + (
-            hyperbell.state.BLOCK_GENERATORS[1:]
-        )
-        monkeypatch.setattr(hyperbell.state, "BLOCK_GENERATORS", flipped)
-        monkeypatch.setattr(hyperbell.bell, "EVAL_CHUNK", 7)
-        for n in (1, 2, 3):
-            state = build_state(n)
+        # terms as the one-term-at-a-time reference.  Up to LOW_BLOCKS blocks
+        # every block is low and the high prefix is the identity; at N = 7
+        # the flip sits in the one high block or in a low block, and the
+        # terms span 4 prefixes
+        cases = [(n, [(block, 0) for block in range(1, n + 1)]) for n in (1, 2, 3)]
+        cases += [(7, [(1, 2)]), (7, [(7, 0)])]
+        messages = []
+        for n, flips in cases:
+            generators = list(build_state(n).generators)
+            for block, g in flips:
+                generators[4 * (block - 1) + g] = -generators[4 * (block - 1) + g]
+            state = StabilizerState(tuple(generators))
             want = []
             for term in enumerate_terms(n):
                 signed = term.sign * _reference_expect(state, term.operator)
@@ -287,13 +288,22 @@ class TestQuantumValue:
                     want.append((term.index, signed))
             got = [
                 (lo + i, int(v))
-                for lo, values in _signed_chunks(n, state, 0, n_terms(n))
+                for lo, values in _signed_chunks(n, state)
                 for i, v in enumerate(values)
                 if v != 1
             ]
-            assert got == want
+            assert got == want, (n, flips)
             head = ", ".join(f"term {i} -> {v:+d}" for i, v in want[:5])
             message = f"{len(want)} expanded terms do not contribute +1 ({head}{', ...' if len(want) > 5 else ''})"
+            monkeypatch.setattr(hyperbell.bell, "build_state", lambda _, state=state: state)
             with pytest.raises(ValueError) as excinfo:
                 quantum_value(n)
             assert str(excinfo.value) == message
+            messages.append(message)
+        # the N = 7 messages as the per-term elimination reported them
+        assert messages[-2:] == [
+            "8192 expanded terms do not contribute +1 (term 8192 -> -1, term 8193 -> -1,"
+            " term 8194 -> -1, term 8195 -> -1, term 8196 -> -1, ...)",
+            "8192 expanded terms do not contribute +1 (term 0 -> -1, term 2 -> -1,"
+            " term 4 -> -1, term 6 -> -1, term 8 -> -1, ...)",
+        ]

@@ -22,6 +22,7 @@ from hyperbell.state import (
     StabilizerState,
     _dense_expect_xz,
     _expect_xz,
+    _product_expectations,
     _xz_arrays,
     block_operator,
     build_state,
@@ -237,6 +238,56 @@ class TestExpectation:
         want = [_reference_expect(stab, op) for op in ops]
         assert _expect_xz(stab, *_xz_arrays(ops, stab.n)).tolist() == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_product_of_disjoint_factors_matches_kernel(self, data):
+        # on the block state every row sits inside one block, so the
+        # combine's parity terms are always 0 there.  A signed graph state's
+        # rows reach across any split of its qubits; its pivots are all its x
+        # bits, so an eliminated factor keeps no x bit, and Hadamards on some
+        # qubits move pivots onto z bits and leave x bits.  Group elements and
+        # perturbed ones are cut into L on the drawn qubits and H on the rest,
+        # each Hermitian with a random sign, and every product L_i·H_j is
+        # checked against eliminating L_i | H_j whole
+        stab = data.draw(_hadamard_graph_states())
+        n = stab.n
+
+        def perturbed(op: PauliOp, bit: int) -> PauliOp:
+            # one mask bit flipped: still Hermitian, mostly outside the group
+            if bit < n:
+                return PauliOp(n, op.x ^ 1 << bit, op.z, op.e)
+            return PauliOp(n, op.x, op.z ^ 1 << (bit - n), op.e)
+
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    _group_elements(stab),
+                    st.builds(perturbed, _group_elements(stab), st.integers(0, 2 * n - 1)),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        on_low = np.uint64(data.draw(st.integers(0, (1 << n) - 1)))
+        x, z, e = _xz_arrays(ops, n)
+        low_x, low_z = x & on_low, z & on_low
+        # every L and H Hermitian, so that every cross product is too: in
+        # normal form each Y on a factor's qubits gives it one factor of i
+        signs = np.array(
+            data.draw(st.lists(st.sampled_from([0, 2]), min_size=len(ops), max_size=len(ops)))
+        )
+        low_e = np.bitwise_count(low_x & low_z) + signs
+        low = (low_x, low_z, low_e)
+        high = (x & ~on_low, z & ~on_low, e - low_e)
+        got = [values.tolist() for values in _product_expectations(stab, low, high)]
+        want = [
+            _expect_xz(stab, low[0] | hx, low[1] | hz, low[2] + he).tolist()
+            for hx, hz, he in zip(*high)
+        ]
+        assert got == want
+        # the split operators themselves, against the reference elimination
+        assert [row[j] for j, row in enumerate(got)] == [_reference_expect(stab, op) for op in ops]
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             _expect(build_state(1), PauliOp(4, 1, 0, 1))
@@ -366,6 +417,24 @@ def _graph_states(draw: st.DrawFn) -> StabilizerState:
                 adjacent[w] |= 1 << v
     signs = draw(st.lists(st.sampled_from([0, 2]), min_size=n, max_size=n))
     return StabilizerState(tuple(PauliOp(n, 1 << v, adjacent[v], signs[v]) for v in range(n)))
+
+
+@st.composite
+def _hadamard_graph_states(draw: st.DrawFn) -> StabilizerState:
+    """A signed graph state with a Hadamard on each drawn qubit (none, possibly).
+
+    A Hadamard swaps the qubit's X and Z bits and turns Y into -Y, so the
+    generators stay Hermitian, independent and commuting.
+    """
+    graph = draw(_graph_states())
+    n, on = graph.n, draw(st.integers(0, (1 << graph.n) - 1))
+
+    def rotated(g: PauliOp) -> PauliOp:
+        x = g.x & ~on | g.z & on
+        z = g.z & ~on | g.x & on
+        return PauliOp(n, x, z, (g.e + 2 * (g.x & g.z & on).bit_count()) % 4)
+
+    return StabilizerState(tuple(rotated(g) for g in graph.generators))
 
 
 # ═══════════════════════════════════════════════════════════════════════════
