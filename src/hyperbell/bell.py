@@ -89,6 +89,8 @@ _MENU_SIGNS = np.array([t.sign for t in BLOCK_TERM_MENU])
 
 
 def n_terms(n_blocks: int) -> int:
+    if n_blocks < 1:
+        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     return 4**n_blocks
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -151,10 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("verify", n, EXACT_BLOCK_CAP, f"{4**EXACT_BLOCK_CAP} terms")
     report = verify_perfect_correlations(n)
-    failures = [
-        {"block": c.block, "label": c.label, "expected": c.expected, "actual": c.actual}
-        for c in report.failures()
-    ]
+    failures = [dataclasses.asdict(c) for c in report.failures()]
     term_failures: list[str] = []
     try:
         beta_qm = quantum_value(n)

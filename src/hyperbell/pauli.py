@@ -85,7 +85,9 @@ class Observable:
         return QubitIndex(self.particle, self.block, slot)
 
     def to_pauli(self, n_blocks: int) -> "PauliOp":
-        return named_observable(self.letter, self.particle, self.block, n_blocks)
+        q = self.qubit.flat(n_blocks)
+        xb, zb = _LETTER_BITS[self.letter.upper()]
+        return PauliOp(4 * n_blocks, xb << q, zb << q, 0)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.particle}({self.block})"
@@ -132,12 +134,7 @@ class PauliOp:
 
 def named_observable(letter: str, particle: int, block: int, n_blocks: int) -> PauliOp:
     """Single-letter observable as a register-wide Pauli with phase +1."""
-    obs = Observable(letter, particle, block)
-    if block > n_blocks:
-        raise ValueError(f"block {block} out of range for {n_blocks} blocks")
-    q = obs.qubit.flat(n_blocks)
-    xb, zb = _LETTER_BITS[letter.upper()]
-    return PauliOp(4 * n_blocks, xb << q, zb << q, 0)
+    return Observable(letter, particle, block).to_pauli(n_blocks)
 
 
 def _xz_exponent(op: PauliOp) -> int:

@@ -26,13 +26,14 @@ lookup per window (6 at N = 9), on whole arrays of operators at once.  A
 product of two operators on disjoint qubits is eliminated from its factors'
 eliminations, with a sign from their masks (``_product_expectations``), so
 the 4**N Bell terms, each a product of two table entries, cost one
-elimination of each table and a few array operations per term.
+elimination of each table and a few array operations per term.  The state
+is built once per N per process (``build_state``) and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from typing import Iterator
 
@@ -125,7 +126,7 @@ class StabilizerState:
         self._rows = self._reduced_rows()
         self._tables = _window_tables(self._rows)
 
-    def _reduced_rows(self) -> list[tuple[int, int, int, int, int]]:
+    def _reduced_rows(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Row-reduced rows (xsel, zsel, x, z, e) of the group, pivots descending.
 
         Each row is a group element in X^x Z^z normal form with exponent e,
@@ -159,7 +160,7 @@ class StabilizerState:
             for j, (sx, sz, x, z, e) in enumerate(rows[:k]):
                 if (x & xsel) or (z & zsel):
                     rows[j] = (sx, sz, *_times((x, z, e), pivot))
-        return rows
+        return tuple(rows)
 
 
 def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -172,15 +173,15 @@ def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, 
 
 
 def _window_tables(
-    rows: list[tuple[int, int, int, int, int]],
+    rows: tuple[tuple[int, int, int, int, int], ...],
 ) -> tuple[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Product tables (side, lo, pivots, x, z, e) of the reduced rows, per window.
+    """Read-only product tables (side, lo, pivots, x, z, e) of the reduced rows, per window.
 
     A window is _WINDOW bits of the x mask (side 0) or the z mask (side 1)
     from bit ``lo`` that holds a pivot; ``pivots`` marks them, shifted down
-    by ``lo``.  Entry ``key`` (a subset of ``pivots``) is the product of the
-    rows whose pivots ``key`` selects, built from the entry without its lowest
-    bit.  The rows commute, so the order of the product does not matter.
+    by ``lo``.  Entry ``key``, for each subset of ``pivots``, is the product of
+    the rows it selects (they commute), built from the entry without its lowest
+    bit.  Other entries stay the identity: ``_eliminate`` masks keys by ``pivots``.
     """
     tables = []
     for side in (0, 1):
@@ -193,17 +194,21 @@ def _window_tables(
             if not row_at:
                 continue
             pivots = sum(1 << b for b in row_at)
-            entries = [(0, 0, 0)]
-            for key in range(1, pivots + 1):
+            entries = [(0, 0, 0)] * (pivots + 1)
+            key = 0
+            while key := (key - pivots) & pivots:
                 low = (key & -key).bit_length() - 1
-                entries.append(_times(entries[key & (key - 1)], row_at.get(low, (0, 0, 0))))
-            x, z, e = np.array(entries, dtype=np.uint64).T
-            tables.append((side, lo, pivots, x, z, e.astype(np.int64)))
+                entries[key] = _times(entries[key & (key - 1)], row_at[low])
+            table = np.array(list(zip(*entries)), dtype=np.uint64)
+            table.flags.writeable = False  # and so are its rows
+            x, z, e = table
+            tables.append((side, lo, pivots, x, z, e.view(np.int64)))  # e in 0..3
     return tuple(tables)
 
 
+@cache
 def build_state(n_blocks: int) -> StabilizerState:
-    """Stabilizer form of the N-block state: 4 generators per block."""
+    """Stabilizer form of the N-block state: 4 generators per block; cached per N."""
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     gens = [
@@ -408,12 +413,9 @@ class CorrelationReport:
         return f"{self.n_passed}/{len(self.checks)} perfect correlations hold"
 
 
-def verify_perfect_correlations(
-    n_blocks: int, state: StabilizerState | None = None
-) -> CorrelationReport:
+def verify_perfect_correlations(n_blocks: int) -> CorrelationReport:
     """Check all 7N certainty relations in one pass; failures are recorded, not raised."""
-    if state is None:
-        state = build_state(n_blocks)
+    state = build_state(n_blocks)
     cases = list(product(range(1, n_blocks + 1), PERFECT_CORRELATIONS))
     ops = [block_operator(+1, letters, block, n_blocks) for block, (_, letters) in cases]
     actual = _expect_xz(state, *_xz_arrays(ops, state.n)).tolist()

@@ -96,6 +96,16 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 term_at(2, bad)
 
+    def test_no_blocks_rejected(self):
+        for n in (0, -1):
+            message = f"n_blocks must be >= 1, got {n}"
+            with pytest.raises(ValueError, match=message):
+                n_terms(n)
+            with pytest.raises(ValueError, match=message):
+                term_at(n, 0)
+            with pytest.raises(ValueError, match=message):
+                next(enumerate_terms(n))
+
     def test_term_structure(self):
         # sign is the product of menu signs; the operator is the unsigned
         # product of the chosen block operators

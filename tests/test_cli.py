@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import hyperbell.bell
+import hyperbell.state
 from hyperbell import cli
+from hyperbell.state import StabilizerState, build_state
 
 HEADER = "n,beta_epr,beta_qm,beta_epr_noisy,beta_qm_noisy,ratio,eta_min,violated"
 
@@ -56,7 +59,107 @@ def csv_rows(text: str) -> list[dict[str, str]]:
 # ═══════════════════════════════════════════════════════════════════════════
 
 
+# verify's whole stdout on a state with one generator's sign flipped, as
+# (n, block, generator within the block, stdout); at N = 7 the flip sits in
+# the one block above the low table
+FAILED_VERIFY = (
+    (1, 1, 0, """\
+{
+  "command": "verify",
+  "schema_version": 1,
+  "n": 1,
+  "correlations": {
+    "passed": 4,
+    "total": 7,
+    "failures": [
+      {
+        "block": 1,
+        "label": "X1(1).X2(1).z2(1)",
+        "expected": 1,
+        "actual": -1
+      },
+      {
+        "block": 1,
+        "label": "Y1(1).z1(1).Y2(1)",
+        "expected": -1,
+        "actual": 1
+      },
+      {
+        "block": 1,
+        "label": "z1(1).z2(1)",
+        "expected": 1,
+        "actual": -1
+      }
+    ]
+  },
+  "beta_qm": {
+    "value": null,
+    "expected": 4,
+    "failures": [
+      "2 expanded terms do not contribute +1 (term 0 -> -1, term 2 -> -1)"
+    ]
+  },
+  "beta_epr": {
+    "value": 2,
+    "expected": 2,
+    "method": "brute_force"
+  },
+  "ok": false
+}
+"""),
+    (7, 1, 2, """\
+{
+  "command": "verify",
+  "schema_version": 1,
+  "n": 7,
+  "correlations": {
+    "passed": 47,
+    "total": 49,
+    "failures": [
+      {
+        "block": 1,
+        "label": "x1(1).Z2(1).x2(1)",
+        "expected": 1,
+        "actual": -1
+      },
+      {
+        "block": 1,
+        "label": "Z1(1).y1(1).y2(1)",
+        "expected": -1,
+        "actual": 1
+      }
+    ]
+  },
+  "beta_qm": {
+    "value": null,
+    "expected": 16384,
+    "failures": [
+      "8192 expanded terms do not contribute +1 (term 8192 -> -1, term 8193 -> -1, term 8194 -> -1, term 8195 -> -1, term 8196 -> -1, ...)"
+    ]
+  },
+  "beta_epr": {
+    "value": 128,
+    "expected": 128,
+    "method": "factored"
+  },
+  "ok": false
+}
+"""),
+)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("n, block, generator, stdout", FAILED_VERIFY)
+    def test_failure_document(self, n, block, generator, stdout, capsys, monkeypatch):
+        generators = list(build_state(n).generators)
+        flipped = 4 * (block - 1) + generator
+        generators[flipped] = -generators[flipped]
+        wrong = StabilizerState(tuple(generators))
+        for module in (hyperbell.state, hyperbell.bell):
+            monkeypatch.setattr(module, "build_state", lambda _: wrong)
+        assert cli.main(["verify", "--n", str(n)]) == 1
+        assert capsys.readouterr().out == stdout
+
     def test_two_blocks(self):
         proc = run_cli("verify", "--n", "2")
         assert proc.returncode == 0

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperbell.state
+from hyperbell import cli
 from hyperbell.pauli import PauliOp, commutes, named_observable, pauli_mul
 from hyperbell.state import (
     BLOCK_GENERATORS,
@@ -23,6 +25,7 @@ from hyperbell.state import (
     _dense_expect_xz,
     _expect_xz,
     _product_expectations,
+    _times,
     _xz_arrays,
     block_operator,
     build_state,
@@ -314,6 +317,39 @@ class TestReducedRows:
                 op = PauliOp(4 * n, x, z, (e - (x & z).bit_count()) % 4)
                 assert _dense_expect(dense, op) == pytest.approx(1, abs=1e-12)
 
+    def test_window_entries_are_products_of_the_selected_rows(self):
+        for n in range(1, EXACT_BLOCK_CAP + 1):
+            _check_window_tables(build_state(n))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_graph_state_window_entries(self, data):
+        # pivots on x bits from 0 up, so low windows fill all 8 bits
+        _check_window_tables(data.draw(_graph_states()))
+
+    def test_tables_are_read_only(self):
+        for n in range(1, EXACT_BLOCK_CAP + 1):
+            for *_, x, z, e in build_state(n)._tables:
+                for array in (x, z, e):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1
+
+    def test_verify_builds_one_state(self, capsys, monkeypatch):
+        # the correlation checks and the Bell terms share the cached state
+        built = []
+        init = StabilizerState.__init__
+
+        def counted(self, generators):
+            built.append(len(generators))
+            init(self, generators)
+
+        monkeypatch.setattr(StabilizerState, "__init__", counted)
+        build_state.cache_clear()
+        assert cli.main(["verify", "--n", "9"]) == 0
+        assert built == [36]
+        assert build_state(9) is build_state(9)
+        assert built == [36]
+
     def test_register_cap(self):
         # Z on each qubit is a maximal set on any register; one uint64 mask
         # word holds 64 qubits, so the top qubit is the edge case
@@ -381,6 +417,21 @@ class TestDense:
             _dense_expect(d, PauliOp(4, 1, 0, 1))
         with pytest.raises(ValueError, match="size"):
             _dense_expect(d, PauliOp(8, 0, 0, 0))
+
+
+def _check_window_tables(stab: StabilizerState) -> None:
+    """Every window covers its own pivots, and each key that selects some of
+    them holds the product of those rows, folded with ``_times``."""
+    covered = 0
+    for side, lo, pivots, x, z, e in stab._tables:
+        covered += pivots.bit_count()
+        keys = [key for key in range(pivots + 1) if key & ~pivots == 0]
+        for key in keys:
+            rows = [row[2:] for row in stab._rows if (row[side] >> lo) & key]
+            assert len(rows) == key.bit_count()
+            want = reduce(_times, rows, (0, 0, 0))
+            assert (int(x[key]), int(z[key]), int(e[key])) == want, (side, lo, key)
+    assert covered == len(stab._rows)
 
 
 @cache
@@ -513,7 +564,7 @@ class TestCorrelationReport:
         assert (1, "X1(1).X2(1).z2(1)") in labels
         assert (2, "z1(2).z2(2)") in labels
 
-    def test_mutated_state_records_failures(self):
+    def test_mutated_state_records_failures(self, monkeypatch):
         # flip the sign of one generator: the report flags mismatches
         # instead of raising
         signs = [s for s, _ in BLOCK_GENERATORS]
@@ -523,7 +574,8 @@ class TestCorrelationReport:
             for s, (_, ls) in zip(signs, BLOCK_GENERATORS)
         )
         mutated = StabilizerState(gens)
-        report = verify_perfect_correlations(1, state=mutated)
+        monkeypatch.setattr(hyperbell.state, "build_state", lambda _: mutated)
+        report = verify_perfect_correlations(1)
         assert not report.passed
         bad = report.failures()
         assert bad
