@@ -13,10 +13,11 @@ Terms are streamed in lexicographic choice order (block 1 is the most
 significant base-4 digit) and never materialized as a whole.  A term is its
 low part, the last LOW_BLOCKS blocks, times its high prefix, the blocks
 above, on disjoint qubits; both parts are read from joint tables built once
-per N, and each chunk of numpy arrays holds the terms of one prefix.  The
-dense backend reads the chunks' operators.  The stabilizer backend never
-eliminates a term on its own: it eliminates the two tables once and combines
-an entry of each per term (``state._product_expectations``).  The one-term
+per N, each entry's menu signs carried in its phase.  The dense backend stops
+below LOW_BLOCKS blocks, so it reads the low table alone.  The stabilizer
+backend never eliminates a term on its own: it eliminates the two tables once
+and combines an entry of each per term (``state._product_expectations``), one
+chunk of numpy arrays per high prefix.  The one-term
 path ``term_at`` reads the per-block table of 4N operators that the joint
 tables are built from.
 """
@@ -144,36 +145,37 @@ def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
 
 
 def _joint_table(masks: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(x, z, e, sign) of every combination of menu choices on some blocks.
+    """(x, z, e) of every combination of menu choices on some blocks.
 
     ``masks`` is [block, choice, (x, z)] and ``exps`` [block, choice]; entry i
     takes its choices from the base-4 digits of i, the first block most
     significant.  Blocks sit on disjoint qubits, so masks OR together and
-    exponents add with no cross phase; signs multiply.
+    exponents add with no cross phase.
     """
     size = 4 ** len(exps)
     x, z = np.zeros((2, size), dtype=np.uint64)
-    e, sign = np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)
+    e = np.zeros(size, dtype=np.int64)
     for mask, exp, choice in zip(masks, exps, _digits(len(exps), np.arange(size))):
         x |= mask[:, 0].take(choice)
         z |= mask[:, 1].take(choice)
         e += exp.take(choice)
-        sign *= _MENU_SIGNS.take(choice)
-    return x, z, e, sign
+    return x, z, e
 
 
 @cache
 def _chunk_tables(n_blocks: int) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(k, high, low): the joint (x, z, e, sign) tables of a term's two parts.
+    """(k, high, low): the joint (x, z, e) tables of a term's two parts, signed.
 
     ``low`` covers the last k = min(N, LOW_BLOCKS) blocks and is indexed by a
     term's low k base-4 digits, index & (4**k - 1); ``high`` covers the first
     N - k blocks and is indexed by the term's high prefix, index >> 2k (one
-    identity entry when N <= LOW_BLOCKS).  Built once per N; read-only, since
-    the cache shares them.
+    identity entry when N <= LOW_BLOCKS).  Each menu choice's sign is folded
+    into its exponent, a sign of -1 adding 2, so an entry is its signed
+    product in X^x Z^z normal form.  Built once per N; read-only, since the
+    cache shares them.
     """
     tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
-    masks, exps = tables[..., :2], tables[..., 2].astype(np.int64)
+    masks, exps = tables[..., :2], tables[..., 2].astype(np.int64) + 1 - _MENU_SIGNS
     k = min(n_blocks, LOW_BLOCKS)
     high = _joint_table(masks[: n_blocks - k], exps[: n_blocks - k])
     low = _joint_table(masks[n_blocks - k :], exps[n_blocks - k :])
@@ -182,45 +184,32 @@ def _chunk_tables(n_blocks: int) -> tuple[int, tuple[np.ndarray, ...], tuple[np.
     return k, high, low
 
 
-def _term_chunks(
-    n_blocks: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Every term as arrays, one chunk per high prefix, in index order.
-
-    Yields (first index, x, z, e, sign): uint64 masks and the int64 exponent
-    in X^x Z^z normal form, and each term's sign; a chunk is the low table
-    with its prefix's entry folded in.
-    """
-    k, high, (x, z, e, sign) = _chunk_tables(n_blocks)
-    for prefix, (hx, hz, he, hsign) in enumerate(zip(*high)):
-        yield prefix << 2 * k, x | hx, z | hz, e + he, sign * hsign
-
-
 def _signed_chunks(n_blocks: int, state: StabilizerState) -> Iterator[tuple[int, np.ndarray]]:
     """Signed stabilizer expectations of every term, one chunk per high prefix:
     (first index, values).
 
     A term is its low-table entry times its prefix's entry, on disjoint
     qubits, so ``_product_expectations`` eliminates the two tables once and
-    combines them per term.  Each entry carries its sign in its phase: a
-    sign of -1 adds 2 to the exponent.
+    combines them per term.
     """
     k, high, low = _chunk_tables(n_blocks)
-    signed = [(x, z, e + 1 - sign) for x, z, e, sign in (low, high)]
-    for prefix, values in enumerate(_product_expectations(state, *signed)):
+    for prefix, values in enumerate(_product_expectations(state, low, high)):
         yield prefix << 2 * k, values
 
 
 def _dense_signed(n_blocks: int, psi: DenseState) -> Iterator[tuple[int, np.ndarray]]:
-    """``_signed_chunks`` on the explicit statevector, each value rounded to an integer."""
-    for lo, x, z, e, sign in _term_chunks(n_blocks):
-        values = sign * _dense_expect_xz(psi, x, z, e)
-        signed = np.rint(values)
-        off = np.flatnonzero(np.abs(values - signed) > 1e-12)
-        if off.size:
-            k = off[0]
-            raise AssertionError(f"non-integer term expectation: term {lo + k} -> {values[k]}")
-        yield lo, signed.astype(np.int64)
+    """``_signed_chunks`` on the explicit statevector, each value rounded to an integer.
+
+    The dense backend is capped below LOW_BLOCKS blocks, so every term is in
+    the low table, and that table is the one chunk.
+    """
+    _, _, low = _chunk_tables(n_blocks)
+    values = _dense_expect_xz(psi, *low)
+    signed = np.rint(values)
+    off = np.flatnonzero(np.abs(values - signed) > 1e-12)
+    if off.size:
+        raise AssertionError(f"non-integer term expectation: term {off[0]} -> {values[off[0]]}")
+    yield 0, signed.astype(np.int64)
 
 
 def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:

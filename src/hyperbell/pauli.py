@@ -107,6 +107,14 @@ class PauliOp:
     z: int
     e: int
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"register size must be >= 1, got {self.n}")
+        if not (0 <= self.x < 1 << self.n and 0 <= self.z < 1 << self.n):
+            raise ValueError(f"masks x={self.x:#x}, z={self.z:#x} out of range for {self.n} qubits")
+        if self.e not in _PHASE_STR:
+            raise ValueError(f"phase exponent must be in 0..3, got {self.e}")
+
     @property
     def is_hermitian(self) -> bool:
         return self.e % 2 == 0
@@ -142,16 +150,21 @@ def _xz_exponent(op: PauliOp) -> int:
     return (op.e + (op.x & op.z).bit_count()) % 4
 
 
+def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Product a*b of two (x, z, e) operators in X^x Z^z normal form.
+
+    Moving Z^za past X^xb costs (-1)**popcount(za & xb).
+    """
+    (ax, az, ae), (bx, bz, be) = a, b
+    return ax ^ bx, az ^ bz, (ae + be + 2 * ((az & bx).bit_count() & 1)) % 4
+
+
 def pauli_mul(a: PauliOp, b: PauliOp) -> PauliOp:
     """Exact product a*b with phase tracked in the cyclic group {1,i,-1,-i}."""
     if a.n != b.n:
         raise ValueError(f"register size mismatch: {a.n} vs {b.n}")
-    # multiply in X^x Z^z normal form: Z^za past X^xb costs (-1)^{za.xb}
-    e_xz = (_xz_exponent(a) + _xz_exponent(b) + 2 * ((a.z & b.x).bit_count() & 1)) % 4
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    e = (e_xz - (x & z).bit_count()) % 4
-    return PauliOp(a.n, x, z, e)
+    x, z, e = _times((a.x, a.z, _xz_exponent(a)), (b.x, b.z, _xz_exponent(b)))
+    return PauliOp(a.n, x, z, (e - (x & z).bit_count()) % 4)
 
 
 def commutes(a: PauliOp, b: PauliOp) -> bool:

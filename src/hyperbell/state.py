@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pauli import Observable, PauliOp, _xz_exponent, commutes, pauli_mul, pauli_to_string
+from .pauli import Observable, PauliOp, _times, _xz_exponent, commutes, pauli_mul, pauli_to_string
 
 DENSE_BLOCK_CAP = 5
 # Exact evaluation visits all 4**N Bell terms, about 0.4 s at N=12 on a
@@ -161,15 +161,6 @@ class StabilizerState:
                 if (x & xsel) or (z & zsel):
                     rows[j] = (sx, sz, *_times((x, z, e), pivot))
         return tuple(rows)
-
-
-def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Product a*b of two (x, z, e) operators in X^x Z^z normal form.
-
-    Moving Z^za past X^xb costs (-1)**popcount(za & xb).
-    """
-    (ax, az, ae), (bx, bz, be) = a, b
-    return ax ^ bx, az ^ bz, (ae + be + 2 * ((az & bx).bit_count() & 1)) % 4
 
 
 def _window_tables(
@@ -311,10 +302,13 @@ def _xz_arrays(ops: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 class DenseState:
-    """Statevector over the flat qubit order; qubit 0 is the most significant bit."""
+    """Statevector over the flat qubit order: qubit q is bit q of the basis index,
+    the bit a Pauli mask gives it."""
 
     def __init__(self, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        if amplitudes.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-D array, got shape {amplitudes.shape}")
         size = amplitudes.size
         n = int(size).bit_length() - 1
         if 1 << n != size:
@@ -341,14 +335,12 @@ def dense_state(n_blocks: int) -> DenseState:
             f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}"
         )
     half = 2 * n_blocks
+    m = np.arange(1 << half)  # one particle's bits; block j's upper slot is bit 2j
+    upper_slots = (4**n_blocks - 1) // 3  # 0b0101...01
+    odd = np.bitwise_count(m & (m >> 1) & upper_slots) & 1
     amps = np.zeros(1 << (4 * n_blocks), dtype=np.complex128)
     scale = 2.0**-n_blocks
-    for m in range(1 << half):
-        sign_bits = sum(
-            ((m >> (half - 1 - 2 * j)) & 1) & ((m >> (half - 2 - 2 * j)) & 1)
-            for j in range(n_blocks)
-        )
-        amps[(m << half) | m] = -scale if sign_bits & 1 else scale
+    amps[(m << half) | m] = np.where(odd, -scale, scale)
     return DenseState(amps)
 
 
@@ -356,29 +348,21 @@ def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarra
     """Dense core: expectations of i**e X^x Z^z across arrays of uint64 masks and exponents.
 
     Operator t sums conj(psi[k ^ x_t]) (-1)**popcount(k & z_t) psi[k] over
-    the support k, with the masks moved to basis-index bits; one operator at
-    a time, so memory stays at one support-sized vector.
+    the support k, a mask's bit q being basis-index bit q; one operator at a
+    time, so memory stays at one support-sized vector.
     """
     idx = psi.support
     amps = psi.amplitudes
     here = amps[idx]
     sums = np.array([
-        np.sum(np.where(np.bitwise_count(idx & fz) & 1, -here, here) * np.conj(amps[idx ^ fx]))
-        for fx, fz in zip(_flip_mask(x, psi.n), _flip_mask(z, psi.n))
+        np.sum(np.where(np.bitwise_count(idx & tz) & 1, -here, here) * np.conj(amps[idx ^ tx]))
+        for tx, tz in zip(x, z)
     ])
     val = np.array([1, 1j, -1, -1j])[e % 4] * sums
     nonreal = np.abs(val.imag) > 1e-12
     if nonreal.any():
         raise AssertionError(f"expectation came out non-real: {val[nonreal][0]}")
     return val.real
-
-
-def _flip_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    # translate flat-qubit x or z masks into basis-index bit positions (q0 = MSB)
-    out = np.zeros_like(mask)
-    for q in range(n):
-        out |= ((mask >> q) & 1) << (n - 1 - q)
-    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,9 @@ import hyperbell.bell
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
     LOW_BLOCKS,
+    _chunk_tables,
     _dense_signed,
     _signed_chunks,
-    _term_chunks,
     enumerate_terms,
     n_terms,
     quantum_value,
@@ -21,6 +21,7 @@ from hyperbell.bell import (
 )
 from hyperbell.pauli import PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
+    DENSE_BLOCK_CAP,
     EXACT_BLOCK_CAP,
     StabilizerState,
     block_operator,
@@ -228,6 +229,10 @@ class TestQuantumValue:
         for n in (1, 2, 3, 4, 5):
             assert quantum_value(n, backend="dense") == 4**n
 
+    def test_dense_terms_fit_the_low_table(self):
+        # _dense_signed evaluates the low table alone, as the one chunk
+        assert DENSE_BLOCK_CAP < LOW_BLOCKS
+
     def test_chunks_match_scalar_reference(self):
         # the test-side one-term-at-a-time elimination is the reference for
         # both backends' chunks; up to LOW_BLOCKS blocks there is one chunk
@@ -240,32 +245,27 @@ class TestQuantumValue:
                 assert [int(v) for _, values in chunks for v in values] == want, n
 
     def test_chunks_match_term_at_above_the_low_table(self):
-        # above LOW_BLOCKS blocks each chunk is the low table with one high
-        # prefix folded in: every term at N = 7, and at larger N the terms
-        # around the first prefix boundary and the last terms
+        # above LOW_BLOCKS blocks a term is its low-table entry, at index mod
+        # 4**LOW_BLOCKS, times its high prefix's entry, on disjoint qubits:
+        # every term at N = 7, and at larger N the terms around the first
+        # prefix boundary and the last terms.  The entries carry the menu
+        # signs in their exponents, a sign of -1 adding 2
         period = 4**LOW_BLOCKS
         for n in (LOW_BLOCKS + 1, 9, EXACT_BLOCK_CAP):
             total = n_terms(n)
             indices = [*range(period - 9, period + 20), *range(total - 25, total)]
             if n == LOW_BLOCKS + 1:
                 indices = range(total)
-            # keep only the chunks the indices fall in: N = 12 has 4**6 of them
-            needed = {index - index % period for index in indices}
-            starts, kept = [], {}
-            for lo, *arrays in _term_chunks(n):
-                starts.append(lo)
-                if lo in needed:
-                    kept[lo] = arrays
-            assert starts == list(range(0, total, period))
-            got = []
+            k, (hx, hz, he), (lx, lz, le) = _chunk_tables(n)
+            assert (k, len(lx), len(hx)) == (LOW_BLOCKS, period, total // period)
+            got, want = [], []
             for index in indices:
-                x, z, e, sign = kept[index - index % period]
-                i = index % period
-                got.append((int(x[i]), int(z[i]), int(e[i]) % 4, int(sign[i])))
-            want = []
-            for index in indices:
+                h, i = divmod(index, period)
+                assert int((lx[i] | lz[i]) & (hx[h] | hz[h])) == 0
+                got.append((int(lx[i] | hx[h]), int(lz[i] | hz[h]), int(le[i] + he[h]) % 4))
                 t = term_at(n, index)
-                want.append((t.operator.x, t.operator.z, _xz_exponent(t.operator), t.sign))
+                e = (_xz_exponent(t.operator) + 1 - t.sign) % 4
+                want.append((t.operator.x, t.operator.z, e))
             assert got == want, n
 
     def test_argument_validation(self):

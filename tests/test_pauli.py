@@ -179,6 +179,21 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             commutes(PauliOp(4, 0, 0, 0), PauliOp(8, 0, 0, 0))
 
+    def test_fields_are_validated(self):
+        # a mask bit above the register would be dropped from the string
+        # form, and a phase exponent outside 0..3 has no string at all
+        for n, x, z, e, match in [
+            (0, 0, 0, 0, "register size"),
+            (4, 1 << 4, 0, 0, "masks x=0x10, z=0x0 out of range"),
+            (4, 0, 1 << 4, 0, "masks x=0x0, z=0x10 out of range"),
+            (4, -1, 0, 0, "masks x=-0x1, z=0x0 out of range"),
+            (4, 1, 0, 5, "phase exponent"),
+            (4, 1, 0, -1, "phase exponent"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                PauliOp(n, x, z, e)
+        assert pauli_to_string(PauliOp(4, 0b1111, 0b1111, 3)) == "-iY1(1).y1(1).Y2(1).y2(1)"
+
 
 class TestCommutation:
     def test_sign_agreement_exhaustive_two_qubits(self):

@@ -402,14 +402,18 @@ class TestDense:
         with pytest.raises(ValueError, match="power of two"):
             DenseState(np.ones(3, dtype=np.complex128) / np.sqrt(3.0))
 
-    def test_qubit_zero_is_the_most_significant_bit(self):
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            DenseState(np.eye(4, dtype=np.complex128) / 2)
+
+    def test_qubit_q_is_bit_q_of_the_basis_index(self):
         # the block state is symmetric under reversing all qubits, so only an
-        # asymmetric state pins the convention: basis index 1 is |0001>
+        # asymmetric state pins the convention: basis index 1 has qubit 0 set
         basis = DenseState(np.eye(16, dtype=np.complex128)[1])
         for q in range(4):
             z = PauliOp(4, 0, 1 << q, 0)
-            assert _dense_expect(basis, z) == (-1.0 if q == 3 else 1.0)
-        assert _dense_expect(basis, PauliOp(4, 1 << 3, 0, 0)) == 0.0
+            assert _dense_expect(basis, z) == (-1.0 if q == 0 else 1.0)
+        assert _dense_expect(basis, PauliOp(4, 1, 0, 0)) == 0.0
 
     def test_expectation_guards(self):
         d = dense_state(1)
