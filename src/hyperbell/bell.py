@@ -10,16 +10,14 @@ block-structured state every signed term takes the value +1, so the quantum
 value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
-significant base-4 digit) and never materialized as a whole.  A term is its
-low part, the last LOW_BLOCKS blocks, times its high prefix, the blocks
-above, on disjoint qubits; both parts are read from joint tables built once
-per N, each entry's menu signs carried in its phase.  The dense backend stops
-below LOW_BLOCKS blocks, so it reads the low table alone.  The stabilizer
-backend never eliminates a term on its own: it eliminates the two tables once
-and combines an entry of each per term (``state._product_expectations``), one
-chunk of numpy arrays per high prefix.  The one-term
-path ``term_at`` reads the per-block table of 4N operators that the joint
-tables are built from.
+significant base-4 digit) and never materialized as a whole.  Each is the
+product of its blocks' menu entries, on disjoint qubits, read from one table
+of the 4N entries placed on every block (``_block_tables``).  The state is a
+product over blocks as well, so the stabilizer backend never visits a term:
+it evaluates the 4N signed entries once and certifies all 4**N terms from
+them (``quantum_value``).  The dense backend, capped at DENSE_BLOCK_CAP
+blocks, evaluates every term on the statevector as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -30,15 +28,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .pauli import Observable, PauliOp, _xz_exponent
+from .pauli import Observable, PauliOp
 from .state import (
     EXACT_BLOCK_CAP,
     DenseState,
     LetterPair,
     StabilizerState,
+    _block_xz,
     _dense_expect_xz,
-    _product_expectations,
-    block_operator,
+    _expect_xz,
     build_state,
     dense_state,
 )
@@ -81,11 +79,6 @@ class BellTerm:
                 yield Observable(letter, particle, block)
 
 
-# a term's last LOW_BLOCKS blocks are read from one joint table of
-# 4**LOW_BLOCKS entries per N, and the blocks above them, its high prefix,
-# from a second; the exact backends take one chunk per prefix, so their
-# memory stays flat in N
-LOW_BLOCKS = 6
 _MENU_SIGNS = np.array([t.sign for t in BLOCK_TERM_MENU])
 
 
@@ -111,13 +104,10 @@ def _block_tables(n_blocks: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
     block masks and its phase exponent is the sum of the block exponents.
     Tuples keep the shared cached table immutable.
     """
-    tables = []
-    for block in range(1, n_blocks + 1):
-        ops = [
-            block_operator(+1, t.observables, block, n_blocks) for t in BLOCK_TERM_MENU
-        ]
-        tables.append(tuple((op.x, op.z, _xz_exponent(op)) for op in ops))
-    return tuple(tables)
+    return tuple(
+        tuple(_block_xz(t.observables, block, n_blocks) for t in BLOCK_TERM_MENU)
+        for block in range(1, n_blocks + 1)
+    )
 
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
@@ -162,79 +152,116 @@ def _joint_table(masks: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, ...]:
     return x, z, e
 
 
-@cache
-def _chunk_tables(n_blocks: int) -> tuple[int, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(k, high, low): the joint (x, z, e) tables of a term's two parts, signed.
-
-    ``low`` covers the last k = min(N, LOW_BLOCKS) blocks and is indexed by a
-    term's low k base-4 digits, index & (4**k - 1); ``high`` covers the first
-    N - k blocks and is indexed by the term's high prefix, index >> 2k (one
-    identity entry when N <= LOW_BLOCKS).  Each menu choice's sign is folded
-    into its exponent, a sign of -1 adding 2, so an entry is its signed
-    product in X^x Z^z normal form.  Built once per N; read-only, since the
-    cache shares them.
-    """
-    tables = np.array(_block_tables(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
-    masks, exps = tables[..., :2], tables[..., 2].astype(np.int64) + 1 - _MENU_SIGNS
-    k = min(n_blocks, LOW_BLOCKS)
-    high = _joint_table(masks[: n_blocks - k], exps[: n_blocks - k])
-    low = _joint_table(masks[n_blocks - k :], exps[n_blocks - k :])
-    for array in (*low, *high):
-        array.flags.writeable = False
-    return k, high, low
+def _signed_menu(n_blocks: int) -> list[list[tuple[int, int, int]]]:
+    """The menu on every block, [block][choice]: (x, z, e) with each choice's
+    sign folded into its exponent, a sign of -1 adding 2, so an entry is its
+    signed operator in X^x Z^z normal form."""
+    return [
+        [(x, z, e + 1 - t.sign) for (x, z, e), t in zip(row, BLOCK_TERM_MENU)]
+        for row in _block_tables(n_blocks)
+    ]
 
 
-def _signed_chunks(n_blocks: int, state: StabilizerState) -> Iterator[tuple[int, np.ndarray]]:
-    """Signed stabilizer expectations of every term, one chunk per high prefix:
-    (first index, values).
-
-    A term is its low-table entry times its prefix's entry, on disjoint
-    qubits, so ``_product_expectations`` eliminates the two tables once and
-    combines them per term.
-    """
-    k, high, low = _chunk_tables(n_blocks)
-    for prefix, values in enumerate(_product_expectations(state, low, high)):
-        yield prefix << 2 * k, values
-
-
-def _dense_signed(n_blocks: int, psi: DenseState) -> Iterator[tuple[int, np.ndarray]]:
-    """``_signed_chunks`` on the explicit statevector, each value rounded to an integer.
-
-    The dense backend is capped below LOW_BLOCKS blocks, so every term is in
-    the low table, and that table is the one chunk.
-    """
-    _, _, low = _chunk_tables(n_blocks)
-    values = _dense_expect_xz(psi, *low)
+def _dense_signed(n_blocks: int, psi: DenseState) -> np.ndarray:
+    """Signed expectations of all 4**N terms on the explicit statevector, in
+    index order, each rounded to an integer."""
+    menu = np.array(_signed_menu(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
+    values = _dense_expect_xz(psi, *_joint_table(menu[..., :2], menu[..., 2].astype(np.int64)))
     signed = np.rint(values)
     off = np.flatnonzero(np.abs(values - signed) > 1e-12)
     if off.size:
         raise AssertionError(f"non-integer term expectation: term {off[0]} -> {values[off[0]]}")
-    yield 0, signed.astype(np.int64)
+    return signed.astype(np.int64)
+
+
+def _menu_values(n_blocks: int, state: StabilizerState) -> list[list[int]]:
+    """v[b][c], the signed expectation of menu choice c on block b + 1, from
+    one elimination of the 4N entries; refuses a state that is not a product
+    over blocks, whose entries would not multiply."""
+    half = 2 * n_blocks
+    for _, _, x, z, _ in state._rows:
+        support = x | z
+        block = ((support & -support).bit_length() - 1) % half // 2
+        if support & ~(3 << 2 * block | 3 << half + 2 * block):
+            spanned = sorted({q % half // 2 + 1 for q in range(support.bit_length()) if support >> q & 1})
+            raise ValueError(
+                "block certificate premise fails: a stabilizer row of the state spans blocks "
+                + ", ".join(map(str, spanned))
+            )
+    values = _expect_xz(state, [entry for row in _signed_menu(n_blocks) for entry in row])
+    return [values[4 * b : 4 * b + 4] for b in range(n_blocks)]
+
+
+def _certify(values: list[list[int]]) -> int:
+    """The sum of all 4**N terms from their blocks' entries ``values``; fails
+    on any term that is not +1, naming the first five (see ``quantum_value``)."""
+    n_blocks = len(values)
+    # nonzero[d] and signed[d]: prod over blocks d.. of (a + m) and of (a - m)
+    nonzero, signed = [1], [1]
+    for row in reversed(values):
+        nonzero.insert(0, nonzero[0] * sum(map(abs, row)))
+        signed.insert(0, signed[0] * sum(row))
+
+    def n_bad(d: int, p: int) -> int:
+        # completions over blocks d.. of a prefix of value p that are not +1
+        return 4 ** (n_blocks - d) - (p * p * nonzero[d] + p * signed[d]) // 2
+
+    head: list[tuple[int, int]] = []
+
+    def walk(d: int, index: int, p: int) -> None:
+        if len(head) == 5 or not n_bad(d, p):
+            return
+        if d == n_blocks:
+            head.append((index, p))
+            return
+        for c, v in enumerate(values[d]):
+            walk(d + 1, 4 * index + c, p * v)
+
+    walk(0, 0, 1)
+    _raise_if_bad(n_bad(0, 1), head)
+    return signed[0]
 
 
 def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     """Exact value of the Bell expression on the state: 4**N.
 
-    Evaluates every expanded term individually and requires each signed
-    expectation to be +1; any other value is a hard failure.
+    Every expanded term's signed expectation must be +1; any other value is
+    a hard failure that names how many terms fail and the first five.
+
+    The dense backend evaluates each of the 4**N terms on the statevector.
+    The stabilizer backend certifies them by block factorization.  Its
+    premise is that every reduced row of the state lies inside one block
+    (block b owns qubits 2(b-1), 2(b-1)+1, 2N+2(b-1) and 2N+2(b-1)+1): the
+    group is then a product of block groups, the state a product of block
+    states, and the expectation of a product of block operators the product
+    of their expectations.  A state with a row across blocks is refused,
+    never certified.  With v[b][c] in {-1, 0, +1} the signed value of menu
+    choice c on block b, term (c_1, ..., c_N) is prod_b v[b][c_b], and the
+    sum over all terms is
+
+        prod_b sum_c v[b][c].
+
+    A term is +1 when none of its factors is 0 and an even number are -1.
+    With a[b] entries of +1 and m[b] of -1 in block b, prod_b (a[b] + m[b])
+    terms have no zero factor and prod_b (a[b] - m[b]) is their sum, so
+
+        (prod_b (a[b] + m[b]) + prod_b (a[b] - m[b])) / 2
+
+    are +1 and the other terms fail.  The same products over the blocks
+    after a prefix count its failing completions (those of value +1 when the
+    prefix is -1), so the first five failing terms come from a walk in index
+    order that skips every prefix whose completions are all +1.
     """
     if backend not in ("stabilizer", "dense"):
         raise ValueError(f"unknown backend {backend!r}")
     if n_blocks > EXACT_BLOCK_CAP:
         raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
-    if backend == "dense":
-        chunks = _dense_signed(n_blocks, dense_state(n_blocks))
-    else:
-        chunks = _signed_chunks(n_blocks, build_state(n_blocks))
-    total = n_bad = 0
-    head: list[tuple[int, int]] = []
-    for lo, signed in chunks:
-        total += int(signed.sum())
-        bad = np.flatnonzero(signed != 1)
-        n_bad += bad.size
-        head += [(lo + int(i), int(signed[i])) for i in bad[: 5 - len(head)]]
-    _raise_if_bad(n_bad, head)
-    return total
+    if backend == "stabilizer":
+        return _certify(_menu_values(n_blocks, build_state(n_blocks)))
+    signed = _dense_signed(n_blocks, dense_state(n_blocks))
+    bad = np.flatnonzero(signed != 1)
+    _raise_if_bad(bad.size, [(int(i), int(signed[i])) for i in bad[:5]])
+    return int(signed.sum())
 
 
 def _raise_if_bad(n_bad: int, head: list[tuple[int, int]]) -> None:

@@ -17,17 +17,15 @@ amplitudes only.
 The stabilizer backend keeps the group in row-reduced form (Aaronson and
 Gottesman, PRA 70, 052328, 2004): one row per generator, each with a single
 pivot bit on the x or the z mask that no other row touches.  An operator's
-coefficients over the rows are then its own bits at the pivots, so the group
-element that can cancel it is fixed before any row is multiplied in.  That
-product is read from tables ("four Russians"): the pivots are cut into 8-bit
-windows of the x and the z mask, and each window tabulates the product of
-the rows selected by each of its keys.  Eliminating an operator costs one
-lookup per window (6 at N = 9), on whole arrays of operators at once.  A
-product of two operators on disjoint qubits is eliminated from its factors'
-eliminations, with a sign from their masks (``_product_expectations``), so
-the 4**N Bell terms, each a product of two table entries, cost one
-elimination of each table and a few array operations per term.  The state
-is built once per N per process (``build_state``) and shared read-only.
+coefficients over the rows are then its own bits at the pivots, so it is
+eliminated by one pass over the rows, in Python ints, multiplying in each
+row whose pivot it holds.  Only O(N) operators are ever eliminated: the 7N
+certainty relations and the 4N Bell menu entries, from which the 4**N terms
+are certified (``bell.quantum_value``).  The state is built once per N per
+process (``build_state``) and shared read-only.
+
+Every named block operator is one template on a block's four qubits, shifted
+into place (``_block_xz``).
 """
 
 from __future__ import annotations
@@ -35,20 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from typing import Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .pauli import Observable, PauliOp, _times, _xz_exponent, commutes, pauli_mul, pauli_to_string
+from .pauli import Observable, PauliOp, _times, _xz_exponent, commutes, pauli_to_string
 
 DENSE_BLOCK_CAP = 5
-# Exact evaluation visits all 4**N Bell terms, about 0.4 s at N=12 on a
-# 2-core machine and four times that per further block.
+# Exact evaluation certifies the 4**N Bell terms from 4N menu entries, a few
+# ms at any N the stabilizer register holds (N <= 16); the cap stays where
+# the 4**N enumeration put it, since `verify --n 13`'s usage error reports it.
 EXACT_BLOCK_CAP = 12
-# the stabilizer backend holds each Pauli mask in one uint64 word
+# largest stabilizer register, N = 16 blocks; its masks are Python ints, so
+# the cap bounds the work, not a word size
 STABILIZER_QUBIT_CAP = 64
-# pivot bits per table lookup in the elimination kernel
-_WINDOW = 8
 
 LetterPair = tuple[str, int]
 
@@ -80,15 +78,33 @@ def _op_repr(op: PauliOp) -> str:
     return f"PauliOp(n={op.n}, x={op.x:#x}, z={op.z:#x}, e={op.e})"
 
 
+@cache
+def _template(letters: tuple[LetterPair, ...]) -> tuple[int, int, int]:
+    """(x, z, e) in X^x Z^z normal form of a product of named observables on
+    one block's four qubits: particle 1's upper and lower slots at bits 0 and
+    1, particle 2's at bits 2 and 3."""
+    ops = (Observable(letter, particle, 1).to_pauli(1) for letter, particle in letters)
+    return reduce(_times, ((op.x, op.z, _xz_exponent(op)) for op in ops))
+
+
+def _block_xz(letters: tuple[LetterPair, ...], block: int, n_blocks: int) -> tuple[int, int, int]:
+    """(x, z, e) of a product of named observables on one block of N: its
+    template with particle 1's bit pair moved to 2(block-1) and particle 2's
+    to 2N + 2(block-1).  Relabelling qubits leaves the normal-form exponent."""
+    if not 1 <= block <= n_blocks:
+        raise ValueError(f"block {block} out of range for {n_blocks} blocks")
+    x, z, e = _template(letters)
+    one, two = 2 * (block - 1), 2 * (n_blocks + block - 1)
+    return (x & 3) << one | (x >> 2) << two, (z & 3) << one | (z >> 2) << two, e
+
+
 def block_operator(
     sign: int, letters: tuple[LetterPair, ...], block: int, n_blocks: int
 ) -> PauliOp:
     """Signed product of named observables, all attached to one block."""
-    op = reduce(
-        pauli_mul,
-        (Observable(letter, particle, block).to_pauli(n_blocks) for letter, particle in letters),
-    )
-    return -op if sign < 0 else op
+    x, z, e = _block_xz(letters, block, n_blocks)
+    # a sign of -1 adds 2 to the exponent
+    return PauliOp(4 * n_blocks, x, z, (e + 1 - sign - (x & z).bit_count()) % 4)
 
 
 class StabilizerState:
@@ -124,7 +140,6 @@ class StabilizerState:
         self.generators = tuple(generators)
         self.n = n
         self._rows = self._reduced_rows()
-        self._tables = _window_tables(self._rows)
 
     def _reduced_rows(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Row-reduced rows (xsel, zsel, x, z, e) of the group, pivots descending.
@@ -163,40 +178,6 @@ class StabilizerState:
         return tuple(rows)
 
 
-def _window_tables(
-    rows: tuple[tuple[int, int, int, int, int], ...],
-) -> tuple[tuple[int, int, int, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Read-only product tables (side, lo, pivots, x, z, e) of the reduced rows, per window.
-
-    A window is _WINDOW bits of the x mask (side 0) or the z mask (side 1)
-    from bit ``lo`` that holds a pivot; ``pivots`` marks them, shifted down
-    by ``lo``.  Entry ``key``, for each subset of ``pivots``, is the product of
-    the rows it selects (they commute), built from the entry without its lowest
-    bit.  Other entries stay the identity: ``_eliminate`` masks keys by ``pivots``.
-    """
-    tables = []
-    for side in (0, 1):
-        for lo in range(0, STABILIZER_QUBIT_CAP, _WINDOW):
-            row_at = {
-                (row[side] >> lo).bit_length() - 1: row[2:]
-                for row in rows
-                if (row[side] >> lo) & ((1 << _WINDOW) - 1)
-            }
-            if not row_at:
-                continue
-            pivots = sum(1 << b for b in row_at)
-            entries = [(0, 0, 0)] * (pivots + 1)
-            key = 0
-            while key := (key - pivots) & pivots:
-                low = (key & -key).bit_length() - 1
-                entries[key] = _times(entries[key & (key - 1)], row_at[low])
-            table = np.array(list(zip(*entries)), dtype=np.uint64)
-            table.flags.writeable = False  # and so are its rows
-            x, z, e = table
-            tables.append((side, lo, pivots, x, z, e.view(np.int64)))  # e in 0..3
-    return tuple(tables)
-
-
 @cache
 def build_state(n_blocks: int) -> StabilizerState:
     """Stabilizer form of the N-block state: 4 generators per block; cached per N."""
@@ -210,95 +191,32 @@ def build_state(n_blocks: int) -> StabilizerState:
     return StabilizerState(tuple(gens))
 
 
-def _eliminate(state: StabilizerState, x: np.ndarray, z: np.ndarray, e: np.ndarray) -> None:
-    """Multiply each operator i**e X^x Z^z, in place, by the group element its
-    pivot bits select, across arrays of uint64 masks and int64 exponents.
+def _expect_xz(state: StabilizerState, ops: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Expectations of operators i**e X^x Z^z, each given as (x, z, e) in Python ints.
 
-    Each window's key is read from the operator's own masks, and the table
-    entry it selects is multiplied in; the masks clear exactly when the
-    operator is in the group up to phase.
+    An operator is multiplied by each row whose pivot bit it holds, in one
+    pass over the rows; no row has a bit at another's pivot, so those bits
+    stay the operator's own throughout.  The masks clear exactly when the
+    operator is in the group up to phase, and the phase left is then its
+    expectation; otherwise that is 0.  The product rule is ``_times``,
+    inlined: for the O(N) operators ever eliminated, a loop in Python ints is
+    the cheapest kernel.
     """
-    masks = (x, z)
-    keys = [
-        ((masks[side] >> np.uint64(lo)) & np.uint64(pivots)).view(np.int64)
-        for side, lo, pivots, *_ in state._tables
-    ]
-    for key, (*_, tx, tz, te) in zip(keys, state._tables):
-        px = tx.take(key)
-        e += te.take(key) + 2 * (np.bitwise_count(z & px) & 1)
-        x ^= px
-        z ^= tz.take(key)
-
-
-def _verdict(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Expectations, as int64, of operators left as i**e X^x Z^z by elimination:
-    0 unless the masks cleared, else the sign the phase leaves."""
-    cleared = (x | z) == 0
-    e &= 3  # e mod 4, also for negative e
-    # an odd phase on a cleared operator is impossible for a Hermitian
-    # operator; guards the phase algebra
-    if np.any(e & cleared):
-        raise AssertionError("odd phase after elimination of a Hermitian operator")
-    return np.where(cleared, 1 - (e & 2), 0)
-
-
-def _expect_xz(
-    state: StabilizerState, x: np.ndarray, z: np.ndarray, e: np.ndarray
-) -> np.ndarray:
-    """Expectations of i**e X^x Z^z across arrays of uint64 masks and int64
-    exponents.  Updates the arrays in place and returns the expectations as int64.
-    """
-    _eliminate(state, x, z, e)
-    return _verdict(x, z, e)
-
-
-def _product_expectations(
-    state: StabilizerState,
-    low: tuple[np.ndarray, np.ndarray, np.ndarray],
-    high: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Expectations of every product L·H, one array over the L for each H.
-
-    ``low`` and ``high`` are (x, z, e) arrays of operators in X^x Z^z normal
-    form, every L on qubits disjoint from every H, so L·H has masks x_L | x_H,
-    z_L | z_H and exponent e_L + e_H.  Its bit at each pivot is L's or H's,
-    so the group element that eliminates it is R_L·R_H, where R_L eliminates
-    L and R_H eliminates H.  Both tables are eliminated once, to L' = L·R_L and
-    H' = H·R_H, and each product is then combined from the two:
-
-        L·H·R_L·R_H = (-1)**w(H, R_L) · L'·H'
-
-    with w(A, B) = parity(x_A & z_B) ^ parity(z_A & x_B) the symplectic form,
-    which is bilinear in the masks.  The masks of H are those of H' XOR those
-    of R_H, and rows commute, so w(H, R_L) = w(H', R_L) ^ w(R_H, R_L) =
-    w(H', R_L).  Moving Z^z_L' past X^x_H' puts L'·H' in normal form at the
-    sign parity(z_L' & x_H'), and z_L' ^ z_RL = z_L, so the product's
-    exponent is
-
-        e_L' + e_H' + 2 * parity((z_L & x_H') ^ (x_RL & z_H'))
-
-    where x_RL = x_L ^ x_L' and z_RL are R_L's masks.  The inputs are not
-    modified.
-    """
-    lx, lz, le = (a.copy() for a in low)
-    _eliminate(state, lx, lz, le)
-    z_low, x_rl = low[1], low[0] ^ lx
-    hx, hz, he = (a.copy() for a in high)
-    _eliminate(state, hx, hz, he)
-    for x, z, e in zip(hx, hz, he):
-        odd = np.bitwise_count((z_low & x) ^ (x_rl & z)) & 1
-        yield _verdict(lx ^ x, lz ^ z, le + (e + 2 * odd))
-
-
-def _xz_arrays(ops: list[PauliOp], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cores' inputs, uint64 masks and int64 X^x Z^z exponents, of Hermitian ops on n qubits."""
-    for op in ops:
-        if op.n != n:
-            raise ValueError(f"register size mismatch: {op.n} vs {n}")
-        if not op.is_hermitian:
-            raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
-    x, z = np.array([[op.x for op in ops], [op.z for op in ops]], dtype=np.uint64)
-    return x, z, np.array([_xz_exponent(op) for op in ops], dtype=np.int64)
+    values = []
+    for x, z, e in ops:
+        for xsel, zsel, rx, rz, re in state._rows:
+            if x & xsel or z & zsel:
+                e += re + 2 * ((z & rx).bit_count() & 1)
+                x ^= rx
+                z ^= rz
+        if x or z:
+            values.append(0)
+        elif e & 1:
+            # impossible for a Hermitian operator; guards the phase algebra
+            raise AssertionError("odd phase after elimination of a Hermitian operator")
+        else:
+            values.append(1 - (e & 2))
+    return values
 
 
 class DenseState:
@@ -401,10 +319,9 @@ def verify_perfect_correlations(n_blocks: int) -> CorrelationReport:
     """Check all 7N certainty relations in one pass; failures are recorded, not raised."""
     state = build_state(n_blocks)
     cases = list(product(range(1, n_blocks + 1), PERFECT_CORRELATIONS))
-    ops = [block_operator(+1, letters, block, n_blocks) for block, (_, letters) in cases]
-    actual = _expect_xz(state, *_xz_arrays(ops, state.n)).tolist()
+    actual = _expect_xz(state, [_block_xz(letters, block, n_blocks) for block, (_, letters) in cases])
     checks = []
     for (block, (sign, letters)), value in zip(cases, actual):
-        label = ".".join(str(Observable(l, p, block)) for l, p in letters)
+        label = ".".join(f"{letter}{particle}({block})" for letter, particle in letters)
         checks.append(CorrelationCheck(block, label, sign, value))
     return CorrelationReport(n_blocks, tuple(checks))

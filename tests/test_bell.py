@@ -4,16 +4,22 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperbell.bell
+import hyperbell.state
 from hyperbell.bell import (
     BLOCK_TERM_MENU,
-    LOW_BLOCKS,
-    _chunk_tables,
+    _certify,
     _dense_signed,
-    _signed_chunks,
+    _joint_table,
+    _menu_values,
+    _signed_menu,
     enumerate_terms,
     n_terms,
     quantum_value,
@@ -21,7 +27,6 @@ from hyperbell.bell import (
 )
 from hyperbell.pauli import PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
-    DENSE_BLOCK_CAP,
     EXACT_BLOCK_CAP,
     StabilizerState,
     block_operator,
@@ -128,14 +133,14 @@ class TestEnumeration:
 
     def test_block_table_is_built_once_per_n(self, monkeypatch):
         calls = 0
-        real = hyperbell.bell.block_operator
+        real = hyperbell.bell._block_xz
 
         def counting(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(hyperbell.bell, "block_operator", counting)
+        monkeypatch.setattr(hyperbell.bell, "_block_xz", counting)
         hyperbell.bell._block_tables.cache_clear()
         try:
             for i in range(n_terms(3)):
@@ -229,44 +234,147 @@ class TestQuantumValue:
         for n in (1, 2, 3, 4, 5):
             assert quantum_value(n, backend="dense") == 4**n
 
-    def test_dense_terms_fit_the_low_table(self):
-        # _dense_signed evaluates the low table alone, as the one chunk
-        assert DENSE_BLOCK_CAP < LOW_BLOCKS
-
-    def test_chunks_match_scalar_reference(self):
-        # the test-side one-term-at-a-time elimination is the reference for
-        # both backends' chunks; up to LOW_BLOCKS blocks there is one chunk
-        for n in range(1, 6):
+    def test_backends_match_the_term_oracle(self):
+        # the enumeration is the oracle: every term through term_at and the
+        # test-side one-term-at-a-time elimination.  The dense backend must
+        # give each term's value, and the certificate's block entries must
+        # multiply to it
+        for n in range(1, 7):
             state = build_state(n)
-            want = [t.sign * _reference_expect(state, t.operator) for t in enumerate_terms(n)]
-            for chunks in (_signed_chunks(n, state), _dense_signed(n, dense_state(n))):
-                chunks = list(chunks)
-                assert [lo for lo, _ in chunks] == [0]
-                assert [int(v) for _, values in chunks for v in values] == want, n
+            terms = list(enumerate_terms(n))
+            want = [t.sign * _reference_expect(state, t.operator) for t in terms]
+            assert want == [1] * 4**n
+            values = _menu_values(n, state)
+            assert [prod(values[b][c] for b, c in enumerate(t.choices)) for t in terms] == want, n
+            assert quantum_value(n) == sum(want)
+            if n <= 5:
+                assert _dense_signed(n, dense_state(n)).tolist() == want, n
 
-    def test_chunks_match_term_at_above_the_low_table(self):
-        # above LOW_BLOCKS blocks a term is its low-table entry, at index mod
-        # 4**LOW_BLOCKS, times its high prefix's entry, on disjoint qubits:
-        # every term at N = 7, and at larger N the terms around the first
-        # prefix boundary and the last terms.  The entries carry the menu
-        # signs in their exponents, a sign of -1 adding 2
-        period = 4**LOW_BLOCKS
-        for n in (LOW_BLOCKS + 1, 9, EXACT_BLOCK_CAP):
-            total = n_terms(n)
-            indices = [*range(period - 9, period + 20), *range(total - 25, total)]
-            if n == LOW_BLOCKS + 1:
-                indices = range(total)
-            k, (hx, hz, he), (lx, lz, le) = _chunk_tables(n)
-            assert (k, len(lx), len(hx)) == (LOW_BLOCKS, period, total // period)
-            got, want = [], []
-            for index in indices:
-                h, i = divmod(index, period)
-                assert int((lx[i] | lz[i]) & (hx[h] | hz[h])) == 0
-                got.append((int(lx[i] | hx[h]), int(lz[i] | hz[h]), int(le[i] + he[h]) % 4))
-                t = term_at(n, index)
-                e = (_xz_exponent(t.operator) + 1 - t.sign) % 4
-                want.append((t.operator.x, t.operator.z, e))
+    def test_signed_menu_joins_into_the_terms(self):
+        # the joint table of the signed menu is every term's operator, in
+        # index order, with its sign folded into the exponent (-1 adds 2)
+        for n in range(1, 7):
+            menu = np.array(_signed_menu(n), dtype=np.uint64)
+            x, z, e = _joint_table(menu[..., :2], menu[..., 2].astype(np.int64))
+            got = list(zip(x.tolist(), z.tolist(), (e % 4).tolist()))
+            want = [
+                (t.operator.x, t.operator.z, (_xz_exponent(t.operator) + 1 - t.sign) % 4)
+                for t in enumerate_terms(n)
+            ]
             assert got == want, n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([-1, 0, 1, 1, 1]), min_size=4, max_size=4),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_certificate_matches_the_enumerated_products(self, values):
+        # any table of entries in {-1, 0, +1}: the sum, the count of terms
+        # that are not +1 and the first five of them, against all 4**N
+        # products formed one by one
+        n = len(values)
+        terms = [prod(row[c] for row, c in zip(values, choices)) for choices in product(range(4), repeat=n)]
+        bad = [(i, v) for i, v in enumerate(terms) if v != 1]
+        if not bad:
+            assert _certify(values) == sum(terms) == 4**n
+            return
+        head = ", ".join(f"term {i} -> {v:+d}" for i, v in bad[:5])
+        message = f"{len(bad)} expanded terms do not contribute +1 ({head}{', ...' if len(bad) > 5 else ''})"
+        with pytest.raises(ValueError) as excinfo:
+            _certify(values)
+        assert str(excinfo.value) == message
+
+    def test_walk_reads_only_the_paths_to_the_first_five(self):
+        # the walk for the failing terms must skip every prefix whose
+        # completions are all +1: it reads a block's entries once per prefix
+        # it descends from, so at most 5N reads for the five terms it names,
+        # and none when no term fails, where 4**N terms would be visited
+        # without the pruning
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, d):
+                CountingRows.reads += 1
+                return super().__getitem__(d)
+
+        n = 12
+        rows = CountingRows([[1, 1, 1, 1]] * n)
+        assert _certify(rows) == 4**n
+        assert CountingRows.reads == 0
+        # the last block's choice 2 is -1, or its choice 0 is 0: every fourth
+        # term fails, the first five at the bottom of the index range
+        for last, first, value in (([1, 1, -1, 1], 2, "-1"), ([0, 1, 1, 1], 0, "+0")):
+            CountingRows.reads = 0
+            head = ", ".join(f"term {first + 4 * k} -> {value}" for k in range(5))
+            with pytest.raises(ValueError) as excinfo:
+                _certify(CountingRows([[1, 1, 1, 1]] * (n - 1) + [last]))
+            assert str(excinfo.value) == f"{4 ** (n - 1)} expanded terms do not contribute +1 ({head}, ...)"
+            assert 0 < CountingRows.reads <= 5 * n
+
+    def test_block_local_state_with_zero_entries_matches_the_oracle(self, monkeypatch):
+        # a block-local state other than the block state: one block's state
+        # swapped for the one of (-X1 X2 z2), (-Y1 Y2 z2), z1 and z2, where
+        # XXz is -1, YYz +1 and the two menu entries with x1 are 0.  Terms
+        # then take all of -1, 0 and +1, and the certificate must name the
+        # same failing terms as the one-term-at-a-time reference
+        odd = [(-1, (("X", 1), ("X", 2), ("z", 2))), (-1, (("Y", 1), ("Y", 2), ("z", 2)))]
+        odd += [(+1, (("z", 1),)), (+1, (("z", 2),))]
+        n = 3
+        for block in range(1, n + 1):
+            generators = list(build_state(n).generators)
+            generators[4 * (block - 1) : 4 * block] = [block_operator(s, ls, block, n) for s, ls in odd]
+            state = StabilizerState(tuple(generators))
+            assert _menu_values(n, state)[block - 1] == [-1, 1, 0, 0]
+            signed = [(t.index, t.sign * _reference_expect(state, t.operator)) for t in enumerate_terms(n)]
+            assert {v for _, v in signed} == {-1, 0, 1}
+            want = [(i, v) for i, v in signed if v != 1]
+            head = ", ".join(f"term {i} -> {v:+d}" for i, v in want[:5])
+            monkeypatch.setattr(hyperbell.bell, "build_state", lambda _, state=state: state)
+            with pytest.raises(ValueError) as excinfo:
+                quantum_value(n)
+            assert str(excinfo.value) == f"{len(want)} expanded terms do not contribute +1 ({head}, ...)"
+
+    def test_state_that_is_not_block_local_is_refused(self, monkeypatch):
+        # build_state(2) with qubit 1 (particle 1, block 1, lower slot)
+        # relabelled as qubit 3 (particle 1, block 2, lower slot) and back: a
+        # valid stabilizer state, but a product over other qubit sets than
+        # the blocks, so its menu entries do not multiply into the terms
+        def swapped(mask: int) -> int:
+            return mask & ~0b1010 | (mask >> 1 & 1) << 3 | (mask >> 3 & 1) << 1
+
+        state = StabilizerState(
+            tuple(PauliOp(g.n, swapped(g.x), swapped(g.z), g.e) for g in build_state(2).generators)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            _menu_values(2, state)
+        assert str(excinfo.value) == "block certificate premise fails: a stabilizer row of the state spans blocks 1, 2"
+        monkeypatch.setattr(hyperbell.bell, "build_state", lambda _: state)
+        with pytest.raises(ValueError, match="premise fails"):
+            quantum_value(2)
+
+    def test_certificate_eliminates_four_operators_per_block(self, monkeypatch):
+        # a guard against a return to 4**N work: every stabilizer
+        # expectation goes through the elimination kernel, wrapped here
+        # wherever the package binds it, and the certificate needs only the
+        # 4N menu entries
+        eliminated = []
+        real = hyperbell.state._expect_xz
+
+        def counting(state, ops):
+            ops = list(ops)
+            eliminated.append(len(ops))
+            return real(state, ops)
+
+        for module in (hyperbell.state, hyperbell.bell):
+            monkeypatch.setattr(module, "_expect_xz", counting)
+        build_state(EXACT_BLOCK_CAP)
+        assert quantum_value(EXACT_BLOCK_CAP) == 4**EXACT_BLOCK_CAP
+        assert 0 < sum(eliminated) <= 4 * EXACT_BLOCK_CAP
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):
@@ -279,10 +387,8 @@ class TestQuantumValue:
     def test_wrong_state_is_a_hard_failure(self, monkeypatch):
         # flipping one generator sign makes some expanded terms -1, which
         # must raise instead of silently lowering the sum, and name the same
-        # terms as the one-term-at-a-time reference.  Up to LOW_BLOCKS blocks
-        # every block is low and the high prefix is the identity; at N = 7
-        # the flip sits in the one high block or in a low block, and the
-        # terms span 4 prefixes
+        # terms as the one-term-at-a-time reference.  At N = 7 the flip sits
+        # in the first block or in the last
         cases = [(n, [(block, 0) for block in range(1, n + 1)]) for n in (1, 2, 3)]
         cases += [(7, [(1, 2)]), (7, [(7, 0)])]
         messages = []
@@ -296,11 +402,13 @@ class TestQuantumValue:
                 signed = term.sign * _reference_expect(state, term.operator)
                 if signed != 1:
                     want.append((term.index, signed))
+            # every failing term, not only the five the message names, is
+            # the product of its block entries
+            values = _menu_values(n, state)
             got = [
-                (lo + i, int(v))
-                for lo, values in _signed_chunks(n, state)
-                for i, v in enumerate(values)
-                if v != 1
+                (t.index, v)
+                for t in enumerate_terms(n)
+                if (v := prod(values[b][c] for b, c in enumerate(t.choices))) != 1
             ]
             assert got == want, (n, flips)
             head = ", ".join(f"term {i} -> {v:+d}" for i, v in want[:5])

@@ -15,6 +15,7 @@ import pytest
 import hyperbell.bell
 import hyperbell.state
 from hyperbell import cli
+from hyperbell.pauli import PauliOp
 from hyperbell.state import StabilizerState, build_state
 
 HEADER = "n,beta_epr,beta_qm,beta_epr_noisy,beta_qm_noisy,ratio,eta_min,violated"
@@ -159,6 +160,26 @@ class TestVerify:
             monkeypatch.setattr(module, "build_state", lambda _: wrong)
         assert cli.main(["verify", "--n", str(n)]) == 1
         assert capsys.readouterr().out == stdout
+
+    def test_state_that_is_not_block_local_fails_verify(self, capsys, monkeypatch):
+        # build_state(2) with qubits 1 and 3 (the lower slots of particle 1's
+        # two blocks) swapped: its correlations are checked as they stand,
+        # but the Bell terms are refused, not certified
+        def swapped(mask: int) -> int:
+            return mask & ~0b1010 | (mask >> 1 & 1) << 3 | (mask >> 3 & 1) << 1
+
+        generators = build_state(2).generators
+        state = StabilizerState(tuple(PauliOp(g.n, swapped(g.x), swapped(g.z), g.e) for g in generators))
+        monkeypatch.setattr(hyperbell.bell, "build_state", lambda _: state)
+        assert cli.main(["verify", "--n", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert doc["correlations"]["passed"] == 14
+        assert doc["beta_qm"] == {
+            "value": None,
+            "expected": 16,
+            "failures": ["block certificate premise fails: a stabilizer row of the state spans blocks 1, 2"],
+        }
 
     def test_two_blocks(self):
         proc = run_cli("verify", "--n", "2")

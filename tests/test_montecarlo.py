@@ -24,7 +24,7 @@ from hyperbell.montecarlo import (
     estimate_beta,
     estimate_term,
 )
-from hyperbell.state import _expect_xz, _xz_arrays, block_operator, build_state
+from hyperbell.state import _block_xz, _expect_xz, build_state
 
 IDEAL = NoiseParams(epsilon=0.0, p=1.0, eta=1.0)
 
@@ -64,8 +64,7 @@ def _block_products() -> list[int]:
     """Each menu choice's product A * B in an ideal block: the block state's
     exact expectation of the unsigned menu operator, a certainty, +1 or -1."""
     state = build_state(1)
-    ops = [block_operator(+1, menu.observables, 1, 1) for menu in BLOCK_TERM_MENU]
-    values = _expect_xz(state, *_xz_arrays(ops, state.n)).tolist()
+    values = _expect_xz(state, [_block_xz(menu.observables, 1, 1) for menu in BLOCK_TERM_MENU])
     assert all(value in (-1, 1) for value in values)
     return values
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import hyperbell.state
 from hyperbell import cli
-from hyperbell.pauli import PauliOp, commutes, named_observable, pauli_mul
+from hyperbell.pauli import Observable, PauliOp, _xz_exponent, commutes, named_observable, pauli_mul
 from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
@@ -24,9 +24,6 @@ from hyperbell.state import (
     StabilizerState,
     _dense_expect_xz,
     _expect_xz,
-    _product_expectations,
-    _times,
-    _xz_arrays,
     block_operator,
     build_state,
     dense_state,
@@ -79,14 +76,20 @@ def _reference_expect(state: StabilizerState, op: PauliOp) -> int:
     return 1 - op.e
 
 
+def _xz(op: PauliOp) -> tuple[int, int, int]:
+    """op as the cores take it: masks and exponent in X^x Z^z normal form."""
+    return op.x, op.z, _xz_exponent(op)
+
+
 def _expect(state: StabilizerState, op: PauliOp) -> int:
     """<op> through the elimination core, as a batch of one."""
-    return int(_expect_xz(state, *_xz_arrays([op], state.n))[0])
+    return _expect_xz(state, [_xz(op)])[0]
 
 
 def _dense_expect(psi: DenseState, op: PauliOp) -> float:
     """<op> through the dense core, as a batch of one."""
-    return float(_dense_expect_xz(psi, *_xz_arrays([op], psi.n))[0])
+    x, z, e = np.array([_xz(op)], dtype=np.uint64).T
+    return float(_dense_expect_xz(psi, x, z, e)[0])
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -169,6 +172,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_state(0)
 
+    def test_block_operator_is_the_product_of_its_observables(self):
+        # the shifted one-block template against pauli_mul over the named
+        # observables, for every named product, block and register size
+        names = [letters for _, letters in PERFECT_CORRELATIONS]
+        names += [(("X", 1), ("x", 1), ("Y", 2), ("y", 2)), (("Y", 1), ("x", 1), ("X", 2), ("y", 2))]
+        for n in range(1, STABILIZER_QUBIT_CAP // 4 + 1):
+            for block in range(1, n + 1):
+                for letters in names:
+                    want = reduce(pauli_mul, (named_observable(l, p, block, n) for l, p in letters))
+                    for sign in (+1, -1):
+                        got = block_operator(sign, letters, block, n)
+                        assert got == (want if sign > 0 else -want), (n, block, letters)
+        for block in (0, 3):
+            with pytest.raises(ValueError, match=f"block {block} out of range for 2 blocks"):
+                block_operator(+1, PERFECT_CORRELATIONS[0][1], block, 2)
+
     def test_block_operator_support_is_local(self):
         # block j touches only its own qubit pair on each particle
         n = 3
@@ -218,86 +237,32 @@ class TestExpectation:
             op = reduce(pauli_mul, chosen, PauliOp(8, 0, 0, 0))
             ops.append(-op if rng.integers(0, 2) else op)
         want = [_reference_expect(state, op) for op in ops]
-        got = _expect_xz(state, *_xz_arrays(ops, state.n))
-        assert got.tolist() == want
+        assert _expect_xz(state, map(_xz, ops)) == want
         assert [_expect(state, op) for op in ops] == want
         assert set(want) == {-1, 0, 1}
-        # i * identity is not Hermitian: its phase stays odd after elimination
+        # i * identity is not Hermitian: its phase stays odd after
+        # elimination, and so does i times a group element
         for n in (1, 2, 5, EXACT_BLOCK_CAP):
-            zeros = np.zeros(1, dtype=np.uint64)
-            with pytest.raises(AssertionError, match="odd phase"):
-                _expect_xz(build_state(n), zeros, zeros.copy(), np.ones(1, dtype=np.int64))
+            state = build_state(n)
+            for x, z, e in ((0, 0, 0), _xz(state.generators[-1])):
+                with pytest.raises(AssertionError, match="odd phase"):
+                    _expect_xz(state, [(x, z, e + 1)])
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_kernel_matches_reference(self, data):
         # block states for N = 1..12 fill the top half of both masks with
-        # pivots, and their window products never need the swap sign; signed
-        # graph states put pivots on x bits from 0 up, with Y phases
-        stab = data.draw(st.one_of(st.integers(1, EXACT_BLOCK_CAP).map(build_state), _graph_states()))
+        # pivots; signed graph states put pivots on x bits from 0 up, with Y
+        # phases, and Hadamards on some of their qubits move those pivots
+        # onto z bits
+        stab = data.draw(
+            st.one_of(st.integers(1, EXACT_BLOCK_CAP).map(build_state), _hadamard_graph_states())
+        )
         ops = data.draw(
             st.lists(st.one_of(_hermitian_paulis(stab.n), _group_elements(stab)), min_size=1, max_size=16)
         )
         want = [_reference_expect(stab, op) for op in ops]
-        assert _expect_xz(stab, *_xz_arrays(ops, stab.n)).tolist() == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_product_of_disjoint_factors_matches_kernel(self, data):
-        # on the block state every row sits inside one block, so the
-        # combine's parity terms are always 0 there.  A signed graph state's
-        # rows reach across any split of its qubits; its pivots are all its x
-        # bits, so an eliminated factor keeps no x bit, and Hadamards on some
-        # qubits move pivots onto z bits and leave x bits.  Group elements and
-        # perturbed ones are cut into L on the drawn qubits and H on the rest,
-        # each Hermitian with a random sign, and every product L_i·H_j is
-        # checked against eliminating L_i | H_j whole
-        stab = data.draw(_hadamard_graph_states())
-        n = stab.n
-
-        def perturbed(op: PauliOp, bit: int) -> PauliOp:
-            # one mask bit flipped: still Hermitian, mostly outside the group
-            if bit < n:
-                return PauliOp(n, op.x ^ 1 << bit, op.z, op.e)
-            return PauliOp(n, op.x, op.z ^ 1 << (bit - n), op.e)
-
-        ops = data.draw(
-            st.lists(
-                st.one_of(
-                    _group_elements(stab),
-                    st.builds(perturbed, _group_elements(stab), st.integers(0, 2 * n - 1)),
-                ),
-                min_size=1,
-                max_size=8,
-            )
-        )
-        on_low = np.uint64(data.draw(st.integers(0, (1 << n) - 1)))
-        x, z, e = _xz_arrays(ops, n)
-        low_x, low_z = x & on_low, z & on_low
-        # every L and H Hermitian, so that every cross product is too: in
-        # normal form each Y on a factor's qubits gives it one factor of i
-        signs = np.array(
-            data.draw(st.lists(st.sampled_from([0, 2]), min_size=len(ops), max_size=len(ops)))
-        )
-        low_e = np.bitwise_count(low_x & low_z) + signs
-        low = (low_x, low_z, low_e)
-        high = (x & ~on_low, z & ~on_low, e - low_e)
-        got = [values.tolist() for values in _product_expectations(stab, low, high)]
-        want = [
-            _expect_xz(stab, low[0] | hx, low[1] | hz, low[2] + he).tolist()
-            for hx, hz, he in zip(*high)
-        ]
-        assert got == want
-        # the split operators themselves, against the reference elimination
-        assert [row[j] for j, row in enumerate(got)] == [_reference_expect(stab, op) for op in ops]
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            _expect(build_state(1), PauliOp(4, 1, 0, 1))
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError, match="size"):
-            _expect(build_state(1), PauliOp(8, 0, 0, 0))
+        assert _expect_xz(stab, map(_xz, ops)) == want
 
 
 class TestReducedRows:
@@ -317,22 +282,13 @@ class TestReducedRows:
                 op = PauliOp(4 * n, x, z, (e - (x & z).bit_count()) % 4)
                 assert _dense_expect(dense, op) == pytest.approx(1, abs=1e-12)
 
-    def test_window_entries_are_products_of_the_selected_rows(self):
-        for n in range(1, EXACT_BLOCK_CAP + 1):
-            _check_window_tables(build_state(n))
-
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_graph_state_window_entries(self, data):
-        # pivots on x bits from 0 up, so low windows fill all 8 bits
-        _check_window_tables(data.draw(_graph_states()))
-
-    def test_tables_are_read_only(self):
-        for n in range(1, EXACT_BLOCK_CAP + 1):
-            for *_, x, z, e in build_state(n)._tables:
-                for array in (x, z, e):
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[0] = 1
+    def test_rows_of_the_block_state_are_block_local(self):
+        # the block certificate's premise: each row's support lies inside one
+        # block's four qubits, up to the largest register the backend holds
+        for n in range(1, STABILIZER_QUBIT_CAP // 4 + 1):
+            blocks = [3 << 2 * b | 3 << 2 * (n + b) for b in range(n)]
+            for _, _, x, z, _ in build_state(n)._rows:
+                assert sum((x | z) & ~own == 0 for own in blocks) == 1, n
 
     def test_verify_builds_one_state(self, capsys, monkeypatch):
         # the correlation checks and the Bell terms share the cached state
@@ -351,8 +307,8 @@ class TestReducedRows:
         assert built == [36]
 
     def test_register_cap(self):
-        # Z on each qubit is a maximal set on any register; one uint64 mask
-        # word holds 64 qubits, so the top qubit is the edge case
+        # Z on each qubit is a maximal set on any register; the top qubit of
+        # the largest register is the edge case
         def z_state(n: int) -> StabilizerState:
             return StabilizerState(tuple(PauliOp(n, 0, 1 << q, 0) for q in range(n)))
 
@@ -414,28 +370,6 @@ class TestDense:
             z = PauliOp(4, 0, 1 << q, 0)
             assert _dense_expect(basis, z) == (-1.0 if q == 0 else 1.0)
         assert _dense_expect(basis, PauliOp(4, 1, 0, 0)) == 0.0
-
-    def test_expectation_guards(self):
-        d = dense_state(1)
-        with pytest.raises(ValueError, match="Hermitian"):
-            _dense_expect(d, PauliOp(4, 1, 0, 1))
-        with pytest.raises(ValueError, match="size"):
-            _dense_expect(d, PauliOp(8, 0, 0, 0))
-
-
-def _check_window_tables(stab: StabilizerState) -> None:
-    """Every window covers its own pivots, and each key that selects some of
-    them holds the product of those rows, folded with ``_times``."""
-    covered = 0
-    for side, lo, pivots, x, z, e in stab._tables:
-        covered += pivots.bit_count()
-        keys = [key for key in range(pivots + 1) if key & ~pivots == 0]
-        for key in keys:
-            rows = [row[2:] for row in stab._rows if (row[side] >> lo) & key]
-            assert len(rows) == key.bit_count()
-            want = reduce(_times, rows, (0, 0, 0))
-            assert (int(x[key]), int(z[key]), int(e[key])) == want, (side, lo, key)
-    assert covered == len(stab._rows)
 
 
 @cache
@@ -567,6 +501,21 @@ class TestCorrelationReport:
         labels = {(c.block, c.label) for c in report.checks}
         assert (1, "X1(1).X2(1).z2(1)") in labels
         assert (2, "z1(2).z2(2)") in labels
+
+    def test_report_matches_the_named_observable_oracle(self):
+        # every check against its relation built from named observables by
+        # pauli_mul and evaluated by the reference elimination, in order
+        for n in (1, 2, 5):
+            state = build_state(n)
+            want = []
+            for block in range(1, n + 1):
+                for sign, letters in PERFECT_CORRELATIONS:
+                    observables = [Observable(l, p, block) for l, p in letters]
+                    op = reduce(pauli_mul, (o.to_pauli(n) for o in observables))
+                    label = ".".join(map(str, observables))
+                    want.append((block, label, sign, _reference_expect(state, op)))
+            report = verify_perfect_correlations(n)
+            assert [(c.block, c.label, c.expected, c.actual) for c in report.checks] == want
 
     def test_mutated_state_records_failures(self, monkeypatch):
         # flip the sign of one generator: the report flags mismatches
