@@ -283,6 +283,20 @@ def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarra
     return val.real
 
 
+def expectation(state: StabilizerState | DenseState, op: PauliOp) -> float:
+    """<op> for a Hermitian op on the state's register, through the state's
+    backend's core: exact in {-1, 0, +1} on the stabilizer backend, a float
+    on the dense one."""
+    if op.n != state.n:
+        raise ValueError(f"register size mismatch: {op.n} vs {state.n}")
+    if not op.is_hermitian:
+        raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
+    x, z, e = op.x, op.z, _xz_exponent(op)
+    if isinstance(state, DenseState):
+        return float(_dense_expect_xz(state, *np.array([[x], [z], [e]], dtype=np.uint64))[0])
+    return _expect_xz(state, [(x, z, e)])[0]
+
+
 @dataclass(frozen=True, slots=True)
 class CorrelationCheck:
     block: int

@@ -234,11 +234,11 @@ class TestQuantumValue:
         for n in (1, 2, 3, 4, 5):
             assert quantum_value(n, backend="dense") == 4**n
 
-    def test_backends_match_the_term_oracle(self):
+    def test_chunks_match_scalar_reference(self):
         # the enumeration is the oracle: every term through term_at and the
-        # test-side one-term-at-a-time elimination.  The dense backend must
-        # give each term's value, and the certificate's block entries must
-        # multiply to it
+        # test-side one-term-at-a-time elimination.  The dense backend's one
+        # table must give each term's value, and the certificate's block
+        # entries must multiply to it
         for n in range(1, 7):
             state = build_state(n)
             terms = list(enumerate_terms(n))
@@ -261,6 +261,36 @@ class TestQuantumValue:
                 (t.operator.x, t.operator.z, (_xz_exponent(t.operator) + 1 - t.sign) % 4)
                 for t in enumerate_terms(n)
             ]
+            assert got == want, n
+
+    def test_chunks_match_term_at_above_the_low_table(self):
+        # past the six blocks enumerated in full above: every term at N = 7,
+        # and at larger N the terms around index 4**6 and the last terms.
+        # Each is its blocks' signed menu entries, on disjoint qubits (masks
+        # OR, exponents add), and the product of their values is its signed
+        # expectation by the reference elimination
+        for n in (7, 9, EXACT_BLOCK_CAP):
+            total = n_terms(n)
+            indices = [*range(4**6 - 9, 4**6 + 20), *range(total - 25, total)]
+            if n == 7:
+                indices = range(total)
+            menu = _signed_menu(n)
+            state = build_state(n)
+            values = _menu_values(n, state)
+            got, want = [], []
+            for index in indices:
+                t = term_at(n, index)
+                entries = [menu[b][c] for b, c in enumerate(t.choices)]
+                x = z = e = 0
+                for ex, ez, ee in entries:
+                    assert (x | z) & (ex | ez) == 0
+                    x, z, e = x | ex, z | ez, e + ee
+                got.append((x, z, e % 4))
+                want.append((t.operator.x, t.operator.z, (_xz_exponent(t.operator) + 1 - t.sign) % 4))
+                if n > 7 or index % 997 == 0:
+                    assert prod(values[b][c] for b, c in enumerate(t.choices)) == t.sign * _reference_expect(
+                        state, t.operator
+                    ), (n, index)
             assert got == want, n
 
     @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperbell.bell
 import hyperbell.state
 from hyperbell import cli
 from hyperbell.pauli import Observable, PauliOp, _xz_exponent, commutes, named_observable, pauli_mul
@@ -22,11 +23,11 @@ from hyperbell.state import (
     STABILIZER_QUBIT_CAP,
     DenseState,
     StabilizerState,
-    _dense_expect_xz,
     _expect_xz,
     block_operator,
     build_state,
     dense_state,
+    expectation,
     verify_perfect_correlations,
 )
 
@@ -82,14 +83,13 @@ def _xz(op: PauliOp) -> tuple[int, int, int]:
 
 
 def _expect(state: StabilizerState, op: PauliOp) -> int:
-    """<op> through the elimination core, as a batch of one."""
-    return _expect_xz(state, [_xz(op)])[0]
+    """<op> through the checked entry to the elimination core."""
+    return expectation(state, op)
 
 
 def _dense_expect(psi: DenseState, op: PauliOp) -> float:
-    """<op> through the dense core, as a batch of one."""
-    x, z, e = np.array([_xz(op)], dtype=np.uint64).T
-    return float(_dense_expect_xz(psi, x, z, e)[0])
+    """<op> through the checked entry to the dense core."""
+    return expectation(psi, op)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -264,6 +264,62 @@ class TestExpectation:
         want = [_reference_expect(stab, op) for op in ops]
         assert _expect_xz(stab, map(_xz, ops)) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_product_of_disjoint_factors_matches_kernel(self, data):
+        # the block certificate's premise: on a state whose rows each sit
+        # inside one block, the expectation of a product of one factor per
+        # block is the product of the factors' expectations.  The state is
+        # the block state with some generator signs flipped; each factor is
+        # Hermitian with a random sign, a signed element of its block's group
+        # (+-1), one with a mask bit flipped, or any Pauli on the block's
+        # qubits (mostly 0).  The whole product goes through the kernel and
+        # the reference elimination
+        n = data.draw(st.integers(1, 4))
+        flips = data.draw(st.lists(st.booleans(), min_size=4 * n, max_size=4 * n))
+        gens = build_state(n).generators
+        stab = StabilizerState(tuple(-g if flip else g for g, flip in zip(gens, flips)))
+
+        def placed(bits: int, block: int) -> int:
+            # bits 0, 1 on particle 1's pair of the block, 2, 3 on particle 2's
+            return (bits & 3) << 2 * block | (bits >> 2) << 2 * (n + block)
+
+        factors = []
+        for block in range(n):
+            kind = data.draw(st.sampled_from(["group", "perturbed", "any"]))
+            if kind == "any":
+                x, z = data.draw(st.lists(st.integers(0, 15), min_size=2, max_size=2))
+                op = PauliOp(4 * n, placed(x, block), placed(z, block), 0)
+            else:
+                own = stab.generators[4 * block : 4 * block + 4]
+                mask = data.draw(st.integers(0, 15))
+                op = reduce(pauli_mul, [g for i, g in enumerate(own) if mask >> i & 1], PauliOp(4 * n, 0, 0, 0))
+                if kind == "perturbed":
+                    bit = placed(1 << data.draw(st.integers(0, 3)), block)
+                    if data.draw(st.booleans()):
+                        op = PauliOp(4 * n, op.x ^ bit, op.z, op.e)
+                    else:
+                        op = PauliOp(4 * n, op.x, op.z ^ bit, op.e)
+            factors.append(-op if data.draw(st.booleans()) else op)
+        whole = reduce(pauli_mul, factors)
+        assert whole.is_hermitian
+        each = _expect_xz(stab, map(_xz, factors))
+        want = int(np.prod(each))
+        assert _expect_xz(stab, [_xz(whole)]) == [want]
+        assert _reference_expect(stab, whole) == want
+        # the premise is on the state, not only the operators: on the Bell
+        # pair (XX, ZZ) each X alone is 0 and their product +1
+        pair = StabilizerState((PauliOp(2, 3, 0, 0), PauliOp(2, 0, 3, 0)))
+        assert _expect_xz(pair, [(1, 0, 0), (2, 0, 0), (3, 0, 0)]) == [0, 0, 1]
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            _expect(build_state(1), PauliOp(4, 1, 0, 1))
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(ValueError, match="size"):
+            _expect(build_state(1), PauliOp(8, 0, 0, 0))
+
 
 class TestReducedRows:
     def test_no_row_has_a_bit_at_another_pivot(self):
@@ -289,6 +345,20 @@ class TestReducedRows:
             blocks = [3 << 2 * b | 3 << 2 * (n + b) for b in range(n)]
             for _, _, x, z, _ in build_state(n)._rows:
                 assert sum((x | z) & ~own == 0 for own in blocks) == 1, n
+
+    def test_tables_are_read_only(self):
+        # the state's rows and the menu placed on every block are cached and
+        # shared across callers, so neither can be written; the signed menu
+        # is built fresh per call, so a caller's edit stays its own
+        for n in range(1, EXACT_BLOCK_CAP + 1):
+            for table in (build_state(n)._rows, hyperbell.bell._block_tables(n)):
+                for row in (table, table[0]):
+                    with pytest.raises(TypeError):
+                        row[0] = row[-1]
+            menu = hyperbell.bell._signed_menu(n)
+            want = [list(row) for row in menu]
+            menu[0][0] = (0, 0, 0)
+            assert hyperbell.bell._signed_menu(n) == want
 
     def test_verify_builds_one_state(self, capsys, monkeypatch):
         # the correlation checks and the Bell terms share the cached state
@@ -370,6 +440,13 @@ class TestDense:
             z = PauliOp(4, 0, 1 << q, 0)
             assert _dense_expect(basis, z) == (-1.0 if q == 0 else 1.0)
         assert _dense_expect(basis, PauliOp(4, 1, 0, 0)) == 0.0
+
+    def test_expectation_guards(self):
+        d = dense_state(1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            _dense_expect(d, PauliOp(4, 1, 0, 1))
+        with pytest.raises(ValueError, match="size"):
+            _dense_expect(d, PauliOp(8, 0, 0, 0))
 
 
 @cache
