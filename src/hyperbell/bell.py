@@ -11,20 +11,20 @@ value is exactly 4**N.
 
 Terms are streamed in lexicographic choice order (block 1 is the most
 significant base-4 digit) and never materialized as a whole.  Each is the
-product of its blocks' menu entries, on disjoint qubits, read from one table
-of the 4N entries placed on every block (``_block_tables``).  The state is a
-product over blocks as well, so the stabilizer backend never visits a term:
-it evaluates the 4N signed entries once and certifies all 4**N terms from
-them (``quantum_value``).  The dense backend, capped at DENSE_BLOCK_CAP
-blocks, evaluates every term on the statevector as the independent
-cross-check.
+join (``_join``) of its blocks' signed menu entries, on disjoint qubits, read
+from one cached, read-only table of the 4N entries placed on every block
+(``_signed_menu``).  The state is a product over blocks as well, so the
+stabilizer backend never visits a term: it evaluates the 4N signed entries
+once and certifies all 4**N terms from them (``quantum_value``).  The dense
+backend, capped at DENSE_BLOCK_CAP blocks, evaluates every joined term on
+the statevector as the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -97,17 +97,31 @@ def _digits(n_blocks: int, index: int | np.ndarray) -> tuple:
 
 
 @cache
-def _block_tables(n_blocks: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Raw (x, z, e) of every menu choice placed on every block, built once per N.
-
-    Blocks occupy disjoint qubits, so a term's operator is the OR of its
-    block masks and its phase exponent is the sum of the block exponents.
-    Tuples keep the shared cached table immutable.
-    """
+def _signed_menu(n_blocks: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """The menu on every block, [block][choice]: (x, z, e, sign), built once
+    per N and shared read-only; (x, z, e) is the signed entry, its sign
+    folded into the exponent."""
     return tuple(
-        tuple(_block_xz(t.observables, block, n_blocks) for t in BLOCK_TERM_MENU)
+        tuple((*_block_xz(t.observables, block, n_blocks, t.sign), t.sign) for t in BLOCK_TERM_MENU)
         for block in range(1, n_blocks + 1)
     )
+
+
+def _join(n_blocks: int, picks: Iterable[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """(x, z, e, sign) of the product of the signed menu entries ``picks``,
+    (block index, choice) pairs on distinct blocks.  Blocks sit on disjoint
+    qubits, so masks OR, exponents add with no cross phase and signs
+    multiply."""
+    menu = _signed_menu(n_blocks)
+    x = z = e = 0
+    sign = 1
+    for block, choice in picks:
+        bx, bz, be, bs = menu[block][choice]
+        x |= bx
+        z |= bz
+        e += be
+        sign *= bs
+    return x, z, e, sign
 
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
@@ -115,16 +129,9 @@ def term_at(n_blocks: int, index: int) -> BellTerm:
     if not 0 <= index < n_terms(n_blocks):
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
     choices = _digits(n_blocks, index)
-    x = z = e = 0
-    sign = 1
-    for row, c in zip(_block_tables(n_blocks), choices):
-        bx, bz, be = row[c]
-        x |= bx
-        z |= bz
-        e += be
-        sign *= BLOCK_TERM_MENU[c].sign
-    e %= 4
-    op = PauliOp(4 * n_blocks, x, z, (e - (x & z).bit_count()) % 4)
+    x, z, e, sign = _join(n_blocks, enumerate(choices))
+    # each -1 added 2 to e, so the unsigned exponent is e + sign - 1
+    op = PauliOp(4 * n_blocks, x, z, (e + sign - 1 - (x & z).bit_count()) % 4)
     return BellTerm(n_blocks, index, choices, sign, op)
 
 
@@ -134,39 +141,11 @@ def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
         yield term_at(n_blocks, index)
 
 
-def _joint_table(masks: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(x, z, e) of every combination of menu choices on some blocks.
-
-    ``masks`` is [block, choice, (x, z)] and ``exps`` [block, choice]; entry i
-    takes its choices from the base-4 digits of i, the first block most
-    significant.  Blocks sit on disjoint qubits, so masks OR together and
-    exponents add with no cross phase.
-    """
-    size = 4 ** len(exps)
-    x, z = np.zeros((2, size), dtype=np.uint64)
-    e = np.zeros(size, dtype=np.int64)
-    for mask, exp, choice in zip(masks, exps, _digits(len(exps), np.arange(size))):
-        x |= mask[:, 0].take(choice)
-        z |= mask[:, 1].take(choice)
-        e += exp.take(choice)
-    return x, z, e
-
-
-def _signed_menu(n_blocks: int) -> list[list[tuple[int, int, int]]]:
-    """The menu on every block, [block][choice]: (x, z, e) with each choice's
-    sign folded into its exponent, a sign of -1 adding 2, so an entry is its
-    signed operator in X^x Z^z normal form."""
-    return [
-        [(x, z, e + 1 - t.sign) for (x, z, e), t in zip(row, BLOCK_TERM_MENU)]
-        for row in _block_tables(n_blocks)
-    ]
-
-
 def _dense_signed(n_blocks: int, psi: DenseState) -> np.ndarray:
     """Signed expectations of all 4**N terms on the explicit statevector, in
     index order, each rounded to an integer."""
-    menu = np.array(_signed_menu(n_blocks), dtype=np.uint64)  # [block, choice, (x, z, e)]
-    values = _dense_expect_xz(psi, *_joint_table(menu[..., :2], menu[..., 2].astype(np.int64)))
+    terms = (_join(n_blocks, enumerate(_digits(n_blocks, i)))[:3] for i in range(n_terms(n_blocks)))
+    values = _dense_expect_xz(psi, terms)
     signed = np.rint(values)
     off = np.flatnonzero(np.abs(values - signed) > 1e-12)
     if off.size:
@@ -188,7 +167,7 @@ def _menu_values(n_blocks: int, state: StabilizerState) -> list[list[int]]:
                 "block certificate premise fails: a stabilizer row of the state spans blocks "
                 + ", ".join(map(str, spanned))
             )
-    values = _expect_xz(state, [entry for row in _signed_menu(n_blocks) for entry in row])
+    values = _expect_xz(state, [_join(n_blocks, [(b, c)])[:3] for b in range(n_blocks) for c in range(4)])
     return [values[4 * b : 4 * b + 4] for b in range(n_blocks)]
 
 

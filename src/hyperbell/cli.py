@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -40,7 +41,7 @@ from .efficiency import (
     min_blocks,
 )
 from .lhv import BRUTE_FORCE_BLOCK_CAP, brute_force_bound, factored_bound
-from .montecarlo import ESTIMATE_BLOCK_CAP, MAX_SHOTS, UndefinedEstimateError, estimate_beta
+from .montecarlo import ESTIMATE_BLOCK_CAP, MAX_SHOTS, MEASURED_TERM_CAP, UndefinedEstimateError, estimate_beta
 from .pauli import pauli_to_string
 from .state import EXACT_BLOCK_CAP, verify_perfect_correlations
 
@@ -259,6 +260,10 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
     _require_cap("simulate", args.n, ESTIMATE_BLOCK_CAP, "16.0**N overflows a float above it")
     if args.shots > MAX_SHOTS:
         raise _usage_error(f"simulate supports up to {MAX_SHOTS} shots per term (an int64 count)")
+    measured = min(n_terms(args.n), args.term_budget)
+    if measured > MEASURED_TERM_CAP:
+        why = "the lesser of 4**N and --term-budget"
+        raise _usage_error(f"simulate measures up to {MEASURED_TERM_CAP} terms, got {measured} ({why})")
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
     try:
@@ -338,7 +343,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperbell",
         description="Bell inequalities for block-structured hyperentangled states.",

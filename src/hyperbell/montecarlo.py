@@ -23,7 +23,8 @@ Term ``index`` under master ``seed`` draws by ``Generator.multinomial`` from
 numpy's ``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a
 function of the two alone, so output is byte-identical for a fixed seed
 whatever order or grouping the terms are measured in.  ``_term_states``
-derives those starting states in numpy, a chunk of terms at once, and one
+derives those starting states in numpy, a chunk of terms at once, from the
+pool numpy's own SeedSequence mixes from ``seed`` (``_seed_pool``), and one
 carrier PCG64 is set to each in turn.
 """
 
@@ -72,6 +73,10 @@ class CountsTable:
 # most shots per term: numpy's multinomial takes the count as an int64
 MAX_SHOTS = 2**63 - 1
 
+# most terms one estimate measures, min(4**N, term_budget): the 4**12 terms
+# verify's cap names, minutes of sampling and gigabytes of memory (README)
+MEASURED_TERM_CAP = 4**12
+
 # terms per pass of estimate_beta, which holds a pass's PCG64 states at once
 TERM_CHUNK = 256
 
@@ -90,45 +95,27 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED05_1FC65DA4_4385DF64_9FCCF645
 
 
-def _hashmix(value: Any, hash_const: int, mult: int = _MULT_A) -> tuple[Any, int]:
-    """SeedSequence's hash of uint32 ``value``, a Python int or a uint32 array,
-    with the hash constant it leaves for the next call."""
+def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 array ``value``, and the hash constant it leaves for the next."""
     hash_const_next = hash_const * mult & _MASK32
     value = (value ^ hash_const) * hash_const_next & _MASK32
     return value ^ value >> 16, hash_const_next
 
 
-def _mix(x: Any, y: Any) -> Any:
-    """SeedSequence's mix of hashed word ``y`` into pool word ``x``."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after the words of ``seed``,
-    zero-padded to the pool's four, and spawn key word 1: what every term's
-    SeedSequence shares before its own index words."""
+    """SeedSequence's pool and hash constant after the words of ``seed`` and
+    spawn key word 1: what every term's SeedSequence shares before its own
+    index words.  The pool is numpy's own.  numpy mixes in L = max(seed
+    words, 4) + 1 words with 4L hashes (one per pool word, twelve across the
+    pool, four per later word), and each hash multiplies the constant by
+    _MULT_A."""
     seed = operator.index(seed)  # SeedSequence, too, takes integers only
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [1]
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:4]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[4:]:
-        for dst in range(4):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return tuple(pool), hash_const
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(1,)).pool
+    n_words = max((seed.bit_length() + 31) // 32, 4) + 1
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
 
 
 def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
@@ -151,7 +138,8 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
         rows = slice(None) if j == 0 else words[:, j:].any(axis=1)
         for dst in range(4):
             hashed, hash_const = _hashmix(words[rows, j], hash_const)
-            pool[dst, rows] = _mix(pool[dst, rows], hashed)
+            mixed = (_MIX_MULT_L * pool[dst, rows] - _MIX_MULT_R * hashed) & _MASK32
+            pool[dst, rows] = mixed ^ mixed >> 16
     out = np.empty((len(index), 8), dtype="<u4")
     hash_const = _INIT_B
     for i in range(8):
@@ -310,8 +298,12 @@ def estimate_beta(
     shots = shots_per_term
     total = n_terms(n_blocks)
     exhaustive = total <= term_budget
+    m = total if exhaustive else term_budget
+    if m > MEASURED_TERM_CAP:
+        raise ValueError(
+            f"at most {MEASURED_TERM_CAP} measured terms, got {m} (the lesser of 4**N and term_budget)"
+        )
     indices = range(total) if exhaustive else _sample_indices(total, term_budget, seed)
-    m = len(indices)
     # int64 holds every index below 4**32; above it they stay Python ints
     index_type = np.int64 if n_blocks < 32 else object
     values = np.empty(m)

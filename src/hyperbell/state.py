@@ -12,7 +12,8 @@ Two backends are provided.  The stabilizer backend represents the state by
 the integers via GF(2) elimination with phase tracking.  The dense backend
 builds the 2**(4N) statevector (capped at N <= 5) and serves as an
 independent cross-check oracle; its expectations sum over the 4**N nonzero
-amplitudes only.
+amplitudes only.  Both cores take the same operators, (x, z, e) triples in
+Python ints (``_expect_xz``, ``_dense_expect_xz``).
 
 The stabilizer backend keeps the group in row-reduced form (Aaronson and
 Gottesman, PRA 70, 052328, 2004): one row per generator, each with a single
@@ -87,24 +88,24 @@ def _template(letters: tuple[LetterPair, ...]) -> tuple[int, int, int]:
     return reduce(_times, ((op.x, op.z, _xz_exponent(op)) for op in ops))
 
 
-def _block_xz(letters: tuple[LetterPair, ...], block: int, n_blocks: int) -> tuple[int, int, int]:
-    """(x, z, e) of a product of named observables on one block of N: its
-    template with particle 1's bit pair moved to 2(block-1) and particle 2's
-    to 2N + 2(block-1).  Relabelling qubits leaves the normal-form exponent."""
+def _block_xz(letters: tuple[LetterPair, ...], block: int, n_blocks: int, sign: int = 1) -> tuple[int, int, int]:
+    """(x, z, e) of ``sign`` times a product of named observables on one
+    block of N: its template with particle 1's bit pair moved to 2(block-1)
+    and particle 2's to 2N + 2(block-1).  Relabelling qubits leaves the
+    normal-form exponent; a sign of -1 adds 2 to it."""
     if not 1 <= block <= n_blocks:
         raise ValueError(f"block {block} out of range for {n_blocks} blocks")
     x, z, e = _template(letters)
     one, two = 2 * (block - 1), 2 * (n_blocks + block - 1)
-    return (x & 3) << one | (x >> 2) << two, (z & 3) << one | (z >> 2) << two, e
+    return (x & 3) << one | (x >> 2) << two, (z & 3) << one | (z >> 2) << two, e + 1 - sign
 
 
 def block_operator(
     sign: int, letters: tuple[LetterPair, ...], block: int, n_blocks: int
 ) -> PauliOp:
     """Signed product of named observables, all attached to one block."""
-    x, z, e = _block_xz(letters, block, n_blocks)
-    # a sign of -1 adds 2 to the exponent
-    return PauliOp(4 * n_blocks, x, z, (e + 1 - sign - (x & z).bit_count()) % 4)
+    x, z, e = _block_xz(letters, block, n_blocks, sign)
+    return PauliOp(4 * n_blocks, x, z, (e - (x & z).bit_count()) % 4)
 
 
 class StabilizerState:
@@ -262,8 +263,9 @@ def dense_state(n_blocks: int) -> DenseState:
     return DenseState(amps)
 
 
-def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Dense core: expectations of i**e X^x Z^z across arrays of uint64 masks and exponents.
+def _dense_expect_xz(psi: DenseState, ops: Iterable[tuple[int, int, int]]) -> np.ndarray:
+    """Dense core: expectations of operators i**e X^x Z^z, each given as
+    (x, z, e) in Python ints, as ``_expect_xz`` takes them.
 
     Operator t sums conj(psi[k ^ x_t]) (-1)**popcount(k & z_t) psi[k] over
     the support k, a mask's bit q being basis-index bit q; one operator at a
@@ -272,11 +274,11 @@ def _dense_expect_xz(psi: DenseState, x: np.ndarray, z: np.ndarray, e: np.ndarra
     idx = psi.support
     amps = psi.amplitudes
     here = amps[idx]
-    sums = np.array([
-        np.sum(np.where(np.bitwise_count(idx & tz) & 1, -here, here) * np.conj(amps[idx ^ tx]))
-        for tx, tz in zip(x, z)
+    flipped = -here
+    val = np.array([
+        1j ** (e % 4) * np.vdot(amps[idx ^ x], np.where(np.bitwise_count(idx & z) & 1, flipped, here))
+        for x, z, e in ops
     ])
-    val = np.array([1, 1j, -1, -1j])[e % 4] * sums
     nonreal = np.abs(val.imag) > 1e-12
     if nonreal.any():
         raise AssertionError(f"expectation came out non-real: {val[nonreal][0]}")
@@ -291,10 +293,10 @@ def expectation(state: StabilizerState | DenseState, op: PauliOp) -> float:
         raise ValueError(f"register size mismatch: {op.n} vs {state.n}")
     if not op.is_hermitian:
         raise ValueError(f"expectation requires a Hermitian operator, got {_op_repr(op)}")
-    x, z, e = op.x, op.z, _xz_exponent(op)
+    ops = [(op.x, op.z, _xz_exponent(op))]
     if isinstance(state, DenseState):
-        return float(_dense_expect_xz(state, *np.array([[x], [z], [e]], dtype=np.uint64))[0])
-    return _expect_xz(state, [(x, z, e)])[0]
+        return float(_dense_expect_xz(state, ops)[0])
+    return _expect_xz(state, ops)[0]
 
 
 @dataclass(frozen=True, slots=True)

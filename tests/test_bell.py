@@ -17,7 +17,7 @@ from hyperbell.bell import (
     BLOCK_TERM_MENU,
     _certify,
     _dense_signed,
-    _joint_table,
+    _join,
     _menu_values,
     _signed_menu,
     enumerate_terms,
@@ -141,18 +141,18 @@ class TestEnumeration:
             return real(*args)
 
         monkeypatch.setattr(hyperbell.bell, "_block_xz", counting)
-        hyperbell.bell._block_tables.cache_clear()
+        _signed_menu.cache_clear()
         try:
             for i in range(n_terms(3)):
                 term_at(3, i)
             for _ in enumerate_terms(3):
                 pass
             assert calls == 4 * 3  # one operator per menu choice per block
-            tables = hyperbell.bell._block_tables(3)
-            assert isinstance(tables, tuple)
-            assert all(isinstance(row, tuple) for row in tables)
+            table = _signed_menu(3)
+            assert isinstance(table, tuple)
+            assert all(isinstance(row, tuple) and all(isinstance(e, tuple) for e in row) for row in table)
         finally:
-            hyperbell.bell._block_tables.cache_clear()
+            _signed_menu.cache_clear()
 
     def test_observables_iterate_in_block_order(self):
         term = term_at(2, 0b0111)  # choices (1, 3): YYz then YxXy
@@ -251,14 +251,17 @@ class TestQuantumValue:
                 assert _dense_signed(n, dense_state(n)).tolist() == want, n
 
     def test_signed_menu_joins_into_the_terms(self):
-        # the joint table of the signed menu is every term's operator, in
-        # index order, with its sign folded into the exponent (-1 adds 2)
+        # the join of one signed menu entry per block, choices in
+        # lexicographic order, is every term's operator in index order with
+        # its sign folded into the exponent (-1 adds 2), and its sign
         for n in range(1, 7):
-            menu = np.array(_signed_menu(n), dtype=np.uint64)
-            x, z, e = _joint_table(menu[..., :2], menu[..., 2].astype(np.int64))
-            got = list(zip(x.tolist(), z.tolist(), (e % 4).tolist()))
+            got = [
+                (x, z, e % 4, sign)
+                for choices in product(range(4), repeat=n)
+                for x, z, e, sign in [_join(n, enumerate(choices))]
+            ]
             want = [
-                (t.operator.x, t.operator.z, (_xz_exponent(t.operator) + 1 - t.sign) % 4)
+                (t.operator.x, t.operator.z, (_xz_exponent(t.operator) + 1 - t.sign) % 4, t.sign)
                 for t in enumerate_terms(n)
             ]
             assert got == want, n
@@ -282,7 +285,7 @@ class TestQuantumValue:
                 t = term_at(n, index)
                 entries = [menu[b][c] for b, c in enumerate(t.choices)]
                 x = z = e = 0
-                for ex, ez, ee in entries:
+                for ex, ez, ee, _ in entries:
                     assert (x | z) & (ex | ez) == 0
                     x, z, e = x | ex, z | ez, e + ee
                 got.append((x, z, e % 4))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -426,6 +427,22 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts_summary"]["n_total"] == 4 * (2**63 - 1)
 
+    def test_measured_term_cap(self, capsys):
+        # a budget that would measure more than 4**12 terms is refused before
+        # any work; a budget above 4**N measures every term, unchanged
+        proc = run_cli("simulate", "--n", "20", "--shots", "1", "--term-budget", "2000000000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: simulate measures up to 16777216 terms, got 1099511627776"
+            " (the lesser of 4**N and --term-budget)\n"
+        )
+        assert cli.main("simulate --n 3 --shots 200 --term-budget 1000000000000".split()) == 0
+        huge = capsys.readouterr().out
+        assert cli.main("simulate --n 3 --shots 200".split()) == 0
+        assert huge == capsys.readouterr().out
+        assert json.loads(huge)["exhaustive"] is True
+
     def test_large_counts_are_exact(self, capsys):
         argv = "simulate --n 2 --shots 4611686018427387904 --eta 1 --p 1 --eps 0".split()
         assert cli.main(argv) == 0
@@ -504,6 +521,51 @@ class TestUsageErrors:
             proc = run_cli(*args)
             assert proc.returncode == 2, args
             assert "Traceback" not in proc.stderr, args
+
+
+# boundary inputs, each of which must end in a result or a clean error
+EDGE_INPUTS = (
+    "simulate --n 20 --shots 1 --term-budget 2000000000000",
+    "simulate --n 255 --shots 1 --term-budget 1",
+    "simulate --n 32 --shots 1 --term-budget 5",
+    "simulate --n 3 --shots 9223372036854775807 --term-budget 1",
+    "simulate --n 1 --shots 1 --eta 1e-300",
+    "min-n --p 1e-300",
+    "sweep --n-max 511",
+    "bounds --n 511 --p 0",
+    "dump-terms --n 6 --format json",
+    "verify --n 13",
+)
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("command", EDGE_INPUTS)
+    def test_ends_in_a_documented_exit(self, command, capsys, monkeypatch):
+        # in-process: any exception but the usage error's SystemExit escapes
+        # and fails the test
+        monkeypatch.delenv("HYPERBELL_SEED", raising=False)
+        try:
+            code = cli.main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        assert cli.main(["verify", "--n", "1"]) == 0
+        assert cli.main(["bounds", "--n", "2"]) == 0
+        assert built.count("hyperbell") == 1
+        assert len(built) == 1 + len(cli.COMMANDS)  # the parser and its subparsers
 
 
 class TestGoldenStdout:

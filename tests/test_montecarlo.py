@@ -320,6 +320,11 @@ class TestEstimateBeta:
             estimate_beta(ESTIMATE_BLOCK_CAP + 1, 1, IDEAL, seed=0, term_budget=2)
         with pytest.raises(ValueError, match="term_budget"):
             estimate_beta(1, 10, IDEAL, seed=0, term_budget=0)
+        # more measured terms than MEASURED_TERM_CAP, subsampled or exhaustive
+        for n, budget in ((20, 2 * 10**12), (13, 4**12 + 1), (13, 4**13)):
+            m = min(4**n, budget)
+            with pytest.raises(ValueError, match=rf"^at most 16777216 measured terms, got {m} "):
+                estimate_beta(n, 1, IDEAL, seed=0, term_budget=budget)
         for shots in (0, -3):
             with pytest.raises(ValueError, match=rf"^shots_per_term must be >= 1, got {shots}$"):
                 estimate_beta(1, shots, IDEAL, seed=0)
@@ -493,7 +498,7 @@ class TestGoldenStreams:
 class TestTermStates:
     """The derived PCG64 states against numpy's own SeedSequence construction."""
 
-    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**130 + 5]
+    SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**130 + 5, 2**200 + 11]
     EDGES = [0, 2**32 - 1, 2**32, 2**64, 2**70 + 9, 4**255 - 1]
 
     @pytest.mark.parametrize("seed", SEEDS)

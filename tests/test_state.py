@@ -347,18 +347,17 @@ class TestReducedRows:
                 assert sum((x | z) & ~own == 0 for own in blocks) == 1, n
 
     def test_tables_are_read_only(self):
-        # the state's rows and the menu placed on every block are cached and
-        # shared across callers, so neither can be written; the signed menu
-        # is built fresh per call, so a caller's edit stays its own
+        # the state's rows and the signed menu placed on every block are
+        # cached and shared across callers, so neither can be written
         for n in range(1, EXACT_BLOCK_CAP + 1):
-            for table in (build_state(n)._rows, hyperbell.bell._block_tables(n)):
+            menu = hyperbell.bell._signed_menu(n)
+            assert menu is hyperbell.bell._signed_menu(n)
+            for table in (build_state(n)._rows, menu):
                 for row in (table, table[0]):
                     with pytest.raises(TypeError):
                         row[0] = row[-1]
-            menu = hyperbell.bell._signed_menu(n)
-            want = [list(row) for row in menu]
-            menu[0][0] = (0, 0, 0)
-            assert hyperbell.bell._signed_menu(n) == want
+            with pytest.raises(TypeError):
+                menu[0][0][2] = 0
 
     def test_verify_builds_one_state(self, capsys, monkeypatch):
         # the correlation checks and the Bell terms share the cached state
@@ -530,6 +529,22 @@ class TestBackendAgreement:
                 got = _dense_expect(dense, op)
                 want = _expect(stab, op)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    def test_cores_take_the_same_triples(self):
+        # both exact cores read one list of (x, z, e) triples: random
+        # Hermitian Paulis (mostly 0) and signed group elements (+-1)
+        rng = np.random.default_rng(22)
+        for n in (1, 2):
+            stab, dense = _states(n)
+            ops = [_xz(random_hermitian(rng, 4 * n)) for _ in range(200)]
+            for _ in range(100):
+                mask = int(rng.integers(0, 1 << 4 * n))
+                chosen = [g for i, g in enumerate(stab.generators) if mask >> i & 1]
+                op = reduce(pauli_mul, chosen, PauliOp(4 * n, 0, 0, 0))
+                ops.append(_xz(-op if rng.integers(0, 2) else op))
+            want = _expect_xz(stab, ops)
+            assert set(want) == {-1, 0, 1}
+            assert hyperbell.state._dense_expect_xz(dense, ops).tolist() == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 2))
