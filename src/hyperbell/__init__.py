@@ -34,9 +34,7 @@ from .montecarlo import (
 from .pauli import (
     Observable,
     PauliOp,
-    QubitIndex,
     commutes,
-    named_observable,
     pauli_mul,
     pauli_to_string,
 )

@@ -22,6 +22,7 @@ the statevector as the independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
@@ -42,20 +43,13 @@ from .state import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BlockTerm:
-    """One entry of the per-block menu: a label, a sign, and its observables."""
-
-    label: str
-    sign: int
-    observables: tuple[LetterPair, ...]
-
-
-BLOCK_TERM_MENU: tuple[BlockTerm, ...] = (
-    BlockTerm("XXz", +1, (("X", 1), ("X", 2), ("z", 2))),
-    BlockTerm("YYz", -1, (("Y", 1), ("Y", 2), ("z", 2))),
-    BlockTerm("XxYy", +1, (("X", 1), ("x", 1), ("Y", 2), ("y", 2))),
-    BlockTerm("YxXy", +1, (("Y", 1), ("x", 1), ("X", 2), ("y", 2))),
+# The four signed block products of the menu, in choice order, as (sign,
+# observables) like state.PERFECT_CORRELATIONS; case picks the slot.
+BLOCK_TERM_MENU: tuple[tuple[int, tuple[LetterPair, ...]], ...] = (
+    (+1, (("X", 1), ("X", 2), ("z", 2))),
+    (-1, (("Y", 1), ("Y", 2), ("z", 2))),
+    (+1, (("X", 1), ("x", 1), ("Y", 2), ("y", 2))),
+    (+1, (("Y", 1), ("x", 1), ("X", 2), ("y", 2))),
 )
 
 
@@ -71,19 +65,19 @@ class BellTerm:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(BLOCK_TERM_MENU[c].label for c in self.choices)
+        return tuple("".join(letter for letter, _ in BLOCK_TERM_MENU[c][1]) for c in self.choices)
 
     def observables(self) -> Iterator[Observable]:
         for block, c in enumerate(self.choices, start=1):
-            for letter, particle in BLOCK_TERM_MENU[c].observables:
+            for letter, particle in BLOCK_TERM_MENU[c][1]:
                 yield Observable(letter, particle, block)
 
 
-_MENU_SIGNS = np.array([t.sign for t in BLOCK_TERM_MENU])
+_MENU_SIGNS = np.array([sign for sign, _ in BLOCK_TERM_MENU])
 
 
 def n_terms(n_blocks: int) -> int:
-    if n_blocks < 1:
+    if operator.index(n_blocks) < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     return 4**n_blocks
 
@@ -102,7 +96,7 @@ def _signed_menu(n_blocks: int) -> tuple[tuple[tuple[int, int, int, int], ...], 
     per N and shared read-only; (x, z, e) is the signed entry, its sign
     folded into the exponent."""
     return tuple(
-        tuple((*_block_xz(t.observables, block, n_blocks, t.sign), t.sign) for t in BLOCK_TERM_MENU)
+        tuple((*_block_xz(letters, block, n_blocks, sign), sign) for sign, letters in BLOCK_TERM_MENU)
         for block in range(1, n_blocks + 1)
     )
 

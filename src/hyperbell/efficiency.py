@@ -17,6 +17,7 @@ solves to the threshold  eta_min = 2r/(1+r)  with r = beta_epr'/beta_qm'.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -47,7 +48,7 @@ class NoiseParams:
 
 def noisy_bounds(n_blocks: int, eps: float, p: float) -> tuple[float, float]:
     """(beta_epr', beta_qm') for N blocks at tolerance eps and mixture weight p."""
-    if not 1 <= n_blocks <= FLOAT_BLOCK_CAP:
+    if not 1 <= operator.index(n_blocks) <= FLOAT_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
@@ -77,7 +78,7 @@ def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     of the 4**N terms is therefore v (1 - eps) p**N on average, and so is a
     uniform subsample scaled up.
     """
-    if not 1 <= n_blocks <= FLOAT_BLOCK_CAP:
+    if not 1 <= operator.index(n_blocks) <= FLOAT_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")
     return visibility_factor(noise.eta) * (1.0 - noise.epsilon) * (4.0 * noise.p) ** n_blocks
 
@@ -118,9 +119,6 @@ def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
 class MinBlocksResult:
     n_star: int
     table: tuple[BoundsReport, ...]
-    eta: float
-    eps: float
-    p: float
     visibility: float
 
 
@@ -144,9 +142,13 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
             f"asymptotic ratio eps/p = {eps / p:.6g} is not below the "
             f"visibility factor {v:.6g}: no block count admits a violation"
         )
-    n_star = next((n for n in range(1, n_cap + 1) if bounds_report(n, eps, p).violated(eta)), None)
-    if n_star is None:
+    table = []
+    for n in range(1, n_cap + 1):
+        table.append(bounds_report(n, eps, p))
+        if table[-1].violated(eta):
+            break
+    else:
         raise NoViolationError(f"no violation found for N up to {n_cap}")
-    last = min(n_star + 2, FLOAT_BLOCK_CAP)
-    table = tuple(bounds_report(n, eps, p) for n in range(1, last + 1))
-    return MinBlocksResult(n_star, table, eta, eps, p, v)
+    n_star = len(table)
+    table += [bounds_report(n, eps, p) for n in range(n_star + 1, min(n_star + 2, FLOAT_BLOCK_CAP) + 1)]
+    return MinBlocksResult(n_star, tuple(table), v)

@@ -15,6 +15,7 @@ the top block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -44,8 +45,7 @@ def _block_sum_from_mask(mask: int) -> int:
     """Four-term block sum for a 7-bit assignment mask (set bit means -1)."""
     values = [1 - 2 * ((mask >> i) & 1) for i in range(_BITS_PER_BLOCK)]
     return sum(
-        term.sign * prod(values[_LABEL_POS[lp]] for lp in term.observables)
-        for term in BLOCK_TERM_MENU
+        sign * prod(values[_LABEL_POS[lp]] for lp in letters) for sign, letters in BLOCK_TERM_MENU
     )
 
 
@@ -95,6 +95,6 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
 
 def factored_bound(n_blocks: int) -> int:
     """Deterministic maximum via the block structure: (per-block max)**N."""
-    if n_blocks < 1:
+    if operator.index(n_blocks) < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     return max(_BLOCK_SUM_TABLE) ** n_blocks

@@ -38,7 +38,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bell import _MENU_SIGNS, BellTerm, _digits, n_terms
+from .bell import _MENU_SIGNS, _digits, n_terms
 from .efficiency import NoiseParams
 
 
@@ -164,7 +164,6 @@ def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, slots=True)
 class TermEstimate:
-    term_index: int
     sign: int
     correlation: float
     stderr: float
@@ -176,7 +175,7 @@ def _draw_counts(
 ) -> np.ndarray:
     """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
     t's are one multinomial draw from its own stream at pvals[negative[t]]."""
-    if not 1 <= shots <= MAX_SHOTS:
+    if not 1 <= operator.index(shots) <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     bitgen = np.random.PCG64(0)  # its own state is never read
     draw = np.random.Generator(bitgen).multinomial
@@ -203,17 +202,20 @@ def _correlations(indices: Sequence[int], tally: np.ndarray, shots: int) -> tupl
     return corr, np.sqrt(variance / denom)
 
 
-def estimate_term(term: BellTerm, noise: NoiseParams, shots: int, seed: int) -> TermEstimate:
-    """Correlation estimate for one term with a binomial-style standard error.
+def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, seed: int) -> TermEstimate:
+    """Correlation estimate for term ``index`` of N blocks, with a binomial-style standard error.
 
     Its counts are one draw of the module's multinomial from the term's own
-    stream, a function of ``seed`` and ``term.index`` alone, so it is exactly
+    stream, a function of ``seed`` and ``index`` alone, so it is exactly
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
-    tally = _draw_counts([term.index], [term.sign < 0], _pvals(term.n_blocks, noise), seed, shots)
-    (corr,), (stderr,) = _correlations([term.index], tally, shots)
+    if not 0 <= operator.index(index) < n_terms(n_blocks):
+        raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
+    sign = int(_MENU_SIGNS[np.array(_digits(n_blocks, index), dtype=np.intp)].prod())
+    tally = _draw_counts([index], [sign < 0], _pvals(n_blocks, noise), seed, shots)
+    (corr,), (stderr,) = _correlations([index], tally, shots)
     counts = CountsTable(shots, *tally[0].tolist())
-    return TermEstimate(term.index, term.sign, float(corr), float(stderr), counts)
+    return TermEstimate(sign, float(corr), float(stderr), counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,11 +291,11 @@ def estimate_beta(
     ``seed`` and its index, so the estimate sums what ``estimate_term`` gives
     each term, in index order, and the counts in exact Python ints.
     """
-    if not 1 <= n_blocks <= ESTIMATE_BLOCK_CAP:
+    if not 1 <= operator.index(n_blocks) <= ESTIMATE_BLOCK_CAP:
         raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
-    if shots_per_term < 1:
+    if operator.index(shots_per_term) < 1:
         raise ValueError(f"shots_per_term must be >= 1, got {shots_per_term}")
-    if term_budget < 1:
+    if operator.index(term_budget) < 1:
         raise ValueError(f"term_budget must be >= 1, got {term_budget}")
     shots = shots_per_term
     total = n_terms(n_blocks)

@@ -24,43 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-UPPER = "upper"
-LOWER = "lower"
-
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-
-
-@dataclass(frozen=True, slots=True)
-class QubitIndex:
-    """Position of one qubit: which observer, which block, which slot."""
-
-    particle: int
-    block: int
-    slot: str
-
-    def __post_init__(self) -> None:
-        if self.particle not in (1, 2):
-            raise ValueError(f"particle must be 1 or 2, got {self.particle}")
-        if self.block < 1:
-            raise ValueError(f"block must be >= 1, got {self.block}")
-        if self.slot not in (UPPER, LOWER):
-            raise ValueError(f"slot must be {UPPER!r} or {LOWER!r}, got {self.slot}")
-
-    def flat(self, n_blocks: int) -> int:
-        if self.block > n_blocks:
-            raise ValueError(f"block {self.block} out of range for {n_blocks} blocks")
-        slot_bit = 0 if self.slot == UPPER else 1
-        return (self.particle - 1) * 2 * n_blocks + (self.block - 1) * 2 + slot_bit
-
-    @classmethod
-    def from_flat(cls, flat: int, n_blocks: int) -> "QubitIndex":
-        if not 0 <= flat < 4 * n_blocks:
-            raise ValueError(f"flat index {flat} out of range for {n_blocks} blocks")
-        particle, rest = divmod(flat, 2 * n_blocks)
-        block, slot_bit = divmod(rest, 2)
-        return cls(particle + 1, block + 1, UPPER if slot_bit == 0 else LOWER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,13 +45,11 @@ class Observable:
         if self.block < 1:
             raise ValueError(f"block must be >= 1, got {self.block}")
 
-    @property
-    def qubit(self) -> QubitIndex:
-        slot = UPPER if self.letter.isupper() else LOWER
-        return QubitIndex(self.particle, self.block, slot)
-
     def to_pauli(self, n_blocks: int) -> "PauliOp":
-        q = self.qubit.flat(n_blocks)
+        """The observable on an N-block register, phase +1, at its flat qubit."""
+        if self.block > n_blocks:
+            raise ValueError(f"block {self.block} out of range for {n_blocks} blocks")
+        q = (self.particle - 1) * 2 * n_blocks + (self.block - 1) * 2 + self.letter.islower()
         xb, zb = _LETTER_BITS[self.letter.upper()]
         return PauliOp(4 * n_blocks, xb << q, zb << q, 0)
 
@@ -140,11 +104,6 @@ class PauliOp:
         return pauli_to_string(self)
 
 
-def named_observable(letter: str, particle: int, block: int, n_blocks: int) -> PauliOp:
-    """Single-letter observable as a register-wide Pauli with phase +1."""
-    return Observable(letter, particle, block).to_pauli(n_blocks)
-
-
 def _xz_exponent(op: PauliOp) -> int:
     # exponent in the X^x Z^z normal form; each Y contributes one factor of i
     return (op.e + (op.x & op.z).bit_count()) % 4
@@ -178,13 +137,11 @@ def pauli_to_string(op: PauliOp) -> str:
     """Render as e.g. '+X1(1).x1(1).Y2(1).y2(1)'; identity is '<phase>I'."""
     if op.n % 4 != 0:
         raise ValueError("string format requires a 4N-qubit register")
-    n_blocks = op.n // 4
     items = []
     for q in op.support():
+        particle, rest = divmod(q, op.n // 2)
+        block, lower = divmod(rest, 2)
         letter = op.letter_at(q)
-        idx = QubitIndex.from_flat(q, n_blocks)
-        if idx.slot == LOWER:
-            letter = letter.lower()
-        items.append(f"{letter}{idx.particle}({idx.block})")
+        items.append(f"{letter.lower() if lower else letter}{particle + 1}({block + 1})")
     body = ".".join(items) if items else "I"
     return _PHASE_STR[op.e] + body

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from hyperbell.bell import quantum_value, term_at
+from hyperbell.bell import quantum_value
 from hyperbell.efficiency import (
     NoiseParams,
     bounds_report,
@@ -159,12 +159,12 @@ def test_criterion_7_monte_carlo_fidelity():
 
     flip_noise = NoiseParams(epsilon=0.15, p=1.0, eta=1.0)
     for t in range(4):
-        est = estimate_term(term_at(1, t), flip_noise, shots, seed=20240901 + t)
+        est = estimate_term(1, t, flip_noise, shots, seed=20240901 + t)
         ok = ok and abs(est.sign * est.correlation - 0.85) < 5 * est.stderr
 
     half_eta = NoiseParams(epsilon=0.0, p=1.0, eta=0.5)
     for t in range(4):
-        est = estimate_term(term_at(1, t), half_eta, shots, seed=20240901 + t)
+        est = estimate_term(1, t, half_eta, shots, seed=20240901 + t)
         ok = ok and abs(est.sign * est.correlation - 1.0 / 3.0) < 5 * est.stderr
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0

@@ -43,13 +43,14 @@ from test_state import _dense_expect, _expect, _reference_expect
 
 class TestMenu:
     def test_labels_and_signs(self):
-        assert [t.label for t in BLOCK_TERM_MENU] == ["XXz", "YYz", "XxYy", "YxXy"]
-        assert [t.sign for t in BLOCK_TERM_MENU] == [1, -1, 1, 1]
+        # a choice's label is its letters, read off the menu entry
+        assert [term_at(1, c).labels for c in range(4)] == [("XXz",), ("YYz",), ("XxYy",), ("YxXy",)]
+        assert [sign for sign, _ in BLOCK_TERM_MENU] == [1, -1, 1, 1]
 
     def test_particle_split(self):
         split = {
-            t.label: tuple(tuple(l for l, p in t.observables if p == particle) for particle in (1, 2))
-            for t in BLOCK_TERM_MENU
+            term_at(1, c).labels[0]: tuple(tuple(l for l, p in letters if p == particle) for particle in (1, 2))
+            for c, (_, letters) in enumerate(BLOCK_TERM_MENU)
         }
         assert split == {
             "XXz": (("X",), ("X", "z")),
@@ -61,9 +62,9 @@ class TestMenu:
     def test_each_choice_is_certain_on_the_state(self):
         # signed menu entries all evaluate to +1 per block
         state = build_state(1)
-        for t in BLOCK_TERM_MENU:
-            op = block_operator(+1, t.observables, 1, 1)
-            assert t.sign * _expect(state, op) == 1
+        for sign, letters in BLOCK_TERM_MENU:
+            op = block_operator(+1, letters, 1, 1)
+            assert sign * _expect(state, op) == 1
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -112,6 +113,14 @@ class TestEnumeration:
             with pytest.raises(ValueError, match=message):
                 next(enumerate_terms(n))
 
+    def test_block_count_must_be_an_integer(self):
+        # 4**2.5 = 32.0 is no term count
+        with pytest.raises(TypeError):
+            n_terms(2.5)
+        with pytest.raises(TypeError):
+            term_at(2.5, 0)
+        assert n_terms(np.int64(3)) == 64
+
     def test_term_structure(self):
         # sign is the product of menu signs; the operator is the unsigned
         # product of the chosen block operators
@@ -119,11 +128,11 @@ class TestEnumeration:
             want_sign = 1
             op = PauliOp(8, 0, 0, 0)
             for block, c in enumerate(term.choices, start=1):
-                entry = BLOCK_TERM_MENU[c]
-                want_sign *= entry.sign
-                op = pauli_mul(op, block_operator(+1, entry.observables, block, 2))
+                sign, letters = BLOCK_TERM_MENU[c]
+                want_sign *= sign
+                op = pauli_mul(op, block_operator(+1, letters, block, 2))
             assert term.sign == want_sign
-            assert term.labels == tuple(BLOCK_TERM_MENU[c].label for c in term.choices)
+            assert term.labels == tuple(("XXz", "YYz", "XxYy", "YxXy")[c] for c in term.choices)
             assert (term.operator.x, term.operator.z, term.operator.e) == (
                 op.x,
                 op.z,
@@ -181,8 +190,8 @@ class TestSettings:
         # each observer's chosen observables mutually commute, so one local
         # measurement yields all of them at once
         settings = [
-            [[block_operator(+1, ((l, p),), 1, 1) for l, p in t.observables if p == particle] for particle in (1, 2)]
-            for t in BLOCK_TERM_MENU
+            [[block_operator(+1, ((l, p),), 1, 1) for l, p in letters if p == particle] for particle in (1, 2)]
+            for _, letters in BLOCK_TERM_MENU
         ]
         for term in enumerate_terms(2):
             settings.append(
@@ -220,7 +229,7 @@ class TestQuantumValue:
         for term in enumerate_terms(2):
             per_block = 1.0
             for block, c in enumerate(term.choices, start=1):
-                blk = block_operator(+1, BLOCK_TERM_MENU[c].observables, 1, 1)
+                blk = block_operator(+1, BLOCK_TERM_MENU[c][1], 1, 1)
                 per_block *= _dense_expect(psi1, blk)
             got = _dense_expect(psi2, term.operator)
             assert got == pytest.approx(per_block, abs=1e-12)

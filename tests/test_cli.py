@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -473,6 +474,14 @@ class TestDumpTerms:
         proc = run_cli("dump-terms", "--n", "1")
         assert proc.returncode == 0
         assert proc.stdout == DUMP_TERMS_N1
+
+    def test_five_blocks_digest(self, capsys):
+        # all 1024 operator strings at N = 5: block numbers up to 5 and
+        # particle 2 at qubit offset 2N = 10, recorded before the named
+        # qubit type was folded into Observable
+        assert cli.main(["dump-terms", "--n", "5", "--format", "csv"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "159bf4be1d676ff6180cce7f3e80c5cd4b60ca71fb84a26937fba0ca7b0f28df"
 
     def test_json_format(self):
         doc = json.loads(run_cli("dump-terms", "--n", "2", "--format", "json").stdout)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from hyperbell import efficiency
 from hyperbell.efficiency import (
     FLOAT_BLOCK_CAP,
     BoundsReport,
@@ -156,6 +158,13 @@ class TestBoundsReport:
         rep = bounds_report(1, 0.9, 0.5)
         assert rep.eta_min > 1.0
 
+    def test_block_count_must_be_an_integer(self):
+        # 2**2.5 and 4**2.5 are not bounds of any scenario
+        for call in (bounds_report, noisy_bounds):
+            with pytest.raises(TypeError):
+                call(2.5, 0.1, 0.9)
+        assert bounds_report(np.int64(3), 0.1, 0.9) == bounds_report(3, 0.1, 0.9)
+
 
 class TestViolates:
     def test_reference_crossing(self):
@@ -185,6 +194,18 @@ class TestMinBlocks:
         assert all(res.visibility * r.beta_qm_noisy <= r.beta_epr_noisy for r in below)
         star = res.table[res.n_star - 1]
         assert res.visibility * star.beta_qm_noisy > star.beta_epr_noisy
+
+    def test_each_report_is_built_once(self, monkeypatch):
+        built = []
+
+        def counted(n, eps, p):
+            built.append(n)
+            return bounds_report(n, eps, p)
+
+        monkeypatch.setattr(efficiency, "bounds_report", counted)
+        res = min_blocks(eta=0.33, eps=0.15, p=0.98)
+        assert built == [1, 2, 3, 4, 5, 6, 7]
+        assert res.table == tuple(bounds_report(n, 0.15, 0.98) for n in built)
 
     def test_first_crossing_is_minimal(self):
         res = min_blocks(eta=0.5, eps=0.05, p=0.95)
@@ -254,3 +275,5 @@ class TestExpectedEstimate:
             expected_estimate(0, NoiseParams())
         with pytest.raises(ValueError, match="n_blocks"):
             expected_estimate(FLOAT_BLOCK_CAP + 1, NoiseParams())
+        with pytest.raises(TypeError):
+            expected_estimate(2.5, NoiseParams())

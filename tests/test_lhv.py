@@ -72,7 +72,7 @@ class TestBlockSum:
         # assignment's values, read one observable at a time
         for mask in range(128):
             value = {lp: 1 - 2 * ((mask >> i) & 1) for i, lp in enumerate(BOUND_LABELS)}
-            want = sum(t.sign * prod(value[lp] for lp in t.observables) for t in BLOCK_TERM_MENU)
+            want = sum(sign * prod(value[lp] for lp in letters) for sign, letters in BLOCK_TERM_MENU)
             assert _BLOCK_SUM_TABLE[mask] == want
 
 
@@ -168,3 +168,9 @@ class TestBounds:
         for bad in (0, BRUTE_FORCE_BLOCK_CAP + 1):
             with pytest.raises(ValueError, match="exhaustive scan"):
                 brute_force_bound(bad)
+
+    def test_factored_bound_takes_integer_blocks(self):
+        with pytest.raises(TypeError):
+            factored_bound(2.5)
+        with pytest.raises(ValueError, match="n_blocks must be >= 1, got 0"):
+            factored_bound(0)

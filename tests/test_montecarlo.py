@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperbell import montecarlo
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms, term_at
 from hyperbell.efficiency import NoiseParams, expected_estimate, noisy_bounds, visibility_factor
 from hyperbell.montecarlo import (
@@ -64,7 +65,7 @@ def _block_products() -> list[int]:
     """Each menu choice's product A * B in an ideal block: the block state's
     exact expectation of the unsigned menu operator, a certainty, +1 or -1."""
     state = build_state(1)
-    values = _expect_xz(state, [_block_xz(menu.observables, 1, 1) for menu in BLOCK_TERM_MENU])
+    values = _expect_xz(state, [_block_xz(letters, 1, 1) for _, letters in BLOCK_TERM_MENU])
     assert all(value in (-1, 1) for value in values)
     return values
 
@@ -93,7 +94,7 @@ class TestPerShotModel:
                 for term in enumerate_terms(n):
                     odd = F(0)  # P(A * B = -1) over the blocks so far
                     for choice in term.choices:
-                        k = len(BLOCK_TERM_MENU[choice].observables)
+                        k = len(BLOCK_TERM_MENU[choice][1])
                         nibbles = sum(F(bin(j >> (4 - k)).count("1") % 2, 16) for j in range(16))
                         here = p * (products[choice] == -1) + (1 - p) * nibbles
                         odd = odd * (1 - here) + (1 - odd) * here
@@ -120,7 +121,7 @@ class TestPerShotModel:
                 fired = rng.random((2, seeds, shots)) < noise.eta
                 odd = rng.random((seeds, shots)) < noise.epsilon / 2
                 for choice in term.choices:
-                    k = len(BLOCK_TERM_MENU[choice].observables)
+                    k = len(BLOCK_TERM_MENU[choice][1])
                     ideal = rng.random((seeds, shots)) < noise.p
                     noisy = np.bitwise_count(rng.integers(0, 2**k, (seeds, shots))) % 2 == 1
                     odd ^= np.where(ideal, products[choice] == -1, noisy)
@@ -146,7 +147,7 @@ class TestSampling:
     def test_ideal_runs_are_certain(self):
         for n in (1, 2):
             for term in enumerate_terms(n):
-                est = estimate_term(term, IDEAL, 64, seed=3)
+                est = estimate_term(term.n_blocks, term.index, IDEAL, 64, seed=3)
                 # every run a coincidence whose product is the term's sign
                 assert est.counts.n_pp + est.counts.n_mm == 64
                 assert est.sign * est.correlation == 1.0
@@ -154,21 +155,31 @@ class TestSampling:
     def test_flip_rate_shows_in_the_product(self):
         # at eta = 1 every run is a coincidence, so the correlation is mean(A B)
         noise = NoiseParams(epsilon=0.3, p=1.0, eta=1.0)
-        est = estimate_term(term_at(1, 0), noise, 100_000, seed=8)
+        est = estimate_term(1, 0, noise, 100_000, seed=8)
         sigma = np.sqrt((1.0 - 0.7**2) / 100_000)
         assert abs(est.correlation - 0.7) < 5 * sigma
 
     def test_shots_validated(self):
         with pytest.raises(ValueError, match="shots"):
-            estimate_term(term_at(1, 0), IDEAL, 0, seed=0)
+            estimate_term(1, 0, IDEAL, 0, seed=0)
+
+    def test_term_is_named_by_block_count_and_index(self):
+        for index in (-1, 16):
+            with pytest.raises(ValueError, match=f"^term index {index} out of range for 2 blocks$"):
+                estimate_term(2, index, IDEAL, 10, seed=0)
+        for n_blocks, index, shots in ((2.5, 0, 10), (2, 1.0, 10), (2, 0, 2.5)):
+            with pytest.raises(TypeError):
+                estimate_term(n_blocks, index, IDEAL, shots, seed=0)
+        want = estimate_term(2, 5, REF_NOISE, 30, seed=1)
+        assert estimate_term(np.int64(2), np.int64(5), REF_NOISE, 30, seed=1) == want
 
     def test_shots_up_to_numpys_int64_count(self):
         # numpy's multinomial takes the count as an int64
         assert MAX_SHOTS == 2**63 - 1
-        assert estimate_term(term_at(1, 0), IDEAL, MAX_SHOTS, seed=0).counts.n_pp == MAX_SHOTS
+        assert estimate_term(1, 0, IDEAL, MAX_SHOTS, seed=0).counts.n_pp == MAX_SHOTS
         above = rf"^shots must be in \[1, 2\*\*63 - 1\], got {2**63}$"
         with pytest.raises(ValueError, match=above):
-            estimate_term(term_at(1, 0), IDEAL, 2**63, seed=0)
+            estimate_term(1, 0, IDEAL, 2**63, seed=0)
         with pytest.raises(ValueError, match=above):
             estimate_beta(1, 2**63, IDEAL, seed=0)
 
@@ -181,23 +192,22 @@ class TestSampling:
 class TestEstimator:
     def test_detection_categories_at_half_efficiency(self):
         noise = NoiseParams(epsilon=0.0, p=1.0, eta=0.5)
-        counts = estimate_term(term_at(1, 0), noise, 200_000, seed=31).counts
+        counts = estimate_term(1, 0, noise, 200_000, seed=31).counts
         # independent coin per side: quarters for both/neither, each single
         for part in (counts.n_00, counts.n_single_1, counts.n_single_2):
             assert part / counts.n_total == pytest.approx(0.25, abs=0.01)
 
     def test_correlations_rescale_by_the_visibility_factor(self):
         # E[estimate] = eta/(2-eta) for a perfectly correlated term
-        term = term_at(1, 0)
         for k, eta in enumerate((0.33, 0.5, 0.8, 1.0)):
             noise = NoiseParams(epsilon=0.0, p=1.0, eta=eta)
-            est = estimate_term(term, noise, 100_000, seed=100 + k)
+            est = estimate_term(1, 0, noise, 100_000, seed=100 + k)
             want = visibility_factor(eta)
             slack = max(5 * est.stderr, 1e-12)
             assert abs(est.correlation - want) < slack
 
     def test_ideal_estimate_has_zero_stderr(self):
-        est = estimate_term(term_at(1, 1), IDEAL, 1000, seed=0)
+        est = estimate_term(1, 1, IDEAL, 1000, seed=0)
         assert est.correlation == -1.0  # raw correlation; the sign is separate
         assert est.sign == -1
         assert est.sign * est.correlation == 1.0
@@ -205,9 +215,8 @@ class TestEstimator:
 
     def test_stderr_scales_inversely_with_shots(self):
         noise = NoiseParams(epsilon=0.15, p=1.0, eta=1.0)
-        term = term_at(1, 0)
-        small = estimate_term(term, noise, 1000, seed=5)
-        big = estimate_term(term, noise, 16_000, seed=6)
+        small = estimate_term(1, 0, noise, 1000, seed=5)
+        big = estimate_term(1, 0, noise, 16_000, seed=6)
         assert small.stderr / big.stderr == pytest.approx(4.0, rel=0.2)
 
 
@@ -247,7 +256,7 @@ class TestEstimateBeta:
         # the terms in reverse order gives the same estimate
         noise = NoiseParams(epsilon=0.1, p=0.95, eta=0.6)
         est = estimate_beta(2, 400, noise, seed=3)
-        terms = [estimate_term(term_at(2, t), noise, 400, seed=3) for t in reversed(range(16))]
+        terms = [estimate_term(2, t, noise, 400, seed=3) for t in reversed(range(16))]
         assert est.counts_summary == _summed([t.counts for t in terms])
         # float sums in another order may differ in the last bits
         assert est.beta_hat == pytest.approx(sum(t.sign * t.correlation for t in terms), rel=1e-12)
@@ -255,7 +264,7 @@ class TestEstimateBeta:
         # a subsample's terms are drawn from the same per-term streams
         sub = estimate_beta(7, 400, noise, seed=3, term_budget=64)
         picked = _sample_indices(4**7, 64, seed=3)
-        terms = [estimate_term(term_at(7, t), noise, 400, seed=3) for t in reversed(picked)]
+        terms = [estimate_term(7, t, noise, 400, seed=3) for t in reversed(picked)]
         assert not sub.exhaustive
         assert sub.counts_summary == _summed([t.counts for t in terms])
         scaled = 4**7 / 64 * sum(t.sign * t.correlation for t in terms)
@@ -329,6 +338,14 @@ class TestEstimateBeta:
             with pytest.raises(ValueError, match=rf"^shots_per_term must be >= 1, got {shots}$"):
                 estimate_beta(1, shots, IDEAL, seed=0)
 
+    def test_counts_must_be_integers(self):
+        # 2.5 shots used to draw 2 a term and then fail to tile 2.5 a term
+        for args, kwargs in [((2.5, 10), {}), ((2, 2.5), {}), ((2, 10), {"term_budget": 2.5})]:
+            with pytest.raises(TypeError):
+                estimate_beta(*args, NoiseParams(eta=1.0), seed=0, **kwargs)
+        want = estimate_beta(2, 10, REF_NOISE, seed=4, term_budget=8)
+        assert estimate_beta(np.int64(2), np.int64(10), REF_NOISE, seed=4, term_budget=np.int64(8)) == want
+
 
 # ═══════════════════════════════════════════════════════════════════════════
 # Draw-order contract: the per-term draw against numpy's and recorded values
@@ -370,7 +387,7 @@ class TestMultinomialDraw:
         reference = [_reference_counts(term, noise, shots, seed) for term in enumerate_terms(n)]
         for term, want in zip(enumerate_terms(n), reference):
             if want.n_00 < shots:
-                assert estimate_term(term, noise, shots, seed).counts == want
+                assert estimate_term(term.n_blocks, term.index, noise, shots, seed).counts == want
         empty = [t for t, c in enumerate(reference) if c.n_00 == shots]
         if empty:
             with pytest.raises(UndefinedEstimateError, match=f"^term {empty[0]}: "):
@@ -386,7 +403,7 @@ class TestMultinomialDraw:
         assert (ideal.beta_hat, ideal.stderr) == (16.0, 0.0)
         term = term_at(3, 41)
         want = _reference_counts(term, REF_NOISE, MAX_SHOTS, seed=6)
-        assert estimate_term(term, REF_NOISE, MAX_SHOTS, seed=6).counts == want
+        assert estimate_term(term.n_blocks, term.index, REF_NOISE, MAX_SHOTS, seed=6).counts == want
 
 
 class TestChunkRows:
@@ -528,7 +545,7 @@ class TestTermStates:
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             estimate_beta(1, 10, IDEAL, seed=-1)
         with pytest.raises(TypeError):
-            estimate_term(term_at(1, 0), IDEAL, 10, seed=1.5)
+            estimate_term(1, 0, IDEAL, 10, seed=1.5)
 
 
 class TestTermSubsampling:
@@ -552,3 +569,22 @@ class TestTermSubsampling:
         assert len(set(picked)) == 8
         assert picked == sorted(picked)
         assert all(isinstance(t, int) and 0 <= t < 4**n for t in picked)
+
+    @pytest.mark.parametrize("n", [31, 32, 40, 255])
+    def test_sampled_signs_are_the_terms_signs(self, n, monkeypatch):
+        # both entry points take a term's sign from its digits; term_at's
+        # comes from joining the signed menu entries, an independent path
+        picked = _sample_indices(4**n, 40, seed=5)
+        want = [term_at(n, t).sign for t in picked]
+        assert set(want) == {-1, 1}
+        assert [estimate_term(n, t, IDEAL, 1, seed=5).sign for t in picked] == want
+        negative = []
+
+        def spy(indices, chunk_negative, *args):
+            negative.extend(chunk_negative)
+            return draw_counts(indices, chunk_negative, *args)
+
+        draw_counts = montecarlo._draw_counts
+        monkeypatch.setattr(montecarlo, "_draw_counts", spy)
+        estimate_beta(n, 1, IDEAL, seed=5, term_budget=40)
+        assert negative == [sign < 0 for sign in want]

@@ -1,5 +1,6 @@
 """Tests for the exact Pauli algebra and its string format."""
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -7,17 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbell.pauli import (
-    LOWER,
-    UPPER,
-    Observable,
-    PauliOp,
-    QubitIndex,
-    commutes,
-    named_observable,
-    pauli_mul,
-    pauli_to_string,
-)
+from hyperbell.pauli import Observable, PauliOp, commutes, pauli_mul, pauli_to_string
 
 LETTERS = "XYZ"
 
@@ -63,30 +54,31 @@ def pauli_matrix(op: PauliOp) -> np.ndarray:
 class TestQubitLayout:
     def test_flat_order_is_particle_major(self):
         # N=3: particle 1 occupies qubits 0..5, particle 2 qubits 6..11
-        assert QubitIndex(1, 1, UPPER).flat(3) == 0
-        assert QubitIndex(1, 1, LOWER).flat(3) == 1
-        assert QubitIndex(1, 3, LOWER).flat(3) == 5
-        assert QubitIndex(2, 1, UPPER).flat(3) == 6
-        assert QubitIndex(2, 1, LOWER).flat(3) == 7
-        assert QubitIndex(2, 3, LOWER).flat(3) == 11
+        for letter, particle, block, flat in [
+            ("X", 1, 1, 0),
+            ("x", 1, 1, 1),
+            ("x", 1, 3, 5),
+            ("X", 2, 1, 6),
+            ("x", 2, 1, 7),
+            ("x", 2, 3, 11),
+        ]:
+            assert Observable(letter, particle, block).to_pauli(3).x == 1 << flat
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
     def test_flat_round_trip(self, n_blocks):
+        # the string names each qubit by the observable that is placed there
         for flat in range(4 * n_blocks):
-            idx = QubitIndex.from_flat(flat, n_blocks)
-            assert idx.flat(n_blocks) == flat
+            text = pauli_to_string(PauliOp(4 * n_blocks, 1 << flat, 0, 0))
+            letter, particle, block = re.fullmatch(r"\+([Xx])([12])\((\d+)\)", text).groups()
+            assert Observable(letter, int(particle), int(block)).to_pauli(n_blocks).x == 1 << flat
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QubitIndex(3, 1, UPPER)
-        with pytest.raises(ValueError):
-            QubitIndex(1, 0, UPPER)
-        with pytest.raises(ValueError):
-            QubitIndex(1, 1, "middle")
-        with pytest.raises(ValueError):
-            QubitIndex(1, 4, UPPER).flat(3)
-        with pytest.raises(ValueError):
-            QubitIndex.from_flat(12, 3)
+        with pytest.raises(ValueError, match="particle must be 1 or 2"):
+            Observable("X", 3, 1)
+        with pytest.raises(ValueError, match="block must be >= 1"):
+            Observable("X", 1, 0)
+        with pytest.raises(ValueError, match="^block 4 out of range for 3 blocks$"):
+            Observable("X", 1, 4).to_pauli(3)
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -96,33 +88,34 @@ class TestQubitLayout:
 
 class TestNamedObservables:
     def test_case_picks_the_slot(self):
-        upper = named_observable("X", 1, 1, 1)
-        lower = named_observable("x", 1, 1, 1)
+        upper = Observable("X", 1, 1).to_pauli(1)
+        lower = Observable("x", 1, 1).to_pauli(1)
         assert upper.x == 0b0001 and upper.z == 0
         assert lower.x == 0b0010 and lower.z == 0
 
     def test_placement_across_particles_and_blocks(self):
         # N=3 register: z2(1) sits on qubit 2N+1 = 7, Y2(3) on qubit 10
-        op = named_observable("z", 2, 1, 3)
+        op = Observable("z", 2, 1).to_pauli(3)
         assert op.z == 1 << 7 and op.x == 0
-        op = named_observable("Y", 2, 3, 3)
+        op = Observable("Y", 2, 3).to_pauli(3)
         assert op.x == 1 << 10 and op.z == 1 << 10
 
     def test_phase_is_plus_one(self):
         for letter in "XYZxyz":
-            assert named_observable(letter, 1, 2, 3).e == 0
+            assert Observable(letter, 1, 2).to_pauli(3).e == 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            named_observable("W", 1, 1, 1)
+            Observable("W", 1, 1).to_pauli(1)
         with pytest.raises(ValueError):
-            named_observable("X", 3, 1, 1)
+            Observable("X", 3, 1).to_pauli(1)
         with pytest.raises(ValueError):
-            named_observable("X", 1, 2, 1)  # block out of range
+            Observable("X", 1, 2).to_pauli(1)  # block out of range
 
     def test_observable_str(self):
         assert str(Observable("x", 1, 2)) == "x1(2)"
-        assert Observable("Y", 2, 1).qubit == QubitIndex(2, 1, UPPER)
+        for obs in (Observable("x", 1, 2), Observable("Y", 2, 1)):
+            assert pauli_to_string(obs.to_pauli(2)) == f"+{obs}"
 
 
 # ═══════════════════════════════════════════════════════════════════
@@ -133,9 +126,9 @@ class TestNamedObservables:
 class TestAlgebra:
     def test_single_qubit_multiplication_table(self):
         # X*Y = iZ and cyclic relatives, with anticommuting reversals
-        X = named_observable("X", 1, 1, 1)
-        Y = named_observable("Y", 1, 1, 1)
-        Z = named_observable("Z", 1, 1, 1)
+        X = Observable("X", 1, 1).to_pauli(1)
+        Y = Observable("Y", 1, 1).to_pauli(1)
+        Z = Observable("Z", 1, 1).to_pauli(1)
         assert pauli_to_string(X * Y) == "+iZ1(1)"
         assert pauli_to_string(Y * X) == "-iZ1(1)"
         assert pauli_to_string(Y * Z) == "+iX1(1)"
@@ -145,7 +138,7 @@ class TestAlgebra:
 
     def test_letters_square_to_identity(self):
         for letter in "XYZxyz":
-            op = named_observable(letter, 2, 1, 2)
+            op = Observable(letter, 2, 1).to_pauli(2)
             assert op * op == PauliOp(8, 0, 0, 0)
 
     def test_identity_is_neutral(self):
@@ -169,7 +162,7 @@ class TestAlgebra:
             assert op.e in (0, 1, 2, 3)
 
     def test_negation(self):
-        op = named_observable("Y", 1, 1, 1)
+        op = Observable("Y", 1, 1).to_pauli(1)
         assert op.e == 0 and (-op).e == 2
         assert -(-op) == op
 
@@ -217,14 +210,14 @@ class TestCommutation:
         for particle in (1, 2):
             for up in "XYZ":
                 for low in "xyz":
-                    a = named_observable(up, particle, 2, 3)
-                    b = named_observable(low, particle, 2, 3)
+                    a = Observable(up, particle, 2).to_pauli(3)
+                    b = Observable(low, particle, 2).to_pauli(3)
                     assert commutes(a, b)
 
     def test_same_slot_distinct_letters_anticommute(self):
         for letter_pair in ("XY", "YZ", "ZX", "xy", "yz", "zx"):
-            a = named_observable(letter_pair[0], 1, 1, 2)
-            b = named_observable(letter_pair[1], 1, 1, 2)
+            a = Observable(letter_pair[0], 1, 1).to_pauli(2)
+            b = Observable(letter_pair[1], 1, 1).to_pauli(2)
             assert not commutes(a, b)
 
     def test_disjoint_supports_commute(self):
@@ -257,7 +250,7 @@ class TestAlgebraProperties:
 
 class TestStringFormat:
     def test_reference_strings(self):
-        factors = [named_observable(l, p, 1, 1) for l, p in (("X", 1), ("x", 1), ("Y", 2), ("y", 2))]
+        factors = [Observable(l, p, 1).to_pauli(1) for l, p in (("X", 1), ("x", 1), ("Y", 2), ("y", 2))]
         op = reduce(pauli_mul, factors)
         assert pauli_to_string(op) == "+X1(1).x1(1).Y2(1).y2(1)"
         assert op.x == 0b1111 and op.z == 0b1100 and op.e == 0
@@ -273,7 +266,7 @@ class TestStringFormat:
         assert len({pauli_to_string(op) for op in ops}) == len(ops) == 1024
 
     def test_items_follow_flat_order(self):
-        factors = [named_observable(l, p, b, 2) for l, p, b in (("z", 2, 2), ("X", 1, 1), ("y", 1, 2))]
+        factors = [Observable(l, p, b).to_pauli(2) for l, p, b in (("z", 2, 2), ("X", 1, 1), ("y", 1, 2))]
         op = -reduce(pauli_mul, factors)
         assert pauli_to_string(op) == "-X1(1).y1(2).z2(2)"
 

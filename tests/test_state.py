@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hyperbell.bell
 import hyperbell.state
 from hyperbell import cli
-from hyperbell.pauli import Observable, PauliOp, _xz_exponent, commutes, named_observable, pauli_mul
+from hyperbell.pauli import Observable, PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
     BLOCK_GENERATORS,
     DENSE_BLOCK_CAP,
@@ -180,7 +180,7 @@ class TestGenerators:
         for n in range(1, STABILIZER_QUBIT_CAP // 4 + 1):
             for block in range(1, n + 1):
                 for letters in names:
-                    want = reduce(pauli_mul, (named_observable(l, p, block, n) for l, p in letters))
+                    want = reduce(pauli_mul, (Observable(l, p, block).to_pauli(n) for l, p in letters))
                     for sign in (+1, -1):
                         got = block_operator(sign, letters, block, n)
                         assert got == (want if sign > 0 else -want), (n, block, letters)
@@ -214,7 +214,7 @@ class TestExpectation:
         state = build_state(1)
         for letter in "XYZxyz":
             for particle in (1, 2):
-                op = named_observable(letter, particle, 1, 1)
+                op = Observable(letter, particle, 1).to_pauli(1)
                 assert _expect(state, op) == 0
 
     def test_correlation_signs(self):
