@@ -25,9 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .pauli import Observable, PauliOp
 from .state import (
@@ -41,6 +39,11 @@ from .state import (
     build_state,
     dense_state,
 )
+
+# numpy is imported inside the functions that make arrays, so importing
+# the package, and every command that makes none, leaves it unloaded
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # The four signed block products of the menu, in choice order, as (sign,
@@ -73,7 +76,7 @@ class BellTerm:
                 yield Observable(letter, particle, block)
 
 
-_MENU_SIGNS = np.array([sign for sign, _ in BLOCK_TERM_MENU])
+_MENU_SIGNS = tuple(sign for sign, _ in BLOCK_TERM_MENU)
 
 
 def n_terms(n_blocks: int) -> int:
@@ -138,6 +141,8 @@ def enumerate_terms(n_blocks: int) -> Iterator[BellTerm]:
 def _dense_signed(n_blocks: int, psi: DenseState) -> np.ndarray:
     """Signed expectations of all 4**N terms on the explicit statevector, in
     index order, each rounded to an integer."""
+    import numpy as np
+
     terms = (_join(n_blocks, enumerate(_digits(n_blocks, i)))[:3] for i in range(n_terms(n_blocks)))
     values = _dense_expect_xz(psi, terms)
     signed = np.rint(values)
@@ -231,6 +236,8 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
         raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
     if backend == "stabilizer":
         return _certify(_menu_values(n_blocks, build_state(n_blocks)))
+    import numpy as np
+
     signed = _dense_signed(n_blocks, dense_state(n_blocks))
     bad = np.flatnonzero(signed != 1)
     _raise_if_bad(bad.size, [(int(i), int(signed[i])) for i in bad[:5]])

@@ -8,9 +8,9 @@ and the block sum is always +2 or -2.  The attainable maximum is therefore
 
 The exhaustive search forms the value of every one of the 2**(7N)
 assignments of the seven observables that appear in the expression (per
-block: X1, Y1, x1, X2, Y2, y2, z2) with numpy: the block-sum products of the
-low N-1 blocks once, in ascending mask order, then one pass per setting of
-the top block.
+block: X1, Y1, x1, X2, Y2, y2, z2) with numpy, imported only when the scan
+runs: the block-sum products of the low N-1 blocks once, in ascending mask
+order, then one pass per setting of the top block.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 from .bell import BLOCK_TERM_MENU
 from .state import LetterPair
@@ -78,6 +76,8 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
         raise ValueError(
             f"exhaustive scan supports 1..{BRUTE_FORCE_BLOCK_CAP} blocks, got {n_blocks}"
         )
+    import numpy as np
+
     table = np.array(_BLOCK_SUM_TABLE, dtype=np.int64)
     lower = np.ones(1, dtype=np.int64)
     for _ in range(n_blocks - 1):

@@ -34,12 +34,15 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .bell import _MENU_SIGNS, _digits, n_terms
 from .efficiency import NoiseParams
+
+# numpy is imported inside the functions that make arrays, so importing
+# the package, and every command that makes none, leaves it unloaded
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UndefinedEstimateError(ValueError):
@@ -113,6 +116,8 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     seed = operator.index(seed)  # SeedSequence, too, takes integers only
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    import numpy as np
+
     pool = np.random.SeedSequence(entropy=seed, spawn_key=(1,)).pool
     n_words = max((seed.bit_length() + 31) // 32, 4) + 1
     return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
@@ -129,6 +134,8 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
     and steps twice as pcg_setseq_128_srandom_r does; that part is done in
     Python ints.
     """
+    import numpy as np
+
     pool_words, hash_const = _seed_pool(seed)
     index = np.asarray(indices, dtype=object)  # Python ints, of any size
     width = max(int(index.max()).bit_length() + 31, 32) // 32
@@ -155,6 +162,8 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
 
 def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
     """The module's multinomial pvals, for a term of sign +1 and of sign -1."""
+    import numpy as np
+
     eta = noise.eta
     both, single, neither = eta * eta, eta * (1.0 - eta), (1.0 - eta) ** 2
     c = (1.0 - noise.epsilon) * noise.p**n_blocks
@@ -177,6 +186,8 @@ def _draw_counts(
     t's are one multinomial draw from its own stream at pvals[negative[t]]."""
     if not 1 <= operator.index(shots) <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    import numpy as np
+
     bitgen = np.random.PCG64(0)  # its own state is never read
     draw = np.random.Generator(bitgen).multinomial
     tally = np.empty((len(indices), 5), dtype=np.int64)
@@ -190,6 +201,8 @@ def _correlations(indices: Sequence[int], tally: np.ndarray, shots: int) -> tupl
     """Per-term correlation and binomial-style standard error from a chunk's
     counts: sqrt((m2 - corr**2) / d) with m2 = (n_pp + n_mm) / d and
     d = n_total - n_00."""
+    import numpy as np
+
     n_pp, n_mm, _, _, n_00 = tally.T
     denom = shots - n_00
     empty = np.flatnonzero(denom == 0)
@@ -211,7 +224,7 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     """
     if not 0 <= operator.index(index) < n_terms(n_blocks):
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
-    sign = int(_MENU_SIGNS[np.array(_digits(n_blocks, index), dtype=np.intp)].prod())
+    sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
     tally = _draw_counts([index], [sign < 0], _pvals(n_blocks, noise), seed, shots)
     (corr,), (stderr,) = _correlations([index], tally, shots)
     counts = CountsTable(shots, *tally[0].tolist())
@@ -271,6 +284,8 @@ def _sample_indices(total: int, budget: int, seed: int) -> list[int]:
 
     Never materializes the range; indices are Python ints, which hold any N.
     """
+    import numpy as np
+
     pick_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     chosen: set[int] = set()
     for j in range(total - budget, total):
@@ -305,6 +320,8 @@ def estimate_beta(
         raise ValueError(
             f"at most {MEASURED_TERM_CAP} measured terms, got {m} (the lesser of 4**N and term_budget)"
         )
+    import numpy as np
+
     indices = range(total) if exhaustive else _sample_indices(total, term_budget, seed)
     # int64 holds every index below 4**32; above it they stay Python ints
     index_type = np.int64 if n_blocks < 32 else object
@@ -312,9 +329,10 @@ def estimate_beta(
     stderrs = np.empty(m)
     tallies = [0] * 5
     pvals = _pvals(n_blocks, noise)
+    menu_signs = np.array(_MENU_SIGNS)
     for lo in range(0, m, TERM_CHUNK):
         chunk = np.asarray(indices[lo : lo + TERM_CHUNK], dtype=index_type)
-        signs = _MENU_SIGNS[np.array(_digits(n_blocks, chunk), dtype=np.intp)].prod(axis=0)
+        signs = menu_signs[np.array(_digits(n_blocks, chunk), dtype=np.intp)].prod(axis=0)
         tally = _draw_counts(chunk, (signs < 0).tolist(), pvals, seed, shots)
         corr, stderrs[lo : lo + TERM_CHUNK] = _correlations(chunk, tally, shots)
         values[lo : lo + TERM_CHUNK] = signs * corr

@@ -21,12 +21,27 @@ x/y/z on the lower slot.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+
+
+def _check_integer(field: str, value: object) -> None:
+    """Refuse a field that is not an integer, a bool included, naming the field.
+
+    Callers test for exact ints first, the package's own case, so the
+    operators ``verify`` builds pay no call for the check.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,8 +53,11 @@ class Observable:
     block: int
 
     def __post_init__(self) -> None:
-        if self.letter.upper() not in _LETTER_BITS:
+        if not isinstance(self.letter, str) or self.letter.upper() not in _LETTER_BITS:
             raise ValueError(f"letter must be one of XYZxyz, got {self.letter!r}")
+        if not (type(self.particle) is type(self.block) is int):
+            _check_integer("particle", self.particle)
+            _check_integer("block", self.block)
         if self.particle not in (1, 2):
             raise ValueError(f"particle must be 1 or 2, got {self.particle}")
         if self.block < 1:
@@ -72,6 +90,9 @@ class PauliOp:
     e: int
 
     def __post_init__(self) -> None:
+        if not (type(self.n) is type(self.x) is type(self.z) is type(self.e) is int):
+            for field in ("n", "x", "z", "e"):
+                _check_integer(field, getattr(self, field))
         if self.n < 1:
             raise ValueError(f"register size must be >= 1, got {self.n}")
         if not (0 <= self.x < 1 << self.n and 0 <= self.z < 1 << self.n):

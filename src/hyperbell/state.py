@@ -34,11 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .pauli import Observable, PauliOp, _times, _xz_exponent, commutes, pauli_to_string
+
+# numpy is imported inside the functions that make arrays, so importing
+# the package, and every command that makes none, leaves it unloaded
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_BLOCK_CAP = 5
 # Exact evaluation certifies the 4**N Bell terms from 4N menu entries, a few
@@ -225,6 +228,8 @@ class DenseState:
     the bit a Pauli mask gives it."""
 
     def __init__(self, amplitudes: np.ndarray):
+        import numpy as np
+
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         if amplitudes.ndim != 1:
             raise ValueError(f"amplitudes must be a 1-D array, got shape {amplitudes.shape}")
@@ -253,6 +258,8 @@ def dense_state(n_blocks: int) -> DenseState:
         raise ValueError(
             f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}"
         )
+    import numpy as np
+
     half = 2 * n_blocks
     m = np.arange(1 << half)  # one particle's bits; block j's upper slot is bit 2j
     upper_slots = (4**n_blocks - 1) // 3  # 0b0101...01
@@ -271,6 +278,8 @@ def _dense_expect_xz(psi: DenseState, ops: Iterable[tuple[int, int, int]]) -> np
     the support k, a mask's bit q being basis-index bit q; one operator at a
     time, so memory stays at one support-sized vector.
     """
+    import numpy as np
+
     idx = psi.support
     amps = psi.amplitudes
     here = amps[idx]

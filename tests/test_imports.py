@@ -1,6 +1,8 @@
-"""Every top-level import in the package's modules is used by that module,
-every private top-level name the package defines is read in it, and every
-public one is read in it, in the tests, in the benchmark or in README's code.
+"""Every import in the package's modules is used where it binds, every
+private top-level name the package defines is read in it, and every public
+one is read in it, in the tests, in the benchmark or in README's code.
+Importing the package, and every command that makes no array, leaves numpy
+unloaded.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's exports.
@@ -9,10 +11,16 @@ package's exports.
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from hyperbell import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hyperbell"
@@ -20,21 +28,43 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by the module's top-level imports that nothing else in it reads."""
+    """Names bound by the module's imports that nothing in their scope reads.
+
+    An import's scope is the innermost function around it, or the module for
+    one outside every function (an ``if TYPE_CHECKING:`` block included).  A
+    scope's reads are the names in its body, nested functions included; a
+    function's own signature belongs to the scope around it.
+    """
     tree = ast.parse(source)
-    bound = []
-    for node in tree.body:
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    scope_of = {}
+    for scope in [tree, *functions]:  # outer scopes first, so the innermost one wins
+        for stmt in scope.body:
+            scope_of.update((node, scope) for node in ast.walk(stmt))
+    imports = [n for n in scope_of if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", "") != "__future__"]
+    unused = []
+    for node in sorted(imports, key=lambda n: (n.lineno, n.col_offset)):
         if isinstance(node, ast.Import):
-            bound += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [a.asname or a.name for a in node.names]
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [name for name in bound if name not in read]
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        else:
+            bound = [a.asname or a.name for a in node.names]
+        read = {n.id for stmt in scope_of[node].body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unused += [name for name in bound if name not in read]
+    return unused
 
 
 def test_the_check_sees_an_unused_import():
     source = "import re\nimport numpy as np\nfrom .pauli import Observable, PauliOp\nx = np.zeros(1)\ny: PauliOp\n"
     assert unused_imports(source) == ["re", "Observable"]
+    # inside a function an import must be read by that function: the module's
+    # reads of np do not cover f's import, and k's signature is not its body
+    source += (
+        "def f():\n    import numpy as np\n    import math\n    return math.pi\n"
+        "def g(a: np.ndarray):\n    import json as js\n    def h():\n        return js\n    return h\n"
+        "def k(a: chain):\n    from itertools import chain\n    return a\n"
+        "if x:\n    import os\n"
+    )
+    assert unused_imports(source) == ["re", "Observable", "np", "chain", "os"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -136,3 +166,64 @@ def test_every_public_name_is_read():
     readers = [p.read_text() for folder in ("tests", "perfbench") for p in (ROOT / folder).glob("*.py")]
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_public_names(sources, readers, (ROOT / "README.md").read_text("utf-8")) == []
+
+
+# Each probe runs in a fresh interpreter, the package imported from src, and
+# prints one JSON document: whether numpy is loaded, and the command's exit
+# code and stdout.
+CLI_PROBE = """
+import contextlib, io, json, sys
+from hyperbell import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"numpy": "numpy" in sys.modules, "exit": code, "stdout": out.getvalue()}))
+"""
+
+GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text("utf-8"))
+
+
+def probe(code: str, *argv: str) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "HYPERBELL_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    code = "import json, sys\nimport hyperbell\nfrom hyperbell import cli\ncli.build_parser()\nprint(json.dumps('numpy' in sys.modules))\n"
+    assert probe(code) is False
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify --n 9", "verify --n 3", "min-n --eta 0.33", "sweep --n-max 64", "eta-threshold --n 6", "bounds --n 6", "bounds --n 4", "dump-terms --n 2"],
+)
+def test_analytic_commands_leave_numpy_unloaded(command):
+    run = probe(CLI_PROBE, *command.split())
+    assert run["exit"] == 0
+    assert run["numpy"] is False
+
+
+@pytest.mark.parametrize(
+    "command", ["bounds --n 2", "verify --n 1", "simulate --n 2 --shots 1000 --seed 7", "simulate --n 7 --shots 20 --term-budget 64 --seed 5"]
+)
+def test_array_commands_load_numpy_and_keep_their_golden_bytes(command):
+    run = probe(CLI_PROBE, *command.split())
+    assert run["numpy"] is True
+    assert (run["exit"], run["stdout"]) == (GOLDEN[command]["exit"], GOLDEN[command]["stdout"])
+
+
+def test_the_largest_exhaustive_bound_loads_numpy_and_matches_in_process(capsys):
+    run = probe(CLI_PROBE, "bounds", "--n", "3")
+    assert run["numpy"] is True
+    assert cli.main(["bounds", "--n", "3"]) == run["exit"] == 0
+    assert capsys.readouterr().out == run["stdout"]
+    assert json.loads(run["stdout"])["lhv"]["method"] == "brute_force"
+
+
+@pytest.mark.parametrize("backend, loads", [("stabilizer", False), ("dense", True)])
+def test_only_the_dense_quantum_value_loads_numpy(backend, loads):
+    code = f"import json, sys\nfrom hyperbell import quantum_value\nv = quantum_value(3, backend={backend!r})\nprint(json.dumps([v, 'numpy' in sys.modules]))\n"
+    assert probe(code) == [64, loads]

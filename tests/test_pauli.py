@@ -80,6 +80,24 @@ class TestQubitLayout:
         with pytest.raises(ValueError, match="^block 4 out of range for 3 blocks$"):
             Observable("X", 1, 4).to_pauli(3)
 
+    @pytest.mark.parametrize(
+        "letter, particle, block, field",
+        [
+            ("X", 1, 1.5, "block"),
+            ("X", 1.0, 1, "particle"),
+            ("X", True, 1, "particle"),
+            ("X", 1, True, "block"),
+            ("X", "1", 1, "particle"),
+            ("X", 1, None, "block"),
+            (1, 1, 1, "letter"),
+        ],
+    )
+    def test_fields_must_be_integers(self, letter, particle, block, field):
+        # a float block once printed as X1(1.5) and failed only in to_pauli,
+        # and True was taken as particle 1
+        with pytest.raises((TypeError, ValueError), match=f"^{field} must be"):
+            Observable(letter, particle, block)
+
 
 # ═══════════════════════════════════════════════════════════════════
 # Named observables
@@ -186,6 +204,25 @@ class TestAlgebra:
             with pytest.raises(ValueError, match=match):
                 PauliOp(n, x, z, e)
         assert pauli_to_string(PauliOp(4, 0b1111, 0b1111, 3)) == "-iY1(1).y1(1).Y2(1).y2(1)"
+
+    @pytest.mark.parametrize(
+        "n, x, z, e, field",
+        [
+            (4, 1.0, 0, 0.0, "x"),
+            (4.0, 1, 0, 0, "n"),
+            (4, 1, 0.0, 0, "z"),
+            (4, 1, 0, 2.0, "e"),
+            (4, True, 0, 0, "x"),
+            (True, 1, 0, 0, "n"),
+            (4, 1, 0, False, "e"),
+            (4, "1", 0, 0, "x"),
+        ],
+    )
+    def test_fields_must_be_integers(self, n, x, z, e, field):
+        # a float mask once passed the range check (0 <= 1.0 < 16) and a float
+        # phase the membership test (0.0 in {0, 1, 2, 3}), and pauli_mul failed later
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            PauliOp(n, x, z, e)
 
 
 class TestCommutation:
