@@ -16,14 +16,15 @@ amplitudes only.  Both cores take the same operators, (x, z, e) triples in
 Python ints (``_expect_xz``, ``_dense_expect_xz``).
 
 The stabilizer backend keeps the group in row-reduced form (Aaronson and
-Gottesman, PRA 70, 052328, 2004): one row per generator, each with a single
-pivot bit on the x or the z mask that no other row touches.  An operator's
-coefficients over the rows are then its own bits at the pivots, so it is
-eliminated by one pass over the rows, in Python ints, multiplying in each
-row whose pivot it holds.  Only O(N) operators are ever eliminated: the 7N
-certainty relations and the 4N Bell menu entries, from which the 4**N terms
-are certified (``bell.quantum_value``).  The state is built once per N per
-process (``build_state``) and shared read-only.
+Gottesman, PRA 70, 052328, 2004), a table from pivot bit to row: each row's
+pivot is the highest bit of its word x << n | z, and no other row has a bit
+there.  That form is unique, so it is built in one pass over the generators,
+a component (generators joined by shared qubits) at a time.  An operator's
+coefficients over the rows are its own bits at the pivots, so it is
+eliminated by one table lookup per set bit.  Only O(N) operators are ever
+eliminated: the 7N certainty relations and the 4N Bell menu entries, from
+which the 4**N terms are certified (``bell.quantum_value``).  The state is
+built once per N per process (``build_state``) and shared read-only.
 
 Every named block operator is one template on a block's four qubits, shifted
 into place (``_block_xz``).
@@ -32,11 +33,12 @@ into place (``_block_xz``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import product
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable
 
-from .pauli import Observable, PauliOp, _times, _xz_exponent, commutes, pauli_to_string
+from .pauli import Observable, PauliOp, _check_integer, _times, _xz_exponent, commutes, pauli_to_string
 
 # numpy is imported inside the functions that make arrays, so importing
 # the package, and every command that makes none, leaves it unloaded
@@ -128,65 +130,58 @@ class StabilizerState:
             if not g.is_hermitian:
                 raise ValueError(f"generator has non-Hermitian phase: {_op_repr(g)}")
         if n > STABILIZER_QUBIT_CAP:
-            raise ValueError(
-                f"stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {n}"
-            )
+            raise ValueError(f"stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {n}")
         if len(generators) != n:
-            raise ValueError(
-                f"need exactly {n} generators for a unique {n}-qubit state, got {len(generators)}"
-            )
-        for i, a in enumerate(generators):
-            for b in generators[i + 1 :]:
-                if not commutes(a, b):
-                    raise ValueError(
-                        f"generators do not commute: {_op_repr(a)} vs {_op_repr(b)}"
-                    )
+            raise ValueError(f"need exactly {n} generators for a unique {n}-qubit state, got {len(generators)}")
+        # components by span, the qubits they hold, to rows by pivot (disjoint operators commute)
+        spans: dict[int, dict[int, tuple[int, int, int]]] = {}
+        clashing, dependent = [], []
+        for i, g in enumerate(generators):
+            span, rows = g.x | g.z, {}
+            for s in [s for s in spans if s & span]:
+                span |= s
+                rows |= spans.pop(s)
+            spans[span] = rows
+            op, word, odd = (g.x, g.z, _xz_exponent(g)), g.x << n | g.z, 0
+            for bit, row in rows.items():
+                # the rows span the earlier generators: g commutes with those iff with these
+                odd |= (g.x & row[1]).bit_count() + (g.z & row[0]).bit_count()
+                if word & bit:
+                    op = _times(op, row)
+            if odd & 1:
+                clashing.append(i)
+            word = op[0] << n | op[1]
+            if not word:
+                dependent.append(op[2])  # +-identity: a product of earlier generators
+                continue
+            top = 1 << word.bit_length() - 1
+            for bit, row in rows.items():
+                if (row[0] << n | row[1]) & top:
+                    rows[bit] = _times(row, op)
+            rows[top] = op
+        if clashing:
+            # name the first anticommuting pair in generator order
+            a, b = min((a, b) for b in clashing for a in range(b) if not commutes(generators[a], generators[b]))
+            raise ValueError(f"generators do not commute: {_op_repr(generators[a])} vs {_op_repr(generators[b])}")
+        if dependent:
+            contradictory = "contradictory generator signs: -identity is in the group"
+            raise ValueError(contradictory if dependent[0] == 2 else "generators are dependent")
         self.generators = tuple(generators)
         self.n = n
-        self._rows = self._reduced_rows()
-
-    def _reduced_rows(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Row-reduced rows (xsel, zsel, x, z, e) of the group, pivots descending.
-
-        Each row is a group element in X^x Z^z normal form with exponent e,
-        satisfying row|psi> = |psi>; (xsel|zsel) is its pivot bit, and no
-        other row has a bit there.
-        """
-        n = self.n
-        work = [(g.x, g.z, _xz_exponent(g)) for g in self.generators]
-        rows: list[tuple[int, int, int, int, int]] = []
-        for bit in range(2 * n - 1, -1, -1):
-            xsel = 1 << (bit - n) if bit >= n else 0
-            zsel = 0 if bit >= n else 1 << bit
-            hit = next(
-                (i for i, (x, z, _) in enumerate(work) if (x & xsel) or (z & zsel)), None
-            )
-            if hit is None:
-                continue
-            pivot = work.pop(hit)
-            rows.append((xsel, zsel, *pivot))
-            work = [_times(w, pivot) if (w[0] & xsel) or (w[1] & zsel) else w for w in work]
-        for x, z, e in work:
-            # a row reduced to the identity mask means the inputs were dependent
-            if e == 2:
-                raise ValueError("contradictory generator signs: -identity is in the group")
-            raise ValueError("generators are dependent")
-        # back-substitution, last pivot first: row k has no bit at an earlier
-        # row's pivot, and by its turn none at a later one, so multiplying it
-        # into an earlier row clears k's pivot there and sets no other
-        for k in range(len(rows) - 1, -1, -1):
-            xsel, zsel, *pivot = rows[k]
-            for j, (sx, sz, x, z, e) in enumerate(rows[:k]):
-                if (x & xsel) or (z & zsel):
-                    rows[j] = (sx, sz, *_times((x, z, e), pivot))
-        return tuple(rows)
+        pivots = {bit: row for rows in spans.values() for bit, row in rows.items()}
+        self._pivots = MappingProxyType(pivots)
+        # (xsel, zsel, x, z, e), pivots descending; xsel | zsel is the pivot
+        self._rows = tuple((bit >> n, bit & (1 << n) - 1, *pivots[bit]) for bit in sorted(pivots, reverse=True))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def build_state(n_blocks: int) -> StabilizerState:
-    """Stabilizer form of the N-block state: 4 generators per block; cached per N."""
+    """Stabilizer form of the N-block state, 4 generators per block; cached per N and type (True is no 1)."""
+    _check_integer("n_blocks", n_blocks)
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    if 4 * n_blocks > STABILIZER_QUBIT_CAP:
+        raise ValueError(f"stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {4 * n_blocks}")
     gens = [
         block_operator(sign, letters, block, n_blocks)
         for block in range(1, n_blocks + 1)
@@ -198,18 +193,23 @@ def build_state(n_blocks: int) -> StabilizerState:
 def _expect_xz(state: StabilizerState, ops: Iterable[tuple[int, int, int]]) -> list[int]:
     """Expectations of operators i**e X^x Z^z, each given as (x, z, e) in Python ints.
 
-    An operator is multiplied by each row whose pivot bit it holds, in one
-    pass over the rows; no row has a bit at another's pivot, so those bits
-    stay the operator's own throughout.  The masks clear exactly when the
+    Each operator is multiplied by the row at every set bit of its own that
+    is a pivot, one table lookup per bit: no row has a bit at another's pivot,
+    so those bits stay the operator's own.  The masks clear exactly when the
     operator is in the group up to phase, and the phase left is then its
-    expectation; otherwise that is 0.  The product rule is ``_times``,
-    inlined: for the O(N) operators ever eliminated, a loop in Python ints is
-    the cheapest kernel.
+    expectation; otherwise that is 0.  ``_times`` is inlined: for the O(N)
+    operators ever eliminated, a loop in Python ints is the cheapest kernel.
     """
+    n, pivot_row = state.n, state._pivots.get
     values = []
     for x, z, e in ops:
-        for xsel, zsel, rx, rz, re in state._rows:
-            if x & xsel or z & zsel:
+        word = x << n | z
+        while word:
+            bit = word & -word
+            word ^= bit
+            row = pivot_row(bit)
+            if row:
+                rx, rz, re = row
                 e += re + 2 * ((z & rx).bit_count() & 1)
                 x ^= rx
                 z ^= rz

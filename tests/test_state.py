@@ -172,6 +172,45 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_state(0)
 
+    def test_two_failing_components_name_the_first_failure_in_generator_order(self):
+        # X and Z on qubits 0 and 1 of a 4-qubit register: each pair of
+        # generators on one qubit is a component, and the message names the
+        # first failure in generator order, whichever component holds it
+        def x(q):
+            return PauliOp(4, 1 << q, 0, 0)
+
+        def z(q, e=0):
+            return PauliOp(4, 0, 1 << q, e)
+
+        # (0, 3) anticommute and so do (1, 2): the pair named is (0, 3)
+        with pytest.raises(ValueError, match=r"^generators do not commute: \+X1\(1\) vs \+Z1\(1\)$"):
+            StabilizerState((x(0), x(1), z(1), z(0)))
+        with pytest.raises(ValueError, match=r"^generators do not commute: \+x1\(1\) vs \+z1\(1\)$"):
+            StabilizerState((x(1), z(0), z(1), x(0)))
+        # a repeated Z0 and a Z1 with its negation: the first generator that
+        # is a product of earlier ones sets the message
+        with pytest.raises(ValueError, match="^generators are dependent$"):
+            StabilizerState((z(1), z(0), z(0), z(1, 2)))
+        with pytest.raises(ValueError, match="^contradictory generator signs: -identity is in the group$"):
+            StabilizerState((z(0), z(1), z(1, 2), z(0)))
+
+    def test_build_state_refuses_a_block_count_that_is_not_an_integer(self):
+        # the cache is typed, so True is refused even once N = 1 is built
+        build_state(1)
+        for bad in (True, False, 2.0, "3"):
+            with pytest.raises(TypeError, match=f"^n_blocks must be an integer, got {bad!r}$"):
+                build_state(bad)
+        with pytest.raises(TypeError, match="n_blocks"):
+            verify_perfect_correlations(True)
+
+    def test_build_state_refuses_a_register_past_the_cap_before_making_generators(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(hyperbell.state, "block_operator", lambda *args: made.append(args))
+        too_many = STABILIZER_QUBIT_CAP // 4 + 1
+        with pytest.raises(ValueError, match=f"^stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {4 * too_many}$"):
+            build_state(too_many)
+        assert made == []
+
     def test_block_operator_is_the_product_of_its_observables(self):
         # the shifted one-block template against pauli_mul over the named
         # observables, for every named product, block and register size
@@ -358,6 +397,28 @@ class TestReducedRows:
                         row[0] = row[-1]
             with pytest.raises(TypeError):
                 menu[0][0][2] = 0
+            pivots = build_state(n)._pivots
+            with pytest.raises(TypeError):
+                pivots[1] = (0, 0, 0)
+            with pytest.raises(TypeError):
+                del pivots[1]
+            # nothing was written, and the table holds the rows by pivot
+            assert 1 not in pivots
+            rows = build_state(n)._rows
+            assert dict(pivots) == {xsel << 4 * n | zsel: (x, z, e) for xsel, zsel, x, z, e in rows}
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_generator_order(self, data):
+        # the fully row-reduced form is unique for a fixed pivot order, so
+        # reducing the generators in any order, a component at a time, gives
+        # the same rows: block states up to the largest register, and signed
+        # graph states with Hadamards, whose components differ in size
+        stab = data.draw(
+            st.one_of(st.integers(1, STABILIZER_QUBIT_CAP // 4).map(build_state), _hadamard_graph_states())
+        )
+        shuffled = data.draw(st.permutations(stab.generators))
+        assert StabilizerState(tuple(shuffled))._rows == stab._rows
 
     def test_verify_builds_one_state(self, capsys, monkeypatch):
         # the correlation checks and the Bell terms share the cached state
