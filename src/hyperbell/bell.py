@@ -23,9 +23,8 @@ the statevector as the independent cross-check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .pauli import Observable, PauliOp
 from .state import (
@@ -56,8 +55,7 @@ BLOCK_TERM_MENU: tuple[tuple[int, tuple[LetterPair, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BellTerm:
+class BellTerm(NamedTuple):
     """One expanded term: per-block menu choices, overall sign, its operator."""
 
     n_blocks: int

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -153,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("verify", n, EXACT_BLOCK_CAP, f"{4**EXACT_BLOCK_CAP} terms")
     report = verify_perfect_correlations(n)
-    failures = [dataclasses.asdict(c) for c in report.failures()]
+    failures = [c._asdict() for c in report.failures()]
     term_failures: list[str] = []
     try:
         beta_qm = quantum_value(n)
@@ -166,12 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     else:
         lhv_method = "factored"
         beta_epr = factored_bound(n)
-    ok = (
-        report.passed
-        and not term_failures
-        and beta_qm == 4**n
-        and beta_epr == 2**n
-    )
+    ok = report.passed and not term_failures and beta_qm == 4**n and beta_epr == 2**n
     doc = {
         "command": "verify",
         "schema_version": 1,

@@ -18,8 +18,10 @@ solves to the threshold  eta_min = 2r/(1+r)  with r = beta_epr'/beta_qm'.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
+from .pauli import _check_integer, _Checked
 
 # largest N for which 4.0**N is a finite float (4**511 = 2**1022)
 FLOAT_BLOCK_CAP = 511
@@ -29,15 +31,16 @@ class NoViolationError(ValueError):
     """No detection efficiency in (0, 1] can produce a violation."""
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseParams:
-    """Noise model parameters; defaults match the reference experimental figures."""
+class NoiseParams(_Checked, namedtuple("NoiseParams", "epsilon p eta", defaults=(0.15, 0.98, 0.33))):
+    """Noise model parameters, real numbers; defaults match the reference experimental figures."""
 
-    epsilon: float = 0.15
-    p: float = 0.98
-    eta: float = 0.33
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        for field, value in zip(self._fields, self):
+            # a real number converts to float, a string or a complex does not; a bool is refused too
+            if isinstance(value, bool) or not hasattr(type(value), "__float__"):
+                raise TypeError(f"{field} must be a real number, got {value!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not 0.0 <= self.p <= 1.0:
@@ -83,8 +86,7 @@ def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     return visibility_factor(noise.eta) * (1.0 - noise.epsilon) * (4.0 * noise.p) ** n_blocks
 
 
-@dataclass(frozen=True, slots=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Ideal and noise-adjusted bounds for one scenario size."""
 
     n_blocks: int
@@ -115,8 +117,7 @@ def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MinBlocksResult:
+class MinBlocksResult(NamedTuple):
     n_star: int
     table: tuple[BoundsReport, ...]
     visibility: float
@@ -130,6 +131,9 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
     which also caps ``n_cap``.  The ratio r(N) approaches eps/p from above as
     N grows, so eps/p >= eta/(2-eta) rules a crossing out for every N.
     """
+    n_cap = _check_integer("n_cap", n_cap)
+    if n_cap < 1:
+        raise ValueError(f"n_cap must be at least 1, got {n_cap}")
     if n_cap > FLOAT_BLOCK_CAP:
         raise ValueError(f"n_cap must be at most {FLOAT_BLOCK_CAP}, got {n_cap}")
     v = visibility_factor(eta)

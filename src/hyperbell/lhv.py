@@ -16,8 +16,8 @@ order, then one pass per setting of the top block.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .bell import BLOCK_TERM_MENU
 from .state import LetterPair
@@ -50,8 +50,7 @@ def _block_sum_from_mask(mask: int) -> int:
 _BLOCK_SUM_TABLE = tuple(_block_sum_from_mask(m) for m in range(1 << _BITS_PER_BLOCK))
 
 
-@dataclass(frozen=True, slots=True)
-class LhvBoundResult:
+class LhvBoundResult(NamedTuple):
     """Exhaustive-scan maximum and the lowest assignment mask reaching it.
 
     ``argmax_mask`` has bit (block-1)*7 + label position in ``BOUND_LABELS``

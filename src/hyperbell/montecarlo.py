@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .bell import _MENU_SIGNS, _digits, n_terms
 from .efficiency import NoiseParams
+from .pauli import _Checked
 
 # numpy is imported inside the functions that make arrays, so importing
 # the package, and every command that makes none, leaves it unloaded
@@ -49,28 +50,20 @@ class UndefinedEstimateError(ValueError):
     """The correlation estimator's denominator is empty."""
 
 
-@dataclass(frozen=True, slots=True)
-class CountsTable:
-    """Detection bookkeeping for one term; the five categories tile all runs."""
+class CountsTable(_Checked, namedtuple("CountsTable", "n_total n_pp n_mm n_single_1 n_single_2 n_00")):
+    """Detection bookkeeping for one term, integer counts; the five categories tile all runs."""
 
-    n_total: int
-    n_pp: int
-    n_mm: int
-    n_single_1: int
-    n_single_2: int
-    n_00: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = self.n_pp + self.n_mm + self.n_single_1 + self.n_single_2 + self.n_00
-        if parts != self.n_total:
-            raise ValueError(
-                f"counts do not tile the runs: {parts} categorized vs {self.n_total} total"
-            )
-        if min(self.n_total, self.n_pp, self.n_mm, self.n_single_1, self.n_single_2, self.n_00) < 0:
+    def _check(self) -> None:
+        n_total, *parts = self
+        if sum(parts) != n_total:
+            raise ValueError(f"counts do not tile the runs: {sum(parts)} categorized vs {n_total} total")
+        if min(self) < 0:
             raise ValueError("counts must be nonnegative")
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)  # keys in field order
+        return self._asdict()  # keys in field order
 
 
 # most shots per term: numpy's multinomial takes the count as an int64
@@ -171,8 +164,7 @@ def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
     return tuple(np.array(row) for row in rows)
 
 
-@dataclass(frozen=True, slots=True)
-class TermEstimate:
+class TermEstimate(NamedTuple):
     sign: int
     correlation: float
     stderr: float
@@ -231,8 +223,7 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     return TermEstimate(sign, float(corr), float(stderr), counts)
 
 
-@dataclass(frozen=True, slots=True)
-class BetaEstimate:
+class BetaEstimate(NamedTuple):
     """Estimated Bell-expression value with its standard error and run parameters."""
 
     n_blocks: int

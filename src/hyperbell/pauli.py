@@ -22,7 +22,7 @@ x/y/z on the lower slot.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -30,8 +30,8 @@ _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-def _check_integer(field: str, value: object) -> None:
-    """Refuse a field that is not an integer, a bool included, naming the field.
+def _check_integer(field: str, value: object) -> int:
+    """Refuse a field that is not an integer, a bool included, naming the field; return it as an int.
 
     Callers test for exact ints first, the package's own case, so the
     operators ``verify`` builds pay no call for the check.
@@ -39,20 +39,33 @@ def _check_integer(field: str, value: object) -> None:
     try:
         if isinstance(value, bool):
             raise TypeError
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Observable:
+class _Checked:
+    """First base of a named tuple whose ``_check`` refuses bad fields, run on
+    every construction, ``_make`` and so ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Observable(_Checked, namedtuple("Observable", "letter particle block")):
     """A named single-qubit observable: letter (case picks the slot), observer, block."""
 
-    letter: str
-    particle: int
-    block: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.letter, str) or self.letter.upper() not in _LETTER_BITS:
             raise ValueError(f"letter must be one of XYZxyz, got {self.letter!r}")
         if not (type(self.particle) is type(self.block) is int):
@@ -75,30 +88,27 @@ class Observable:
         return f"{self.letter}{self.particle}({self.block})"
 
 
-@dataclass(frozen=True, slots=True)
-class PauliOp:
+class PauliOp(_Checked, namedtuple("PauliOp", "n x z e")):
     """A signed Pauli: i**e times a tensor product of single-qubit letters.
 
     ``n`` is the register size; ``x``/``z`` are bitmasks over flat qubit
     indices; ``e`` in {0,1,2,3} is the phase exponent.  Hermitian operators
-    have e in {0,2}.
+    have e in {0,2}.  ``*`` is the operator product; tuple ``+`` and ``int *`` are refused.
     """
 
-    n: int
-    x: int
-    z: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.n) is type(self.x) is type(self.z) is type(self.e) is int):
-            for field in ("n", "x", "z", "e"):
-                _check_integer(field, getattr(self, field))
-        if self.n < 1:
-            raise ValueError(f"register size must be >= 1, got {self.n}")
-        if not (0 <= self.x < 1 << self.n and 0 <= self.z < 1 << self.n):
-            raise ValueError(f"masks x={self.x:#x}, z={self.z:#x} out of range for {self.n} qubits")
-        if self.e not in _PHASE_STR:
-            raise ValueError(f"phase exponent must be in 0..3, got {self.e}")
+    def _check(self) -> None:
+        n, x, z, e = self
+        if not (type(n) is type(x) is type(z) is type(e) is int):
+            for field, value in zip(self._fields, self):
+                _check_integer(field, value)
+        if n < 1:
+            raise ValueError(f"register size must be >= 1, got {n}")
+        if not (0 <= x < 1 << n and 0 <= z < 1 << n):
+            raise ValueError(f"masks x={x:#x}, z={z:#x} out of range for {n} qubits")
+        if e not in _PHASE_STR:
+            raise ValueError(f"phase exponent must be in 0..3, got {e}")
 
     @property
     def is_hermitian(self) -> bool:
@@ -120,6 +130,11 @@ class PauliOp:
 
     def __neg__(self) -> "PauliOp":
         return PauliOp(self.n, self.x, self.z, (self.e + 2) % 4)
+
+    def __add__(self, other: object) -> object:
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def __str__(self) -> str:
         return pauli_to_string(self)

@@ -32,11 +32,10 @@ into place (``_block_xz``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import product
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .pauli import Observable, PauliOp, _check_integer, _times, _xz_exponent, commutes, pauli_to_string
 
@@ -137,15 +136,16 @@ class StabilizerState:
         spans: dict[int, dict[int, tuple[int, int, int]]] = {}
         clashing, dependent = [], []
         for i, g in enumerate(generators):
-            span, rows = g.x | g.z, {}
+            _, gx, gz, _ = g  # read once: the loops below read them per row
+            span, rows = gx | gz, {}
             for s in [s for s in spans if s & span]:
                 span |= s
                 rows |= spans.pop(s)
             spans[span] = rows
-            op, word, odd = (g.x, g.z, _xz_exponent(g)), g.x << n | g.z, 0
+            op, word, odd = (gx, gz, _xz_exponent(g)), gx << n | gz, 0
             for bit, row in rows.items():
                 # the rows span the earlier generators: g commutes with those iff with these
-                odd |= (g.x & row[1]).bit_count() + (g.z & row[0]).bit_count()
+                odd |= (gx & row[1]).bit_count() + (gz & row[0]).bit_count()
                 if word & bit:
                     op = _times(op, row)
             if odd & 1:
@@ -308,8 +308,7 @@ def expectation(state: StabilizerState | DenseState, op: PauliOp) -> float:
     return _expect_xz(state, ops)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationCheck:
+class CorrelationCheck(NamedTuple):
     block: int
     label: str
     expected: int
@@ -320,8 +319,7 @@ class CorrelationCheck:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     n_blocks: int
     checks: tuple[CorrelationCheck, ...]
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ class TestNoiseParams:
             NoiseParams(eta=0.0)
         with pytest.raises(ValueError, match="eta"):
             NoiseParams(eta=1.2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eta", True), ("epsilon", False), ("eta", "0.5"), ("p", None), ("epsilon", 0.1j), ("p", b"1")],
+    )
+    def test_fields_must_be_real_numbers(self, field, value):
+        # eta=True once constructed and printed "eta": true; eta="0.5" failed
+        # with an unrelated '<' not supported error
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            NoiseParams(**{field: value})
+
+    def test_any_real_number_is_accepted(self):
+        assert NoiseParams(epsilon=0, p=1, eta=1) == (0.0, 1.0, 1.0)
+        assert NoiseParams(eta=Fraction(1, 2)).eta == 0.5
+        assert NoiseParams(p=np.float32(0.5)).p == 0.5
+        assert NoiseParams(epsilon=np.float64(0.25)).epsilon == 0.25
 
 
 class TestNoisyBounds:
@@ -227,6 +245,29 @@ class TestMinBlocks:
         res = min_blocks(eta=1.1e-153, eps=0.0, p=1.0, n_cap=FLOAT_BLOCK_CAP)
         assert res.n_star == 510
         assert [r.n_blocks for r in res.table] == list(range(1, FLOAT_BLOCK_CAP + 1))
+
+    @pytest.mark.parametrize(
+        "n_cap, error, message",
+        [
+            (0, ValueError, "n_cap must be at least 1, got 0"),
+            (-3, ValueError, "n_cap must be at least 1, got -3"),
+            (True, TypeError, "n_cap must be an integer, got True"),
+            (2.0, TypeError, "n_cap must be an integer, got 2.0"),
+            ("8", TypeError, "n_cap must be an integer, got '8'"),
+        ],
+    )
+    def test_cap_is_an_argument_error(self, n_cap, error, message):
+        # these once raised NoViolationError, a claim about the physics
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            min_blocks(0.33, 0.15, 0.98, n_cap=n_cap)
+        assert not isinstance(caught.value, NoViolationError)
+
+    def test_cap_takes_any_integer(self):
+        assert min_blocks(0.33, 0.15, 0.98, n_cap=np.int64(5)) == min_blocks(0.33, 0.15, 0.98, n_cap=5)
+        # the reference point's N* = 5 is found at a cap of 5, and not below it
+        assert min_blocks(0.33, 0.15, 0.98, n_cap=5).n_star == 5
+        with pytest.raises(NoViolationError, match="^no violation found for N up to 4$"):
+            min_blocks(0.33, 0.15, 0.98, n_cap=4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^n_cap must be at most 511, got 512$"):

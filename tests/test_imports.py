@@ -2,7 +2,8 @@
 private top-level name the package defines is read in it, and every public
 one is read in it, in the tests, in the benchmark or in README's code.
 Importing the package, and every command that makes no array, leaves numpy
-unloaded.
+unloaded, and importing it leaves dataclasses and the source tools it pulls
+in unloaded.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's exports.
@@ -194,6 +195,17 @@ def probe(code: str, *argv: str) -> dict:
 def test_importing_the_package_leaves_numpy_unloaded():
     code = "import json, sys\nimport hyperbell\nfrom hyperbell import cli\ncli.build_parser()\nprint(json.dumps('numpy' in sys.modules))\n"
     assert probe(code) is False
+
+
+def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
+    # the records are named tuples: dataclasses, and the inspect, ast, dis and
+    # tokenize it imports, cost a third of the set-up every command pays
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"]
+    code = (
+        "import json, sys\nimport hyperbell\nfrom hyperbell import cli\ncli.build_parser()\n"
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
+    )
+    assert probe(code) == []
 
 
 @pytest.mark.parametrize(
