@@ -77,8 +77,8 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
         )
     import numpy as np
 
-    table = np.array(_BLOCK_SUM_TABLE, dtype=np.int64)
-    lower = np.ones(1, dtype=np.int64)
+    table = np.array(_BLOCK_SUM_TABLE, dtype=np.int8)  # each +-2: a product of 3 fits int8
+    lower = np.ones(1, dtype=np.int8)
     for _ in range(n_blocks - 1):
         # the higher block's bits are the high bits of the index
         lower = np.multiply.outer(table, lower).ravel()

@@ -24,8 +24,10 @@ numpy's ``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a
 function of the two alone, so output is byte-identical for a fixed seed
 whatever order or grouping the terms are measured in.  ``_term_states``
 derives those starting states in numpy, a chunk of terms at once, from the
-pool numpy's own SeedSequence mixes from ``seed`` (``_seed_pool``), and one
-carrier PCG64 is set to each in turn.
+pool numpy's own SeedSequence mixes from ``seed`` (``_seed_pool``): each
+index word is hashed into the four pool words as one (4, terms) operation,
+the eight output words as one (8, terms) operation, and the 128-bit step
+runs over object arrays.  One PCG64 is set to each state from one reused dict.
 """
 
 from __future__ import annotations
@@ -91,21 +93,23 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED05_1FC65DA4_4385DF64_9FCCF645
 
 
-def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 array ``value``, and the hash constant it leaves for the next."""
-    hash_const_next = hash_const * mult & _MASK32
-    value = (value ^ hash_const) * hash_const_next & _MASK32
-    return value ^ value >> 16, hash_const_next
+def _hash(values: np.ndarray, hash_const: int, mult: int, rows: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 ``values``, row r by the r-th hash constant
+    after ``hash_const``, and the constant that follows the last."""
+    import numpy as np
+
+    consts = [hash_const * pow(mult, r, 1 << 32) & _MASK32 for r in range(rows + 1)]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    values = (values ^ column[:-1]) * column[1:]
+    return values ^ values >> 16, consts[-1]
 
 
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's pool and hash constant after the words of ``seed`` and
-    spawn key word 1: what every term's SeedSequence shares before its own
-    index words.  The pool is numpy's own.  numpy mixes in L = max(seed
-    words, 4) + 1 words with 4L hashes (one per pool word, twelve across the
-    pool, four per later word), and each hash multiplies the constant by
-    _MULT_A."""
+    spawn key word 1, which every term's SeedSequence shares before its own
+    index words; the pool is numpy's own.  numpy mixes in L = max(seed words,
+    4) + 1 words with 4L hashes in all, each multiplying the constant by _MULT_A."""
     seed = operator.index(seed)  # SeedSequence, too, takes integers only
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -116,16 +120,16 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
 
 
-def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
-    """The ``PCG64.state`` in which ``PCG64(SeedSequence(entropy=seed,
-    spawn_key=(1, t)))`` starts, for every term index t, derived at once.
+def _term_states(seed: int, indices: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The lists of ``state`` and ``inc`` in which ``PCG64(SeedSequence(
+    entropy=seed, spawn_key=(1, t)))`` starts, for all the term indices t at once.
 
-    Each of t's 32-bit words, at least one, is hashed into every pool word
-    after ``_seed_pool(seed)``, here across the terms as uint32 arrays, word j
-    only for the terms whose index has one.  PCG64 takes its 128-bit seed and
-    stream from ``generate_state(4, uint64)``, eight more hashes of the pool,
-    and steps twice as pcg_setseq_128_srandom_r does; that part is done in
-    Python ints.
+    Each of t's 32-bit words, at least one, is hashed into the four pool words
+    after ``_seed_pool(seed)`` by four successive hash constants, as one
+    (4, terms) uint32 operation, word j only for the terms whose index has one.
+    ``generate_state(4, uint64)`` hashes the pool eight more times, one (8, terms)
+    operation, and PCG64 steps that 128-bit seed and stream twice as
+    pcg_setseq_128_srandom_r does, in Python ints held in object arrays.
     """
     import numpy as np
 
@@ -136,21 +140,14 @@ def _term_states(seed: int, indices: Sequence[int]) -> list[dict[str, Any]]:
     pool = np.array(pool_words, dtype=np.uint32)[:, None].repeat(len(index), axis=1)
     for j in range(width):
         rows = slice(None) if j == 0 else words[:, j:].any(axis=1)
-        for dst in range(4):
-            hashed, hash_const = _hashmix(words[rows, j], hash_const)
-            mixed = (_MIX_MULT_L * pool[dst, rows] - _MIX_MULT_R * hashed) & _MASK32
-            pool[dst, rows] = mixed ^ mixed >> 16
-    out = np.empty((len(index), 8), dtype="<u4")
-    hash_const = _INIT_B
-    for i in range(8):
-        out[:, i], hash_const = _hashmix(pool[i % 4], hash_const, _MULT_B)
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in out.view("<u8").tolist():
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128
-        pcg = {"state": state, "inc": inc}
-        states.append({"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
-    return states
+        hashed, hash_const = _hash(words[rows, j], hash_const, _MULT_A, 4)
+        mixed = _MIX_MULT_L * pool[:, rows] - _MIX_MULT_R * hashed
+        pool[:, rows] = mixed ^ mixed >> 16
+    out, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)
+    seed_hi, seed_lo, seq_hi, seq_lo = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").T.astype(object)
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128
+    return state.tolist(), inc.tolist()
 
 
 def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
@@ -182,9 +179,12 @@ def _draw_counts(
 
     bitgen = np.random.PCG64(0)  # its own state is never read
     draw = np.random.Generator(bitgen).multinomial
+    pcg: dict[str, int] = {}
+    carrier = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     tally = np.empty((len(indices), 5), dtype=np.int64)
-    for row, state, sign_bit in zip(tally, _term_states(seed, indices), negative):
-        bitgen.state = state
+    for row, state, inc, sign_bit in zip(tally, *_term_states(seed, indices), negative):
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = carrier
         row[:] = draw(shots, pvals[sign_bit])
     return tally
 
@@ -329,7 +329,7 @@ def estimate_beta(
         values[lo : lo + TERM_CHUNK] = signs * corr
         tallies = [done + sum(column) for done, column in zip(tallies, tally.T.tolist())]
 
-    measurement_var = float(sum(s**2 for s in stderrs.tolist()))
+    measurement_var = float(np.cumsum(stderrs * stderrs)[-1])  # left to right: 3.12's sum() is compensated
     counts = CountsTable(shots * m, *tallies)
     if exhaustive:
         beta_hat = float(values.sum())

@@ -125,8 +125,8 @@ class PauliOp(_Checked, namedtuple("PauliOp", "n x z e")):
         zb = (self.z >> qubit) & 1
         return "I" if not (xb or zb) else _BITS_LETTER[(xb, zb)]
 
-    def __mul__(self, other: "PauliOp") -> "PauliOp":
-        return pauli_mul(self, other)
+    def __mul__(self, other: object) -> "PauliOp":
+        return pauli_mul(self, other) if isinstance(other, PauliOp) else NotImplemented
 
     def __neg__(self) -> "PauliOp":
         return PauliOp(self.n, self.x, self.z, (self.e + 2) % 4)

@@ -169,6 +169,11 @@ class TestBounds:
             with pytest.raises(ValueError, match="exhaustive scan"):
                 brute_force_bound(bad)
 
+    def test_scan_products_fit_in_int8(self):
+        # the scan multiplies in int8, which wraps silently past 127: a cap
+        # raised to 7 blocks (2**7 = 128) would need a wider type
+        assert max(map(abs, _BLOCK_SUM_TABLE)) ** BRUTE_FORCE_BLOCK_CAP <= np.iinfo(np.int8).max
+
     def test_factored_bound_takes_integer_blocks(self):
         with pytest.raises(TypeError):
             factored_bound(2.5)

@@ -511,6 +511,24 @@ class TestGoldenStreams:
         assert est.stderr.hex() == stderr_hex
         assert est.counts_summary == counts
 
+    def test_variance_is_summed_left_to_right(self, monkeypatch):
+        # Python 3.12's sum() of floats is compensated and would read
+        # 0x1.0000000000002p+0 here; the pinned stderr bits are the plain sum's
+        def fake(indices, tally, shots):
+            corr, _ = correlations(indices, tally, shots)
+            return corr, np.array([1.0] + [2.0**-27] * 15)
+
+        correlations = montecarlo._correlations
+        monkeypatch.setattr(montecarlo, "_correlations", fake)
+        assert estimate_beta(2, 10, REF_NOISE, seed=1).stderr == 1.0
+
+
+def _numpy_states(seed: int, indices: list[int]) -> tuple[list[int], list[int]]:
+    """The (states, incs) lists numpy's own SeedSequence construction starts
+    the terms' streams in."""
+    pcgs = [_numpy_stream(seed, t).state["state"] for t in indices]
+    return [pcg["state"] for pcg in pcgs], [pcg["inc"] for pcg in pcgs]
+
 
 class TestTermStates:
     """The derived PCG64 states against numpy's own SeedSequence construction."""
@@ -521,11 +539,11 @@ class TestTermStates:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_numpy(self, seed):
         indices = list(range(300)) + self.EDGES
-        want = [_numpy_stream(seed, t).state for t in indices]
+        want = _numpy_states(seed, indices)
         assert _term_states(seed, indices) == want
         # estimate_beta hands them over as int64, or as Python ints in an
         # object array where int64 cannot hold them
-        assert _term_states(seed, np.arange(300)) == want[:300]
+        assert _term_states(seed, np.arange(300)) == tuple(pair[:300] for pair in want)
         assert _term_states(seed, np.array(indices, dtype=object)) == want
 
     @settings(max_examples=60, deadline=None)
@@ -538,10 +556,10 @@ class TestTermStates:
         ),
     )
     def test_matches_numpy_anywhere(self, seed, indices):
-        assert _term_states(seed, indices) == [_numpy_stream(seed, t).state for t in indices]
+        assert _term_states(seed, indices) == _numpy_states(seed, indices)
 
     def test_seed_is_checked_as_numpy_checks_it(self):
-        assert _term_states(np.int64(12345), [3]) == [_numpy_stream(12345, 3).state]
+        assert _term_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             estimate_beta(1, 10, IDEAL, seed=-1)
         with pytest.raises(TypeError):

@@ -133,6 +133,8 @@ def test_pauli_keeps_no_tuple_arithmetic():
         op + op
     with pytest.raises(TypeError):
         2 * op
+    with pytest.raises(TypeError):  # not pauli_mul's AttributeError on int.n
+        op * 2
     with pytest.raises(TypeError):
         op + (1,)
     # * between operators is still the Pauli product: X X = I
