@@ -22,11 +22,10 @@ the statevector as the independent cross-check.
 
 from __future__ import annotations
 
-import operator
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .pauli import Observable, PauliOp
+from .pauli import Observable, PauliOp, _check_integer
 from .state import (
     EXACT_BLOCK_CAP,
     DenseState,
@@ -78,9 +77,7 @@ _MENU_SIGNS = tuple(sign for sign, _ in BLOCK_TERM_MENU)
 
 
 def n_terms(n_blocks: int) -> int:
-    if operator.index(n_blocks) < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    return 4**n_blocks
+    return 4 ** _check_integer("n_blocks", n_blocks, 1)
 
 
 def _digits(n_blocks: int, index: int | np.ndarray) -> tuple:
@@ -121,7 +118,9 @@ def _join(n_blocks: int, picks: Iterable[tuple[int, int]]) -> tuple[int, int, in
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
     """The index-th term of the lexicographic stream."""
-    if not 0 <= index < n_terms(n_blocks):
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
+    index = _check_integer("index", index)
+    if not 0 <= index < 4**n_blocks:
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
     choices = _digits(n_blocks, index)
     x, z, e, sign = _join(n_blocks, enumerate(choices))
@@ -230,6 +229,7 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     """
     if backend not in ("stabilizer", "dense"):
         raise ValueError(f"unknown backend {backend!r}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
     if n_blocks > EXACT_BLOCK_CAP:
         raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
     if backend == "stabilizer":

@@ -294,10 +294,16 @@ def cmd_dump_terms(args: argparse.Namespace) -> Output:
 
 
 _N = ("--n", dict(type=_positive_int, required=True))
-_EPS = ("--eps", dict(type=_unit_interval, default=0.15, help="certainty-relation error tolerance (default 0.15)"))
-_P_HELP = "intended-state weight in the prepared mixture (default 0.98)"
-_P = ("--p", dict(type=_unit_interval, default=0.98, help=_P_HELP))
-_ETA = ("--eta", dict(type=_positive_unit, default=0.33, help="detection efficiency per particle (default 0.33)"))
+
+
+def _noise_flag(flag: str, field: str, kind: Callable[[str], float], text: str) -> tuple[str, dict[str, Any]]:
+    default = NoiseParams._field_defaults[field]
+    return flag, dict(type=kind, default=default, help=f"{text} (default {default})")
+
+
+_EPS = _noise_flag("--eps", "epsilon", _unit_interval, "certainty-relation error tolerance")
+_P = _noise_flag("--p", "p", _unit_interval, "intended-state weight in the prepared mixture")
+_ETA = _noise_flag("--eta", "eta", _positive_unit, "detection efficiency per particle")
 _NOISE = (_EPS, _P, _ETA)
 
 
@@ -315,7 +321,7 @@ COMMANDS = (
     ("eta-threshold", cmd_eta_threshold, "minimum detection efficiency for one N", (_N, _EPS, _P)),
     ("min-n", cmd_min_n, "smallest N that violates at a given efficiency", (
         _EPS,
-        ("--p", dict(type=_positive_unit, default=0.98, help=_P_HELP)),
+        ("--p", {**_P[1], "type": _positive_unit}),
         _ETA,
         ("--n-cap", dict(type=_positive_int, default=64, help=f"search cap (default 64, at most {FLOAT_BLOCK_CAP})")),
         _format("json"),

@@ -17,7 +17,6 @@ solves to the threshold  eta_min = 2r/(1+r)  with r = beta_epr'/beta_qm'.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -51,8 +50,7 @@ class NoiseParams(_Checked, namedtuple("NoiseParams", "epsilon p eta", defaults=
 
 def noisy_bounds(n_blocks: int, eps: float, p: float) -> tuple[float, float]:
     """(beta_epr', beta_qm') for N blocks at tolerance eps and mixture weight p."""
-    if not 1 <= operator.index(n_blocks) <= FLOAT_BLOCK_CAP:
-        raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
     if not 0.0 <= p <= 1.0:
@@ -81,8 +79,7 @@ def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     of the 4**N terms is therefore v (1 - eps) p**N on average, and so is a
     uniform subsample scaled up.
     """
-    if not 1 <= operator.index(n_blocks) <= FLOAT_BLOCK_CAP:
-        raise ValueError(f"n_blocks must be in [1, {FLOAT_BLOCK_CAP}], got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
     return visibility_factor(noise.eta) * (1.0 - noise.epsilon) * (4.0 * noise.p) ** n_blocks
 
 
@@ -104,6 +101,7 @@ class BoundsReport(NamedTuple):
 
 def bounds_report(n_blocks: int, eps: float, p: float) -> BoundsReport:
     """Assemble the full report; eta_min > 1 means no efficiency suffices."""
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
     epr_noisy, qm_noisy = noisy_bounds(n_blocks, eps, p)
     r = epr_noisy / qm_noisy
     return BoundsReport(

@@ -15,11 +15,11 @@ order, then one pass per setting of the top block.
 
 from __future__ import annotations
 
-import operator
 from math import prod
 from typing import NamedTuple
 
 from .bell import BLOCK_TERM_MENU
+from .pauli import _check_integer
 from .state import LetterPair
 
 BRUTE_FORCE_BLOCK_CAP = 3
@@ -71,6 +71,7 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
     by that block's sum, so a pass covers at most 2**14 masks.  Among equal
     maxima the lowest bitmask is reported.
     """
+    n_blocks = _check_integer("n_blocks", n_blocks)
     if not 1 <= n_blocks <= BRUTE_FORCE_BLOCK_CAP:
         raise ValueError(
             f"exhaustive scan supports 1..{BRUTE_FORCE_BLOCK_CAP} blocks, got {n_blocks}"
@@ -94,6 +95,4 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
 
 def factored_bound(n_blocks: int) -> int:
     """Deterministic maximum via the block structure: (per-block max)**N."""
-    if operator.index(n_blocks) < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    return max(_BLOCK_SUM_TABLE) ** n_blocks
+    return max(_BLOCK_SUM_TABLE) ** _check_integer("n_blocks", n_blocks, 1)

@@ -33,14 +33,13 @@ runs over object arrays.  One PCG64 is set to each state from one reused dict.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
-from .bell import _MENU_SIGNS, _digits, n_terms
+from .bell import _MENU_SIGNS, _digits
 from .efficiency import NoiseParams
-from .pauli import _Checked
+from .pauli import _check_integer, _Checked
 
 # numpy is imported inside the functions that make arrays, so importing
 # the package, and every command that makes none, leaves it unloaded
@@ -63,9 +62,6 @@ class CountsTable(_Checked, namedtuple("CountsTable", "n_total n_pp n_mm n_singl
             raise ValueError(f"counts do not tile the runs: {sum(parts)} categorized vs {n_total} total")
         if min(self) < 0:
             raise ValueError("counts must be nonnegative")
-
-    def as_dict(self) -> dict[str, int]:
-        return self._asdict()  # keys in field order
 
 
 # most shots per term: numpy's multinomial takes the count as an int64
@@ -104,13 +100,14 @@ def _hash(values: np.ndarray, hash_const: int, mult: int, rows: int) -> tuple[np
     return values ^ values >> 16, consts[-1]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's pool and hash constant after the words of ``seed`` and
     spawn key word 1, which every term's SeedSequence shares before its own
     index words; the pool is numpy's own.  numpy mixes in L = max(seed words,
-    4) + 1 words with 4L hashes in all, each multiplying the constant by _MULT_A."""
-    seed = operator.index(seed)  # SeedSequence, too, takes integers only
+    4) + 1 words with 4L hashes in all, each multiplying the constant by _MULT_A.
+    Cached per seed and type, so True or 2.0 is never taken for 1 or 2."""
+    seed = _check_integer("seed", seed)  # SeedSequence, too, takes integers only
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
@@ -173,7 +170,7 @@ def _draw_counts(
 ) -> np.ndarray:
     """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
     t's are one multinomial draw from its own stream at pvals[negative[t]]."""
-    if not 1 <= operator.index(shots) <= MAX_SHOTS:
+    if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     import numpy as np
 
@@ -214,7 +211,10 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     stream, a function of ``seed`` and ``index`` alone, so it is exactly
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
-    if not 0 <= operator.index(index) < n_terms(n_blocks):
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
+    index = _check_integer("index", index)
+    shots = _check_integer("shots", shots)
+    if not 0 <= index < 4**n_blocks:
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
     sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
     tally = _draw_counts([index], [sign < 0], _pvals(n_blocks, noise), seed, shots)
@@ -251,7 +251,7 @@ class BetaEstimate(NamedTuple):
             "seed": self.seed,
             "beta_hat": self.beta_hat,
             "stderr": self.stderr,
-            "counts_summary": self.counts_summary.as_dict(),
+            "counts_summary": self.counts_summary._asdict(),
         }
 
 
@@ -297,14 +297,11 @@ def estimate_beta(
     ``seed`` and its index, so the estimate sums what ``estimate_term`` gives
     each term, in index order, and the counts in exact Python ints.
     """
-    if not 1 <= operator.index(n_blocks) <= ESTIMATE_BLOCK_CAP:
-        raise ValueError(f"n_blocks must be in [1, {ESTIMATE_BLOCK_CAP}], got {n_blocks}")
-    if operator.index(shots_per_term) < 1:
-        raise ValueError(f"shots_per_term must be >= 1, got {shots_per_term}")
-    if operator.index(term_budget) < 1:
-        raise ValueError(f"term_budget must be >= 1, got {term_budget}")
-    shots = shots_per_term
-    total = n_terms(n_blocks)
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, ESTIMATE_BLOCK_CAP)
+    shots = _check_integer("shots_per_term", shots_per_term, 1)
+    term_budget = _check_integer("term_budget", term_budget, 1)
+    seed = _check_integer("seed", seed)
+    total = 4**n_blocks
     exhaustive = total <= term_budget
     m = total if exhaustive else term_budget
     if m > MEASURED_TERM_CAP:

@@ -30,18 +30,17 @@ _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-def _check_integer(field: str, value: object) -> int:
-    """Refuse a field that is not an integer, a bool included, naming the field; return it as an int.
-
-    Callers test for exact ints first, the package's own case, so the
-    operators ``verify`` builds pay no call for the check.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{field} must be an integer, got {value!r}") from None
+def _check_integer(field: str, value: object, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int, a numpy integer included; each error names
+    ``field``.  A non-integer or a bool is a TypeError, and a value below ``lo``
+    or above ``hi`` (read only with ``lo``) a ValueError."""
+    if type(value) is not int:  # an exact int, the package's own case, needs no conversion
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise TypeError(f"{field} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        raise ValueError(f"{field} must be {f'>= {lo}' if hi is None else f'in [{lo}, {hi}]'}, got {value}")
+    return value
 
 
 class _Checked:

@@ -177,9 +177,7 @@ class StabilizerState:
 @lru_cache(maxsize=None, typed=True)
 def build_state(n_blocks: int) -> StabilizerState:
     """Stabilizer form of the N-block state, 4 generators per block; cached per N and type (True is no 1)."""
-    _check_integer("n_blocks", n_blocks)
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
     if 4 * n_blocks > STABILIZER_QUBIT_CAP:
         raise ValueError(f"stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {4 * n_blocks}")
     gens = [
@@ -252,8 +250,7 @@ def dense_state(n_blocks: int) -> DenseState:
     1's, one of 4**N entries, each of magnitude 2**-N, with sign set by the
     parity of per-block (upper AND lower) bits.
     """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
     if n_blocks > DENSE_BLOCK_CAP:
         raise ValueError(
             f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}"
@@ -340,6 +337,7 @@ class CorrelationReport(NamedTuple):
 
 def verify_perfect_correlations(n_blocks: int) -> CorrelationReport:
     """Check all 7N certainty relations in one pass; failures are recorded, not raised."""
+    n_blocks = _check_integer("n_blocks", n_blocks, 1)
     state = build_state(n_blocks)
     cases = list(product(range(1, n_blocks + 1), PERFECT_CORRELATIONS))
     actual = _expect_xz(state, [_block_xz(letters, block, n_blocks) for block, (_, letters) in cases])

@@ -1,6 +1,7 @@
-"""Every import in the package's modules is used where it binds, every
-private top-level name the package defines is read in it, and every public
-one is read in it, in the tests, in the benchmark or in README's code.
+"""Every import in the package's modules is used where it binds, only
+``pauli`` imports ``operator`` (for the one integer check), every private
+top-level name the package defines is read in it, and every public one is
+read in it, in the tests, in the benchmark or in README's code.
 Importing the package, and every command that makes no array, leaves numpy
 unloaded, and importing it leaves dataclasses and the source tools it pulls
 in unloaded.
@@ -71,6 +72,19 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_only_pauli_imports_operator():
+    # integer arguments go through pauli._check_integer, the one user of
+    # operator.index; another module importing operator has its own check
+    importers = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "operator" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "operator"
+    ]
+    assert importers == ["pauli.py"]
 
 
 def top_level_names(tree: ast.Module) -> list[str]:

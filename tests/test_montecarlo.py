@@ -47,13 +47,13 @@ class TestCountsTable:
             CountsTable(0, -1, 1, 0, 0, 0)
 
     def test_as_dict_order(self):
-        keys = list(CountsTable(1, 1, 0, 0, 0, 0).as_dict())
+        keys = list(CountsTable(1, 1, 0, 0, 0, 0)._asdict())
         assert keys == ["n_total", "n_pp", "n_mm", "n_single_1", "n_single_2", "n_00"]
 
 
 def _summed(tables: list[CountsTable]) -> CountsTable:
     """The tables' counts added field by field."""
-    return CountsTable(*(sum(field) for field in zip(*(t.as_dict().values() for t in tables))))
+    return CountsTable(*(sum(field) for field in zip(*(t._asdict().values() for t in tables))))
 
 
 # ═══════════════════════════════════════════════════════════════════════════
