@@ -26,8 +26,8 @@ whatever order or grouping the terms are measured in.  ``_term_states``
 derives those starting states in numpy, a chunk of terms at once, from the
 pool numpy's own SeedSequence mixes from ``seed`` (``_seed_pool``): each
 index word is hashed into the four pool words as one (4, terms) operation,
-the eight output words as one (8, terms) operation, and the 128-bit step
-runs over object arrays.  One PCG64 is set to each state from one reused dict.
+the eight output words as one (8, terms) operation, and the 128-bit step on
+uint64 limbs, which ``_draw_counts`` writes straight into one PCG64's memory.
 """
 
 from __future__ import annotations
@@ -82,11 +82,10 @@ ESTIMATE_BLOCK_CAP = 255
 # numpy's SeedSequence hash (pool of four uint32 words) and the multiplier of
 # PCG64's 128-bit LCG, all fixed by numpy's stream-compatibility policy
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED05_1FC65DA4_4385DF64_9FCCF645
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED05_1FC65DA4, 0x4385DF64_9FCCF645
 
 
 def _hash(values: np.ndarray, hash_const: int, mult: int, rows: int) -> tuple[np.ndarray, int]:
@@ -117,16 +116,16 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
 
 
-def _term_states(seed: int, indices: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The lists of ``state`` and ``inc`` in which ``PCG64(SeedSequence(
-    entropy=seed, spawn_key=(1, t)))`` starts, for all the term indices t at once.
+def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """The uint64 limbs (state hi, lo, inc hi, lo), one row per term index t, in
+    which ``PCG64(SeedSequence(entropy=seed, spawn_key=(1, t)))`` starts.
 
     Each of t's 32-bit words, at least one, is hashed into the four pool words
     after ``_seed_pool(seed)`` by four successive hash constants, as one
     (4, terms) uint32 operation, word j only for the terms whose index has one.
     ``generate_state(4, uint64)`` hashes the pool eight more times, one (8, terms)
     operation, and PCG64 steps that 128-bit seed and stream twice as
-    pcg_setseq_128_srandom_r does, in Python ints held in object arrays.
+    pcg_setseq_128_srandom_r does, in (hi, lo) pairs of uint64 arrays.
     """
     import numpy as np
 
@@ -141,10 +140,19 @@ def _term_states(seed: int, indices: Sequence[int]) -> tuple[list[int], list[int
         mixed = _MIX_MULT_L * pool[:, rows] - _MIX_MULT_R * hashed
         pool[:, rows] = mixed ^ mixed >> 16
     out, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)
-    seed_hi, seed_lo, seq_hi, seq_lo = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").T.astype(object)
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128
-    return state.tolist(), inc.tolist()
+    seed_hi, seed_lo, seq_hi, seq_lo = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").T
+    # inc = 2 seq + 1, then state = (seed + inc) * multiplier + inc, mod 2**128 in
+    # (hi, lo) uint64 limbs: a low limb that wraps below its addend carries 1
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = seed_lo + inc_lo
+    hi = seed_hi + inc_hi + (lo < inc_lo)
+    # the high word of lo * _PCG64_MULT_LO from 32-bit halves, so no product overflows
+    m0, m1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
+    mid = (lo >> 32) * m0 + ((lo & _MASK32) * m0 >> 32)
+    high = (lo >> 32) * m1 + (mid >> 32) + ((lo & _MASK32) * m1 + (mid & _MASK32) >> 32)
+    state_lo = lo * _PCG64_MULT_LO + inc_lo
+    state_hi = high + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
 def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
@@ -169,19 +177,30 @@ def _draw_counts(
     indices: Sequence[int], negative: list[bool], pvals: tuple, seed: int, shots: int
 ) -> np.ndarray:
     """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
-    t's are one multinomial draw from its own stream at pvals[negative[t]]."""
+    t's are one multinomial draw from its own stream at pvals[negative[t]], one
+    PCG64 whose four state words take t's limbs in the order a probe reads."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    import ctypes
     import numpy as np
 
     bitgen = np.random.PCG64(0)  # its own state is never read
     draw = np.random.Generator(bitgen).multinomial
-    pcg: dict[str, int] = {}
-    carrier = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    # the capsule's bitgen_t (numpy's random/bitgen.h) points at PCG64's state
+    # record, whose first field points at the pcg64_random_t: state, then inc
+    prototype = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    address = prototype(("PyCapsule_GetPointer", ctypes.pythonapi))(bitgen.capsule, b"BitGenerator")
+    for _ in range(2):
+        address = ctypes.c_void_p.from_address(address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    # the probe: limbs 0, 1, 2, 3 set through numpy's own setter, which leaves
+    # has_uint32 at 0 for multinomial's 64-bit draws, and read back word by word
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
+    if sorted(order := words.tolist()) != [0, 1, 2, 3]:
+        raise RuntimeError(f"PCG64's state words read {order}, not its four limbs, under numpy {np.__version__}")
     tally = np.empty((len(indices), 5), dtype=np.int64)
-    for row, state, inc, sign_bit in zip(tally, *_term_states(seed, indices), negative):
-        pcg["state"], pcg["inc"] = state, inc
-        bitgen.state = carrier
+    for row, state, sign_bit in zip(tally, _term_states(seed, indices)[:, order], negative):
+        words[:] = state
         row[:] = draw(shots, pvals[sign_bit])
     return tally
 
@@ -301,6 +320,7 @@ def estimate_beta(
     shots = _check_integer("shots_per_term", shots_per_term, 1)
     term_budget = _check_integer("term_budget", term_budget, 1)
     seed = _check_integer("seed", seed)
+    _seed_pool(seed)  # refuses a negative seed before _sample_indices hands it to numpy
     total = 4**n_blocks
     exhaustive = total <= term_budget
     m = total if exhaustive else term_budget

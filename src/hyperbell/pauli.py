@@ -45,14 +45,14 @@ def _check_integer(field: str, value: object, lo: int | None = None, hi: int | N
 
 class _Checked:
     """First base of a named tuple whose ``_check`` refuses bad fields, run on
-    every construction, ``_make`` and so ``_replace`` included."""
+    every construction, ``_make`` and so ``_replace`` included; a record it
+    returns, rebuilt from Python ints, is kept in place of the checked one."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
+        return self._check() or self
 
     @classmethod
     def _make(cls, iterable):
@@ -64,12 +64,11 @@ class Observable(_Checked, namedtuple("Observable", "letter particle block")):
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def _check(self) -> Observable | None:
         if not isinstance(self.letter, str) or self.letter.upper() not in _LETTER_BITS:
             raise ValueError(f"letter must be one of XYZxyz, got {self.letter!r}")
         if not (type(self.particle) is type(self.block) is int):
-            _check_integer("particle", self.particle)
-            _check_integer("block", self.block)
+            return self._replace(particle=_check_integer("particle", self.particle), block=_check_integer("block", self.block))
         if self.particle not in (1, 2):
             raise ValueError(f"particle must be 1 or 2, got {self.particle}")
         if self.block < 1:
@@ -97,11 +96,10 @@ class PauliOp(_Checked, namedtuple("PauliOp", "n x z e")):
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def _check(self) -> PauliOp | None:
         n, x, z, e = self
         if not (type(n) is type(x) is type(z) is type(e) is int):
-            for field, value in zip(self._fields, self):
-                _check_integer(field, value)
+            return self._make(_check_integer(field, value) for field, value in zip(self._fields, self))
         if n < 1:
             raise ValueError(f"register size must be >= 1, got {n}")
         if not (0 <= x < 1 << n and 0 <= z < 1 << n):

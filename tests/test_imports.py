@@ -3,8 +3,8 @@
 top-level name the package defines is read in it, and every public one is
 read in it, in the tests, in the benchmark or in README's code.
 Importing the package, and every command that makes no array, leaves numpy
-unloaded, and importing it leaves dataclasses and the source tools it pulls
-in unloaded.
+and ctypes unloaded, and importing it leaves dataclasses and the source tools
+it pulls in unloaded.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's exports.
@@ -184,14 +184,14 @@ def test_every_public_name_is_read():
 
 
 # Each probe runs in a fresh interpreter, the package imported from src, and
-# prints one JSON document: whether numpy is loaded, and the command's exit
-# code and stdout.
+# prints one JSON document: whether numpy and ctypes are loaded, and the
+# command's exit code and stdout.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from hyperbell import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(sys.argv[1:])
-print(json.dumps({"numpy": "numpy" in sys.modules, "exit": code, "stdout": out.getvalue()}))
+print(json.dumps({"numpy": "numpy" in sys.modules, "ctypes": "ctypes" in sys.modules, "exit": code, "stdout": out.getvalue()}))
 """
 
 GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text("utf-8"))
@@ -213,8 +213,9 @@ def test_importing_the_package_leaves_numpy_unloaded():
 
 def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
     # the records are named tuples: dataclasses, and the inspect, ast, dis and
-    # tokenize it imports, cost a third of the set-up every command pays
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"]
+    # tokenize it imports, cost a third of the set-up every command pays; the
+    # sampler imports ctypes where it writes the PCG64 states, as numpy does
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "ctypes"]
     code = (
         "import json, sys\nimport hyperbell\nfrom hyperbell import cli\ncli.build_parser()\n"
         f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
@@ -229,7 +230,7 @@ def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
 def test_analytic_commands_leave_numpy_unloaded(command):
     run = probe(CLI_PROBE, *command.split())
     assert run["exit"] == 0
-    assert run["numpy"] is False
+    assert run["numpy"] is run["ctypes"] is False
 
 
 @pytest.mark.parametrize(

@@ -530,6 +530,15 @@ def _numpy_states(seed: int, indices: list[int]) -> tuple[list[int], list[int]]:
     return [pcg["state"] for pcg in pcgs], [pcg["inc"] for pcg in pcgs]
 
 
+def _joined_states(seed: int, indices) -> tuple[list[int], list[int]]:
+    """The (states, incs) lists rebuilt from the (terms, 4) uint64 limbs
+    state-hi, state-lo, inc-hi, inc-lo that ``_term_states`` derives."""
+    limbs = _term_states(seed, indices)
+    assert limbs.dtype == np.uint64 and limbs.shape == (len(indices), 4)
+    rows = limbs.tolist()
+    return [hi << 64 | lo for hi, lo, _, _ in rows], [hi << 64 | lo for _, _, hi, lo in rows]
+
+
 class TestTermStates:
     """The derived PCG64 states against numpy's own SeedSequence construction."""
 
@@ -540,11 +549,11 @@ class TestTermStates:
     def test_matches_numpy(self, seed):
         indices = list(range(300)) + self.EDGES
         want = _numpy_states(seed, indices)
-        assert _term_states(seed, indices) == want
+        assert _joined_states(seed, indices) == want
         # estimate_beta hands them over as int64, or as Python ints in an
         # object array where int64 cannot hold them
-        assert _term_states(seed, np.arange(300)) == tuple(pair[:300] for pair in want)
-        assert _term_states(seed, np.array(indices, dtype=object)) == want
+        assert _joined_states(seed, np.arange(300)) == tuple(pair[:300] for pair in want)
+        assert _joined_states(seed, np.array(indices, dtype=object)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -556,12 +565,41 @@ class TestTermStates:
         ),
     )
     def test_matches_numpy_anywhere(self, seed, indices):
-        assert _term_states(seed, indices) == _numpy_states(seed, indices)
+        assert _joined_states(seed, indices) == _numpy_states(seed, indices)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_the_carrier_holds_each_written_state(self, seed, monkeypatch):
+        # each multinomial draw starts from the state numpy itself seeds the
+        # term's stream in, read back through numpy's documented getter
+        indices = [0, 7, 2**32, 2**70 + 9, 4**255 - 1]
+        seen = []
+
+        class Recording(np.random.Generator):
+            def multinomial(self, shots, pvals):
+                seen.append(self.bit_generator.state)
+                return super().multinomial(shots, pvals)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        tally = _draw_counts(np.array(indices, dtype=object), [False] * 5, _pvals(2, REF_NOISE), seed, 50)
+        assert seen == [_numpy_stream(seed, t).state for t in indices]
+        monkeypatch.undo()
+        want = [np.random.Generator(_numpy_stream(seed, t)).multinomial(50, _pvals(2, REF_NOISE)[0]) for t in indices]
+        assert tally.tolist() == np.array(want).tolist()
+
+    def test_an_unexpected_state_layout_is_refused(self, monkeypatch):
+        # the probe reads the four words back after numpy's own setter; words
+        # that are not the four limbs stop the draw before any term is written
+        monkeypatch.setattr(np, "frombuffer", lambda buffer, dtype: np.zeros(4, dtype))
+        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+            _draw_counts([0], [False], _pvals(1, REF_NOISE), 1, 10)
 
     def test_seed_is_checked_as_numpy_checks_it(self):
-        assert _term_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
+        assert _joined_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             estimate_beta(1, 10, IDEAL, seed=-1)
+        # the subsampled path refuses it alike, before it picks its terms
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            estimate_beta(3, 10, IDEAL, seed=-1, term_budget=4)
         with pytest.raises(TypeError):
             estimate_term(1, 0, IDEAL, 10, seed=1.5)
 

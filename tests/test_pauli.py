@@ -98,6 +98,15 @@ class TestQubitLayout:
         with pytest.raises((TypeError, ValueError), match=f"^{field} must be"):
             Observable(letter, particle, block)
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        # an int64 block once shifted within int64 and wrapped to the identity
+        obs = Observable("x", np.int64(2), np.int64(17))
+        assert type(obs.particle) is type(obs.block) is int
+        op = obs.to_pauli(17)
+        assert op.x == 2**67 and op.z == 0 and type(op.x) is int
+        with pytest.raises(ValueError, match="^particle must be 1 or 2, got 3$"):
+            Observable("x", np.int64(3), 1)
+
 
 # ═══════════════════════════════════════════════════════════════════
 # Named observables
@@ -223,6 +232,14 @@ class TestAlgebra:
         # phase the membership test (0.0 in {0, 1, 2, 3}), and pauli_mul failed later
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
             PauliOp(n, x, z, e)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        op = PauliOp(np.int64(4), np.int64(1), np.uint8(2), np.int32(3))
+        assert op == PauliOp(4, 1, 2, 3)
+        assert [type(field) for field in op] == [int] * 4
+        assert type(op._replace(n=np.int64(8)).n) is int
+        with pytest.raises(ValueError, match="masks x=0x10, z=0x0 out of range"):
+            PauliOp(np.int64(4), np.int64(16), 0, 0)
 
 
 class TestCommutation:
