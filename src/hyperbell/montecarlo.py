@@ -182,19 +182,21 @@ def _draw_counts(
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     import ctypes
+    import types
     import numpy as np
 
     bitgen = np.random.PCG64(0)  # its own state is never read
     draw = np.random.Generator(bitgen).multinomial
-    # the capsule's bitgen_t (numpy's random/bitgen.h) points at PCG64's state
-    # record, whose first field points at the pcg64_random_t: state, then inc
-    prototype = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-    address = prototype(("PyCapsule_GetPointer", ctypes.pythonapi))(bitgen.capsule, b"BitGenerator")
+    # the capsule's bitgen_t (numpy's random/bitgen.h) points at PCG64's state record,
+    # whose first field points at its pcg64_random_t; pythonapi[name] is ours to type
+    get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
+    get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, (ctypes.py_object, ctypes.c_char_p)
+    address = get_pointer(bitgen.capsule, b"BitGenerator")
     for _ in range(2):
         address = ctypes.c_void_p.from_address(address).value
-    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
-    # the probe: limbs 0, 1, 2, 3 set through numpy's own setter, which leaves
-    # has_uint32 at 0 for multinomial's 64-bit draws, and read back word by word
+    view = {"data": (address, False), "shape": (4,), "typestr": np.dtype(np.uint64).str, "version": 3}
+    words = np.asarray(types.SimpleNamespace(__array_interface__=view))
+    # the probe: limbs 0-3 set through numpy's setter (has_uint32 0: multinomial draws 64 bits)
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
     if sorted(order := words.tolist()) != [0, 1, 2, 3]:
         raise RuntimeError(f"PCG64's state words read {order}, not its four limbs, under numpy {np.__version__}")

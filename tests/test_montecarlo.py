@@ -588,8 +588,12 @@ class TestTermStates:
 
     def test_an_unexpected_state_layout_is_refused(self, monkeypatch):
         # the probe reads the four words back after numpy's own setter; words
-        # that are not the four limbs stop the draw before any term is written
-        monkeypatch.setattr(np, "frombuffer", lambda buffer, dtype: np.zeros(4, dtype))
+        # that are not the four limbs it set stop the draw before any term is
+        # written: here a setter that leaves the carrier's seeded state
+        class Unset(np.random.PCG64):
+            state = property(lambda self: None, lambda self, value: None)
+
+        monkeypatch.setattr(np.random, "PCG64", Unset)
         with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
             _draw_counts([0], [False], _pvals(1, REF_NOISE), 1, 10)
 
