@@ -71,8 +71,11 @@ MAX_SHOTS = 2**63 - 1
 # verify's cap names, minutes of sampling and gigabytes of memory (README)
 MEASURED_TERM_CAP = 4**12
 
-# terms per pass of estimate_beta, which holds a pass's PCG64 states at once
-TERM_CHUNK = 256
+# terms per pass of estimate_beta, which holds a pass's PCG64 states and their
+# temporaries at once: about 0.94 MB traced at 4096 terms (230 bytes a term), so
+# the 4**12 cap takes 4096 passes of 1 MB, not one of 3.8 GB; simulate's
+# default 4096 terms take one
+TERM_CHUNK = 4096
 
 # largest N for which the subsampled variance's (4**N)**2 = 16**N is a finite
 # float (16**255 = 2**1020)
@@ -123,6 +126,8 @@ def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     Each of t's 32-bit words, at least one, is hashed into the four pool words
     after ``_seed_pool(seed)`` by four successive hash constants, as one
     (4, terms) uint32 operation, word j only for the terms whose index has one.
+    int64 indices (every N < 32) are split into words in int64, any others as
+    Python ints.
     ``generate_state(4, uint64)`` hashes the pool eight more times, one (8, terms)
     operation, and PCG64 steps that 128-bit seed and stream twice as
     pcg_setseq_128_srandom_r does, in (hi, lo) pairs of uint64 arrays.
@@ -130,7 +135,9 @@ def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     import numpy as np
 
     pool_words, hash_const = _seed_pool(seed)
-    index = np.asarray(indices, dtype=object)  # Python ints, of any size
+    index = np.asarray(indices)
+    if index.dtype != np.int64:  # wider indices, or [2**63] read as uint64
+        index = np.asarray(indices, dtype=object)  # Python ints, of any size
     width = max(int(index.max()).bit_length() + 31, 32) // 32
     words = (index[:, None] >> np.arange(0, 32 * width, 32) & _MASK32).astype(np.uint32)
     pool = np.array(pool_words, dtype=np.uint32)[:, None].repeat(len(index), axis=1)
@@ -200,10 +207,13 @@ def _draw_counts(
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
     if sorted(order := words.tolist()) != [0, 1, 2, 3]:
         raise RuntimeError(f"PCG64's state words read {order}, not its four limbs, under numpy {np.__version__}")
+    # each term's four limbs, 32 bytes, copied buffer to buffer into the carrier
+    carrier = memoryview(words).cast("B")
+    states = memoryview(_term_states(seed, indices)[:, order].tobytes())
     tally = np.empty((len(indices), 5), dtype=np.int64)
-    for row, state, sign_bit in zip(tally, _term_states(seed, indices)[:, order], negative):
-        words[:] = state
-        row[:] = draw(shots, pvals[sign_bit])
+    for t, sign_bit in enumerate(negative):
+        carrier[:] = states[32 * t : 32 * t + 32]
+        tally[t] = draw(shots, pvals[sign_bit])
     return tally
 
 

@@ -435,6 +435,40 @@ class TestChunkRows:
             assert CountsTable(shots, *row.tolist()) == want, term.index
 
 
+class TestPasses:
+    """estimate_beta measures its terms TERM_CHUNK at a time; a term's counts
+    are a function of the seed and its index alone, so the pass size cannot
+    change a bit, and simulate's 4096 terms take one pass."""
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((5, 333), {"seed": 11}), ((7, 20), {"seed": 5, "term_budget": 64})],
+        ids=["n5-exhaustive", "n7-subsampled"],
+    )
+    def test_pass_size_cannot_change_output(self, args, kwargs, monkeypatch):
+        documents = []
+        for size in (1, 7, 256, montecarlo.TERM_CHUNK):
+            monkeypatch.setattr(montecarlo, "TERM_CHUNK", size)
+            documents.append(estimate_beta(*args, REF_NOISE, **kwargs).to_json_dict())
+        assert all(document == documents[-1] for document in documents)
+
+    def test_pass_count(self, monkeypatch):
+        sizes = []
+
+        def spy(indices, *args):
+            sizes.append(len(indices))
+            return draw_counts(indices, *args)
+
+        draw_counts = montecarlo._draw_counts
+        monkeypatch.setattr(montecarlo, "_draw_counts", spy)
+        estimate_beta(6, 1, IDEAL, seed=1)
+        assert sizes == [4096]
+        sizes.clear()
+        estimate_beta(7, 1, IDEAL, seed=1, term_budget=4**7)
+        assert len(sizes) == -(-(4**7) // montecarlo.TERM_CHUNK)
+        assert sum(sizes) == 4**7
+
+
 class TestGoldenStreams:
     """Values recorded from the per-term multinomial draw, once the sampler
     matched numpy's own draw from each term's stream on every count.
@@ -485,7 +519,7 @@ class TestGoldenStreams:
                 CountsTable(1280, 67, 69, 303, 286, 555),
                 id="n7-subsampled",
             ),
-            # the benchmark's shape: 4096 terms, 16 passes of TERM_CHUNK ...
+            # the benchmark's shape: 4096 terms, one pass of TERM_CHUNK ...
             pytest.param(
                 (6, 200),
                 {"seed": 4242},
@@ -554,6 +588,23 @@ class TestTermStates:
         # object array where int64 cannot hold them
         assert _joined_states(seed, np.arange(300)) == tuple(pair[:300] for pair in want)
         assert _joined_states(seed, np.array(indices, dtype=object)) == want
+
+    # the word boundaries below 4**31, where estimate_beta hands over int64
+    INT64_EDGES = [0, 2**31 - 1, 2**32 - 1, 2**32, 4**31 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 + 3])
+    def test_int64_words_match_the_object_words(self, seed):
+        as_int64 = np.array(self.INT64_EDGES, dtype=np.int64)
+        as_object = np.array(self.INT64_EDGES, dtype=object)
+        assert _term_states(seed, as_int64).tolist() == _term_states(seed, as_object).tolist()
+        assert _joined_states(seed, as_int64) == _numpy_states(seed, self.INT64_EDGES)
+
+    @pytest.mark.parametrize("index", [2**63, 2**64 - 1])
+    def test_a_uint64_index_takes_the_object_words(self, index):
+        # numpy reads [index] as uint64, which an int64 shift would refuse
+        assert np.asarray([index]).dtype == np.uint64
+        est = estimate_term(32, index, REF_NOISE, 300, seed=8)
+        assert est.counts == _reference_counts(term_at(32, index), REF_NOISE, 300, 8)
 
     @settings(max_examples=60, deadline=None)
     @given(
