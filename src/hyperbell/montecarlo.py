@@ -33,6 +33,7 @@ uint64 limbs, which ``_draw_counts`` writes straight into one PCG64's memory.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
@@ -72,9 +73,9 @@ MAX_SHOTS = 2**63 - 1
 MEASURED_TERM_CAP = 4**12
 
 # terms per pass of estimate_beta, which holds a pass's PCG64 states and their
-# temporaries at once: about 0.94 MB traced at 4096 terms (230 bytes a term), so
-# the 4**12 cap takes 4096 passes of 1 MB, not one of 3.8 GB; simulate's
-# default 4096 terms take one
+# temporaries at once: about 0.8 MB traced at 4096 terms (about 200 bytes a
+# term), so the 4**12 cap takes 4096 passes under 1 MB, not one of 3.3 GB;
+# simulate's default 4096 terms take one
 TERM_CHUNK = 4096
 
 # largest N for which the subsampled variance's (4**N)**2 = 16**N is a finite
@@ -130,7 +131,7 @@ def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     Python ints.
     ``generate_state(4, uint64)`` hashes the pool eight more times, one (8, terms)
     operation, and PCG64 steps that 128-bit seed and stream twice as
-    pcg_setseq_128_srandom_r does, in (hi, lo) pairs of uint64 arrays.
+    pcg_setseq_128_srandom_r does, in place on (hi, lo) pairs of uint64 columns.
     """
     import numpy as np
 
@@ -146,20 +147,22 @@ def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
         hashed, hash_const = _hash(words[rows, j], hash_const, _MULT_A, 4)
         mixed = _MIX_MULT_L * pool[:, rows] - _MIX_MULT_R * hashed
         pool[:, rows] = mixed ^ mixed >> 16
-    out, _ = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)
-    seed_hi, seed_lo, seq_hi, seq_lo = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").T
+    # (terms, 4) limbs seed hi, lo, seq hi, lo, stepped in place: no temporary outlives its line
+    limbs = np.ascontiguousarray(_hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)[0].T, dtype="<u4").view("<u8")
+    hi, lo, inc_hi, inc_lo = limbs.T
     # inc = 2 seq + 1, then state = (seed + inc) * multiplier + inc, mod 2**128 in
     # (hi, lo) uint64 limbs: a low limb that wraps below its addend carries 1
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = seed_lo + inc_lo
-    hi = seed_hi + inc_hi + (lo < inc_lo)
+    inc_hi[:], inc_lo[:] = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
     # the high word of lo * _PCG64_MULT_LO from 32-bit halves, so no product overflows
     m0, m1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
     mid = (lo >> 32) * m0 + ((lo & _MASK32) * m0 >> 32)
     high = (lo >> 32) * m1 + (mid >> 32) + ((lo & _MASK32) * m1 + (mid & _MASK32) >> 32)
-    state_lo = lo * _PCG64_MULT_LO + inc_lo
-    state_hi = high + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI + inc_hi + (state_lo < inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    hi[:] = high + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI + inc_hi
+    lo[:] = lo * _PCG64_MULT_LO + inc_lo
+    hi += lo < inc_lo
+    return limbs
 
 
 def _pvals(n_blocks: int, noise: NoiseParams) -> tuple[np.ndarray, ...]:
@@ -180,37 +183,50 @@ class TermEstimate(NamedTuple):
     counts: CountsTable
 
 
-def _draw_counts(
-    indices: Sequence[int], negative: list[bool], pvals: tuple, seed: int, shots: int
-) -> np.ndarray:
-    """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
-    t's are one multinomial draw from its own stream at pvals[negative[t]], one
-    PCG64 whose four state words take t's limbs in the order a probe reads."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
+    """The four uint64 words of ``bitgen``'s pcg64_random_t, in its memory: the capsule's bitgen_t
+    (numpy's random/bitgen.h) points at PCG64's state record, whose first field points at them."""
     import ctypes
     import types
     import numpy as np
 
-    bitgen = np.random.PCG64(0)  # its own state is never read
-    draw = np.random.Generator(bitgen).multinomial
-    # the capsule's bitgen_t (numpy's random/bitgen.h) points at PCG64's state record,
-    # whose first field points at its pcg64_random_t; pythonapi[name] is ours to type
+    # pythonapi[name] is ours to type
     get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
     get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, (ctypes.py_object, ctypes.c_char_p)
     address = get_pointer(bitgen.capsule, b"BitGenerator")
     for _ in range(2):
         address = ctypes.c_void_p.from_address(address).value
     view = {"data": (address, False), "shape": (4,), "typestr": np.dtype(np.uint64).str, "version": 3}
-    words = np.asarray(types.SimpleNamespace(__array_interface__=view))
+    return np.asarray(types.SimpleNamespace(__array_interface__=view))
+
+
+def _draw_counts(indices: Sequence[int], negative: list[bool], pvals: tuple, seed: int, shots: int) -> np.ndarray:
+    """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
+    t's are one multinomial draw from its own stream at pvals[negative[t]], one
+    PCG64 whose four state words take t's limbs in the order a probe reads, or,
+    with one stderr line, through numpy's ``state`` setter where it reads others."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    import numpy as np
+
+    bitgen = np.random.PCG64(0)  # its own state is never read
+    draw = np.random.Generator(bitgen).multinomial
+    words = _state_words(bitgen)
     # the probe: limbs 0-3 set through numpy's setter (has_uint32 0: multinomial draws 64 bits)
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
-    if sorted(order := words.tolist()) != [0, 1, 2, 3]:
-        raise RuntimeError(f"PCG64's state words read {order}, not its four limbs, under numpy {np.__version__}")
+    record = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
+    bitgen.state = record
+    limbs = _term_states(seed, indices)
+    tally = np.empty((len(indices), 5), dtype=np.int64)
+    if sorted(order := words.tolist()) != [0, 1, 2, 3]:  # a layout the probe does not know
+        sys.stderr.write(f"warning: PCG64's state words read {order} under numpy {np.__version__}; using its setter\n")
+        for t, ((hi, lo, inc_hi, inc_lo), sign_bit) in enumerate(zip(limbs.tolist(), negative)):
+            record["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+            bitgen.state = record
+            tally[t] = draw(shots, pvals[sign_bit])
+        return tally
     # each term's four limbs, 32 bytes, copied buffer to buffer into the carrier
     carrier = memoryview(words).cast("B")
-    states = memoryview(_term_states(seed, indices)[:, order].tobytes())
-    tally = np.empty((len(indices), 5), dtype=np.int64)
+    states = memoryview(limbs[:, order].tobytes())
     for t, sign_bit in enumerate(negative):
         carrier[:] = states[32 * t : 32 * t + 32]
         tally[t] = draw(shots, pvals[sign_bit])

@@ -252,9 +252,7 @@ def dense_state(n_blocks: int) -> DenseState:
     """
     n_blocks = _check_integer("n_blocks", n_blocks, 1)
     if n_blocks > DENSE_BLOCK_CAP:
-        raise ValueError(
-            f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}"
-        )
+        raise ValueError(f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}")
     import numpy as np
 
     half = 2 * n_blocks
@@ -272,19 +270,22 @@ def _dense_expect_xz(psi: DenseState, ops: Iterable[tuple[int, int, int]]) -> np
     (x, z, e) in Python ints, as ``_expect_xz`` takes them.
 
     Operator t sums conj(psi[k ^ x_t]) (-1)**popcount(k & z_t) psi[k] over
-    the support k, a mask's bit q being basis-index bit q; one operator at a
-    time, so memory stays at one support-sized vector.
+    the support k, a mask's bit q being basis-index bit q, a block of
+    operators at once: a temporary holds 2048 entries (32 KB as complex) up
+    to a support of 128 (N = 3), 16 support-sized rows above, far below the state.
     """
     import numpy as np
 
-    idx = psi.support
-    amps = psi.amplitudes
+    idx, amps = psi.support, psi.amplitudes
     here = amps[idx]
-    flipped = -here
-    val = np.array([
-        1j ** (e % 4) * np.vdot(amps[idx ^ x], np.where(np.bitwise_count(idx & z) & 1, flipped, here))
-        for x, z, e in ops
-    ])
+    # (operators, 1) columns, so a block of them broadcasts against the support
+    x, z, e = np.array([(x, z, e % 4) for x, z, e in ops], dtype=np.uint64).reshape(-1, 3, 1).transpose(1, 0, 2)
+    rows = max(16, 2048 // idx.size)
+    val = np.empty(len(e), dtype=np.complex128)
+    for lo in range(0, len(e), rows):
+        odd = np.bitwise_count(idx & z[lo : lo + rows]) & 1
+        val[lo : lo + rows] = (amps[idx ^ x[lo : lo + rows]].conj() * np.where(odd, -here, here)).sum(axis=1)
+    val *= np.array([1, 1j, -1, -1j])[e[:, 0]]
     nonreal = np.abs(val.imag) > 1e-12
     if nonreal.any():
         raise AssertionError(f"expectation came out non-real: {val[nonreal][0]}")

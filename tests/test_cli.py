@@ -451,6 +451,24 @@ class TestSimulate:
         assert doc["counts_summary"]["n_total"] == 2**66
         assert (doc["beta_hat"], doc["stderr"]) == (16.0, 0.0)
 
+    @pytest.mark.parametrize("command", [c for c in GOLDEN if c.startswith("simulate")])
+    def test_an_unknown_state_layout_keeps_the_golden_bytes(self, command, capsys, monkeypatch):
+        # the probe reads another generator's words: simulate sets each term's
+        # state through numpy's setter, says so on one stderr line, and prints
+        # the same bytes, with no traceback
+        import numpy as np
+
+        from hyperbell import montecarlo
+
+        elsewhere = np.random.PCG64(99)
+        state_words = montecarlo._state_words
+        monkeypatch.setattr(montecarlo, "_state_words", lambda bitgen: state_words(elsewhere))
+        monkeypatch.delenv("HYPERBELL_SEED", raising=False)
+        assert cli.main(command.split()) == GOLDEN[command]["exit"]
+        out, err = capsys.readouterr()
+        assert out == GOLDEN[command]["stdout"]
+        assert err.startswith("warning: PCG64's state words") and err.count("\n") == 1
+
     def test_undefined_estimate_is_a_json_error(self):
         # one shot at eta = 0.01 detects nothing, so term 0 has no estimate
         proc = run_cli("simulate", "--n", "1", "--shots", "1", "--eta", "0.01")

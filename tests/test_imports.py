@@ -223,18 +223,36 @@ def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
     assert probe(code) == []
 
 
+# the exhaustive local bound (bounds --n <= 3, verify --n <= 2) is certified
+# from the block-sum table, so it makes no array either
 @pytest.mark.parametrize(
     "command",
-    ["verify --n 9", "verify --n 3", "min-n --eta 0.33", "sweep --n-max 64", "eta-threshold --n 6", "bounds --n 6", "bounds --n 4", "dump-terms --n 2"],
+    [
+        "verify --n 9",
+        "verify --n 3",
+        "verify --n 2",
+        "verify --n 1",
+        "min-n --eta 0.33",
+        "sweep --n-max 64",
+        "eta-threshold --n 6",
+        "bounds --n 6",
+        "bounds --n 4",
+        "bounds --n 3",
+        "bounds --n 2",
+        "bounds --n 1",
+        "dump-terms --n 2",
+    ],
 )
 def test_analytic_commands_leave_numpy_unloaded(command):
     run = probe(CLI_PROBE, *command.split())
     assert run["exit"] == 0
     assert run["numpy"] is run["ctypes"] is False
+    if command in GOLDEN:
+        assert run["stdout"] == GOLDEN[command]["stdout"]
 
 
 @pytest.mark.parametrize(
-    "command", ["bounds --n 2", "verify --n 1", "simulate --n 2 --shots 1000 --seed 7", "simulate --n 7 --shots 20 --term-budget 64 --seed 5"]
+    "command", ["simulate --n 2 --shots 1000 --seed 7", "simulate --n 7 --shots 20 --term-budget 64 --seed 5"]
 )
 def test_array_commands_load_numpy_and_keep_their_golden_bytes(command):
     run = probe(CLI_PROBE, *command.split())
@@ -242,9 +260,9 @@ def test_array_commands_load_numpy_and_keep_their_golden_bytes(command):
     assert (run["exit"], run["stdout"]) == (GOLDEN[command]["exit"], GOLDEN[command]["stdout"])
 
 
-def test_the_largest_exhaustive_bound_loads_numpy_and_matches_in_process(capsys):
+def test_the_largest_exhaustive_bound_leaves_numpy_unloaded_and_matches_in_process(capsys):
     run = probe(CLI_PROBE, "bounds", "--n", "3")
-    assert run["numpy"] is True
+    assert run["numpy"] is run["ctypes"] is False
     assert cli.main(["bounds", "--n", "3"]) == run["exit"] == 0
     assert capsys.readouterr().out == run["stdout"]
     assert json.loads(run["stdout"])["lhv"]["method"] == "brute_force"

@@ -7,6 +7,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperbell import lhv
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms
@@ -14,6 +16,7 @@ from hyperbell.lhv import (
     BOUND_LABELS,
     BRUTE_FORCE_BLOCK_CAP,
     _BLOCK_SUM_TABLE,
+    LhvBoundResult,
     brute_force_bound,
     factored_bound,
 )
@@ -48,6 +51,31 @@ def term_sum(n: int, mask: int) -> int:
 
 def _block_product(n: int, mask: int) -> int:
     return prod(_BLOCK_SUM_TABLE[(mask >> (7 * j)) & 127] for j in range(n))
+
+
+def scan_bound(n: int) -> LhvBoundResult:
+    """``brute_force_bound`` by the exhaustive scan: the value of every one of
+    the 2**(7N) assignments, multiplied out in int8 from ``lhv._BLOCK_SUM_TABLE``
+    as it reads at the call.
+
+    ``lower`` holds the block-sum products of the low N-1 blocks, indexed by
+    their 7(N-1)-bit mask; each of the 128 top-block settings then scales it
+    by that block's sum.  Among equal maxima the lowest mask is kept.  int8
+    is exact while the table's entries are at most 5 in size (5**3 = 125).
+    """
+    table = np.array(lhv._BLOCK_SUM_TABLE, dtype=np.int8)
+    lower = np.ones(1, dtype=np.int8)
+    for _ in range(n - 1):
+        # the higher block's bits are the high bits of the index
+        lower = np.multiply.outer(table, lower).ravel()
+    best_value, best_mask = None, 0
+    for top, top_sum in enumerate(table.tolist()):
+        values = top_sum * lower
+        k = int(values.argmax())  # the first maximum: this pass's lowest mask
+        # strictly greater only, so an earlier (lower) mask keeps a tie
+        if best_value is None or values[k] > best_value:
+            best_value, best_mask = int(values[k]), top * lower.size + k
+    return LhvBoundResult(best_value, best_mask, table.size * lower.size)
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -163,6 +191,30 @@ class TestBounds:
             assert r.max_value == value(want)
             assert r.argmax_mask == want
             assert r.assignments_scanned == 1 << (7 * n)
+
+    def test_certificate_matches_the_scan(self):
+        for n in range(1, BRUTE_FORCE_BLOCK_CAP + 1):
+            assert brute_force_bound(n) == scan_bound(n)
+
+    # entries of at most 5 in size keep the scan's int8 products exact
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=st.lists(st.integers(-5, 5), min_size=128, max_size=128)
+        | st.lists(st.sampled_from([-2, 0, 2]), min_size=128, max_size=128)
+        | st.lists(st.integers(-5, -1), min_size=128, max_size=128)
+    )
+    # all zeros, all -2 (odd N's maximum negative), and a lone positive
+    # entry above the all-negative rest
+    @example(table=[0] * 128)
+    @example(table=[-2] * 128)
+    @example(table=[-3] * 127 + [1])
+    def test_certificate_matches_the_scan_on_any_table(self, table):
+        # the real table, all +-2 with a maximum at mask 0, never reaches the
+        # walk's tie-break or a zero; random tables of small integers do
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lhv, "_BLOCK_SUM_TABLE", tuple(table))
+            for n in range(1, BRUTE_FORCE_BLOCK_CAP + 1):
+                assert brute_force_bound(n) == scan_bound(n), n
 
     def test_brute_force_cap(self):
         for bad in (0, BRUTE_FORCE_BLOCK_CAP + 1):

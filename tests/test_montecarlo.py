@@ -637,16 +637,22 @@ class TestTermStates:
         want = [np.random.Generator(_numpy_stream(seed, t)).multinomial(50, _pvals(2, REF_NOISE)[0]) for t in indices]
         assert tally.tolist() == np.array(want).tolist()
 
-    def test_an_unexpected_state_layout_is_refused(self, monkeypatch):
-        # the probe reads the four words back after numpy's own setter; words
-        # that are not the four limbs it set stop the draw before any term is
-        # written: here a setter that leaves the carrier's seeded state
-        class Unset(np.random.PCG64):
-            state = property(lambda self: None, lambda self, value: None)
-
-        monkeypatch.setattr(np.random, "PCG64", Unset)
-        with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-            _draw_counts([0], [False], _pvals(1, REF_NOISE), 1, 10)
+    def test_an_unexpected_state_layout_falls_back_to_the_setter(self, monkeypatch, capsys):
+        # the probe reads the four words back after numpy's own setter; here
+        # they are another generator's, as under a layout it does not know, so
+        # each term's state goes through the setter and the counts stay numpy's
+        elsewhere = np.random.PCG64(99)
+        state_words = montecarlo._state_words
+        monkeypatch.setattr(montecarlo, "_state_words", lambda bitgen: state_words(elsewhere))
+        indices = [0, 7, 2**32, 2**70 + 9, 4**255 - 1]
+        negative = [False, True, True, False, True]
+        pvals = _pvals(2, REF_NOISE)
+        tally = _draw_counts(np.array(indices, dtype=object), negative, pvals, 6, 50)
+        monkeypatch.undo()
+        want = [np.random.Generator(_numpy_stream(6, t)).multinomial(50, pvals[s]) for t, s in zip(indices, negative)]
+        assert tally.tolist() == np.array(want).tolist()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "setter" in err and f"numpy {np.__version__}" in err
 
     def test_seed_is_checked_as_numpy_checks_it(self):
         assert _joined_states(np.int64(12345), [3]) == _numpy_states(12345, [3])

@@ -92,6 +92,15 @@ def _dense_expect(psi: DenseState, op: PauliOp) -> float:
     return expectation(psi, op)
 
 
+def _loop_expect(psi: DenseState, ops: list[tuple[int, int, int]]) -> list[float]:
+    """The dense core's sum, one operator at a time: conj(psi[k ^ x]) times
+    (-1)**popcount(k & z) psi[k] over the support k, by ``np.vdot``."""
+    idx, amps = psi.support, psi.amplitudes
+    here = amps[idx]
+    signed = (np.where(np.bitwise_count(idx & z) & 1, -here, here) for _, z, _ in ops)
+    return [(1j ** (e % 4) * np.vdot(amps[idx ^ x], s)).real for (x, _, e), s in zip(ops, signed)]
+
+
 # ═══════════════════════════════════════════════════════════════════════════
 # Generators and stabilizer construction
 # ═══════════════════════════════════════════════════════════════════════════
@@ -500,6 +509,26 @@ class TestDense:
             z = PauliOp(4, 0, 1 << q, 0)
             assert _dense_expect(basis, z) == (-1.0 if q == 0 else 1.0)
         assert _dense_expect(basis, PauliOp(4, 1, 0, 0)) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, DENSE_BLOCK_CAP + 1))
+    def test_blocks_match_the_per_operator_loop(self, n):
+        # every Bell term (+1 each) and random Hermitian Paulis (mostly 0):
+        # a sum of +-2**-2N products is exact in any order, so equal, not close
+        psi = dense_state(n)
+        rng = np.random.default_rng(n)
+        ops = [hyperbell.bell._join(n, enumerate(hyperbell.bell._digits(n, t)))[:3] for t in range(4**n)]
+        ops += [_xz(random_hermitian(rng, 4 * n)) for _ in range(100)]
+        assert hyperbell.state._dense_expect_xz(psi, ops).tolist() == _loop_expect(psi, ops)
+
+    def test_blocks_match_the_loop_on_a_complex_state(self):
+        # the block state is real; a random complex one checks the conjugate
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+        psi = DenseState(amps / np.linalg.norm(amps))
+        ops = [_xz(random_hermitian(rng, 8)) for _ in range(300)]
+        got = hyperbell.state._dense_expect_xz(psi, ops).tolist()
+        assert got == pytest.approx(_loop_expect(psi, ops), abs=1e-12)
+        assert max(map(abs, got)) > 0.1
 
     def test_expectation_guards(self):
         d = dense_state(1)
