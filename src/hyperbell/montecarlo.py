@@ -19,24 +19,29 @@ Correlations keep single-sided detections in the denominator,
 which rescales the true correlation by eta/(2-eta) rather than opening the
 detection loophole by postselecting on coincidences.
 
-Term ``index`` under master ``seed`` draws by ``Generator.multinomial`` from
-numpy's ``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a
-function of the two alone, so output is byte-identical for a fixed seed
-whatever order or grouping the terms are measured in.  ``_term_states``
-derives those starting states in numpy, a chunk of terms at once, from the
-pool numpy's own SeedSequence mixes from ``seed`` (``_seed_pool``): each
-index word is hashed into the four pool words as one (4, terms) operation,
-the eight output words as one (8, terms) operation, and the 128-bit step on
-uint64 limbs, which ``_draw_counts`` writes straight into one PCG64's memory.
+Term ``index`` under master ``seed`` draws numpy's multinomial from numpy's
+``PCG64(SeedSequence(entropy=seed, spawn_key=(1, index)))``, a function of
+the two alone, so output is byte-identical for a fixed seed whatever order or
+grouping the terms are measured in.  ``_term_states`` derives those starting
+states in numpy, a chunk of terms at once, from the pool numpy's own
+SeedSequence mixes from ``seed`` (``_seed_pool``): each index word is hashed
+into the four pool words as one (4, terms) operation, the eight output words
+as one (8, terms) operation, and the 128-bit step on uint64 limbs.
+``_sampler`` makes one call a term to numpy's C ``random_multinomial`` through
+a copy of a PCG64's public ``bitgen_t`` (numpy/random/bitgen.h) re-pointed at
+the term's limbs.  It assumes only that PCG64's state record starts with the
+address of the four state words; where a probe reads otherwise, or the symbol
+is missing, it takes numpy's ``state`` setter and ``Generator.multinomial``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .bell import _MENU_SIGNS, _digits
 from .efficiency import NoiseParams
@@ -69,7 +74,7 @@ class CountsTable(_Checked, namedtuple("CountsTable", "n_total n_pp n_mm n_singl
 MAX_SHOTS = 2**63 - 1
 
 # most terms one estimate measures, min(4**N, term_budget): the 4**12 terms
-# verify's cap names, minutes of sampling and gigabytes of memory (README)
+# verify's cap names, about a minute of sampling and a gigabyte of memory (README)
 MEASURED_TERM_CAP = 4**12
 
 # terms per pass of estimate_beta, which holds a pass's PCG64 states and their
@@ -104,20 +109,19 @@ def _hash(values: np.ndarray, hash_const: int, mult: int, rows: int) -> tuple[np
 
 
 @lru_cache(maxsize=64, typed=True)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after the words of ``seed`` and
-    spawn key word 1, which every term's SeedSequence shares before its own
-    index words; the pool is numpy's own.  numpy mixes in L = max(seed words,
-    4) + 1 words with 4L hashes in all, each multiplying the constant by _MULT_A.
+def _seed_pool(seed: int) -> tuple[np.random.SeedSequence, int]:
+    """numpy's SeedSequence of ``seed`` and spawn key word 1, whose pool every
+    term's SeedSequence shares before its own index words, and the hash
+    constant after that pool.  numpy mixes in L = max(seed words, 4) + 1 words
+    with 4L hashes in all, each multiplying the constant by _MULT_A.
     Cached per seed and type, so True or 2.0 is never taken for 1 or 2."""
     seed = _check_integer("seed", seed)  # SeedSequence, too, takes integers only
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     import numpy as np
 
-    pool = np.random.SeedSequence(entropy=seed, spawn_key=(1,)).pool
     n_words = max((seed.bit_length() + 31) // 32, 4) + 1
-    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
+    return np.random.SeedSequence(entropy=seed, spawn_key=(1,)), _INIT_A * pow(_MULT_A, 4 * n_words, 1 << 32) & _MASK32
 
 
 def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
@@ -135,13 +139,13 @@ def _term_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     """
     import numpy as np
 
-    pool_words, hash_const = _seed_pool(seed)
+    sequence, hash_const = _seed_pool(seed)
     index = np.asarray(indices)
     if index.dtype != np.int64:  # wider indices, or [2**63] read as uint64
         index = np.asarray(indices, dtype=object)  # Python ints, of any size
     width = max(int(index.max()).bit_length() + 31, 32) // 32
     words = (index[:, None] >> np.arange(0, 32 * width, 32) & _MASK32).astype(np.uint32)
-    pool = np.array(pool_words, dtype=np.uint32)[:, None].repeat(len(index), axis=1)
+    pool = sequence.pool[:, None].repeat(len(index), axis=1)
     for j in range(width):
         rows = slice(None) if j == 0 else words[:, j:].any(axis=1)
         hashed, hash_const = _hash(words[rows, j], hash_const, _MULT_A, 4)
@@ -183,9 +187,11 @@ class TermEstimate(NamedTuple):
     counts: CountsTable
 
 
-def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
-    """The four uint64 words of ``bitgen``'s pcg64_random_t, in its memory: the capsule's bitgen_t
-    (numpy's random/bitgen.h) points at PCG64's state record, whose first field points at them."""
+def _state_words(bitgen: np.random.PCG64) -> list[np.ndarray]:
+    """uint64 views of ``bitgen``'s memory: its bitgen_t (numpy's public random/bitgen.h: the
+    state record's address, then four function pointers), the two words of PCG64's state record
+    (the words' address, then has_uint32 and uinteger), and the four state words.  That the
+    record's first field points at the words is the one layout numpy does not publish."""
     import ctypes
     import types
     import numpy as np
@@ -193,44 +199,87 @@ def _state_words(bitgen: np.random.PCG64) -> np.ndarray:
     # pythonapi[name] is ours to type
     get_pointer = ctypes.pythonapi["PyCapsule_GetPointer"]
     get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, (ctypes.py_object, ctypes.c_char_p)
-    address = get_pointer(bitgen.capsule, b"BitGenerator")
-    for _ in range(2):
-        address = ctypes.c_void_p.from_address(address).value
-    view = {"data": (address, False), "shape": (4,), "typestr": np.dtype(np.uint64).str, "version": 3}
-    return np.asarray(types.SimpleNamespace(__array_interface__=view))
+    address, views = get_pointer(bitgen.capsule, b"BitGenerator"), []
+    for size in (5, 2, 4):
+        view = {"data": (address, False), "shape": (size,), "typestr": np.dtype(np.uint64).str, "version": 3}
+        views.append(np.asarray(types.SimpleNamespace(__array_interface__=view)))
+        address = int(views[-1][0])
+    return views
 
 
-def _draw_counts(indices: Sequence[int], negative: list[bool], pvals: tuple, seed: int, shots: int) -> np.ndarray:
-    """The (terms, 5) counts of terms ``indices`` under master ``seed``: term
-    t's are one multinomial draw from its own stream at pvals[negative[t]], one
-    PCG64 whose four state words take t's limbs in the order a probe reads, or,
-    with one stderr line, through numpy's ``state`` setter where it reads others."""
+def _sampler(seed: int, pvals: tuple, shots: int) -> Callable[[Sequence[int], Sequence[bool]], np.ndarray]:
+    """``draw(indices, negative)``: the (terms, 5) counts of terms ``indices`` under ``seed``,
+    term t's one multinomial draw of ``shots`` from its own stream at pvals[negative[t]].
+
+    The route is chosen once a run.  Each term is one foreign call to the C function
+    ``random_multinomial`` (numpy/random/c_distributions.pxd) in ``numpy.random._generator``'s
+    library, through a copy of the carrier PCG64's public bitgen_t (numpy/random/bitgen.h) and
+    state record, re-pointed at the term's limbs in the word order a probe reads back after
+    numpy's ``state`` setter (the one private layout: see ``_state_words``).  Where the probe
+    reads other words or the symbol is missing, each term goes through that setter and
+    ``Generator.multinomial``: the same counts, and one stderr line.
+    """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    import _ctypes
+    import ctypes
     import numpy as np
 
-    bitgen = np.random.PCG64(0)  # its own state is never read
-    draw = np.random.Generator(bitgen).multinomial
-    words = _state_words(bitgen)
+    carrier = np.random.PCG64(_seed_pool(seed)[0])  # its own state is never read
+    bitgen, record, words = _state_words(carrier)
     # the probe: limbs 0-3 set through numpy's setter (has_uint32 0: multinomial draws 64 bits)
-    record = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
-    bitgen.state = record
-    limbs = _term_states(seed, indices)
-    tally = np.empty((len(indices), 5), dtype=np.int64)
-    if sorted(order := words.tolist()) != [0, 1, 2, 3]:  # a layout the probe does not know
-        sys.stderr.write(f"warning: PCG64's state words read {order} under numpy {np.__version__}; using its setter\n")
-        for t, ((hi, lo, inc_hi, inc_lo), sign_bit) in enumerate(zip(limbs.tolist(), negative)):
-            record["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
-            bitgen.state = record
-            tally[t] = draw(shots, pvals[sign_bit])
+    setter = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 2 << 64 | 3}, "has_uint32": 0, "uinteger": 0}
+    carrier.state = setter
+    order = words.tolist()
+    try:
+        address = _ctypes.dlsym(_ctypes.dlopen(np.random._generator.__file__), "random_multinomial")
+    except (AttributeError, OSError):  # no dlopen here, or no such symbol
+        address = None
+    if address is not None and sorted(order) == [0, 1, 2, 3]:
+        # pythonapi's function type keeps the GIL, which a sub-microsecond call is quicker holding
+        entry = ctypes.pythonapi._FuncPtr(address)
+        # (bitgen_t *, int64_t n, int64_t *counts, double *pvals, npy_intp d, binomial_t *)
+        pointer, entry.restype = ctypes.c_void_p, None
+        entry.argtypes = (pointer, ctypes.c_int64, pointer, pointer, ctypes.c_ssize_t, pointer)
+        template = np.concatenate([record, bitgen])  # after the probe: has_uint32 0
+        # random_binomial's cache, which it refills whenever its (n, p) change: binomial_t
+        # (numpy/random/distributions.h) is 17 words, so 32 leave room
+        binomial = np.zeros(32, dtype=np.uint64)
+
+        def draw(indices: Sequence[int], negative: Sequence[bool]) -> np.ndarray:
+            # a term's row: its 4 state words, its state record (2 words) pointing at them and
+            # its bitgen_t (5 words) pointing at that; the counts start at zero, as the C
+            # function writes no category after the one that takes the last shot
+            limbs = _term_states(seed, indices)[:, order]  # before the buffers: its temporaries are gone
+            rows = np.empty((len(limbs), 11), dtype=np.uint64)  # C order, so row t starts 88 t bytes in
+            tally = np.zeros((len(limbs), 5), dtype=np.int64)
+            # every buffer the calls touch is held here until they return
+            at, out, cache, *pval_at = (a.__array_interface__["data"][0] for a in (rows, tally, binomial, *pvals))
+            rows[:, :4], rows[:, 4:] = limbs, template
+            rows[:, 4] = np.arange(at, at + 88 * len(rows), 88, dtype=np.uint64)
+            rows[:, 6] = rows[:, 4] + 32
+            # one call a term, driven by map over addresses: no Python statement runs per term
+            calls = map(
+                entry, range(at + 48, at + 88 * len(rows), 88), repeat(shots), range(out, out + 40 * len(rows), 40),
+                map(pval_at.__getitem__, negative), repeat(5), repeat(cache),
+            )
+            deque(calls, maxlen=0)
+            return tally
+
+        return draw
+    reason = "random_multinomial is missing" if address is None else f"PCG64's state words read {order}"
+    sys.stderr.write(f"warning: {reason} under numpy {np.__version__}; using PCG64's state setter\n")
+    multinomial = np.random.Generator(carrier).multinomial
+
+    def draw(indices: Sequence[int], negative: Sequence[bool]) -> np.ndarray:
+        tally = np.empty((len(indices), 5), dtype=np.int64)
+        for t, ((hi, lo, inc_hi, inc_lo), sign_bit) in enumerate(zip(_term_states(seed, indices).tolist(), negative)):
+            setter["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+            carrier.state = setter
+            tally[t] = multinomial(shots, pvals[sign_bit])
         return tally
-    # each term's four limbs, 32 bytes, copied buffer to buffer into the carrier
-    carrier = memoryview(words).cast("B")
-    states = memoryview(limbs[:, order].tobytes())
-    for t, sign_bit in enumerate(negative):
-        carrier[:] = states[32 * t : 32 * t + 32]
-        tally[t] = draw(shots, pvals[sign_bit])
-    return tally
+
+    return draw
 
 
 def _correlations(indices: Sequence[int], tally: np.ndarray, shots: int) -> tuple[np.ndarray, ...]:
@@ -264,7 +313,7 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     if not 0 <= index < 4**n_blocks:
         raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
     sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
-    tally = _draw_counts([index], [sign < 0], _pvals(n_blocks, noise), seed, shots)
+    tally = _sampler(seed, _pvals(n_blocks, noise), shots)([index], [sign < 0])
     (corr,), (stderr,) = _correlations([index], tally, shots)
     counts = CountsTable(shots, *tally[0].tolist())
     return TermEstimate(sign, float(corr), float(stderr), counts)
@@ -321,13 +370,19 @@ def _sample_indices(total: int, budget: int, seed: int) -> list[int]:
     """A uniform ``budget``-subset of range(total), sorted, by Floyd's sampling.
 
     Never materializes the range; indices are Python ints, which hold any N.
+    Draw j's bound is j + 1 whatever was chosen before, so where int64 holds
+    them a pass's draws are one ``integers`` call, the stream of one at a time.
     """
     import numpy as np
 
     pick_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    if total < 2**63:  # np.arange would count in float64 up to 2**63
+        starts = range(total - budget, total, TERM_CHUNK)  # a pass's bounds at a time, for memory
+        draws = (t for j in starts for t in pick_rng.integers(0, np.arange(j, min(j + TERM_CHUNK, total)) + 1).tolist())
+    else:
+        draws = (_uniform_below(pick_rng, j + 1) for j in range(total - budget, total))
     chosen: set[int] = set()
-    for j in range(total - budget, total):
-        t = _uniform_below(pick_rng, j + 1)
+    for j, t in zip(range(total - budget, total), draws):
         chosen.add(j if t in chosen else t)
     return sorted(chosen)
 
@@ -364,12 +419,12 @@ def estimate_beta(
     values = np.empty(m)
     stderrs = np.empty(m)
     tallies = [0] * 5
-    pvals = _pvals(n_blocks, noise)
+    draw = _sampler(seed, _pvals(n_blocks, noise), shots)
     menu_signs = np.array(_MENU_SIGNS)
     for lo in range(0, m, TERM_CHUNK):
         chunk = np.asarray(indices[lo : lo + TERM_CHUNK], dtype=index_type)
         signs = menu_signs[np.array(_digits(n_blocks, chunk), dtype=np.intp)].prod(axis=0)
-        tally = _draw_counts(chunk, (signs < 0).tolist(), pvals, seed, shots)
+        tally = draw(chunk, (signs < 0).tolist())
         corr, stderrs[lo : lo + TERM_CHUNK] = _correlations(chunk, tally, shots)
         values[lo : lo + TERM_CHUNK] = signs * corr
         tallies = [done + sum(column) for done, column in zip(tallies, tally.T.tolist())]

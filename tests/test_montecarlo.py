@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,8 +18,8 @@ from hyperbell.montecarlo import (
     MAX_SHOTS,
     CountsTable,
     UndefinedEstimateError,
-    _draw_counts,
     _pvals,
+    _sampler,
     _sample_indices,
     _term_states,
     _uniform_below,
@@ -429,7 +430,7 @@ class TestChunkRows:
         assert {term.sign for term in terms} == {-1, 1}
         chunk = np.array(indices, dtype=np.int64)
         negative = [term.sign < 0 for term in terms]
-        tally = _draw_counts(chunk, negative, _pvals(n, self.NOISE), 21, shots)
+        tally = _sampler(21, _pvals(n, self.NOISE), shots)(chunk, negative)
         for term, row in zip(terms, tally, strict=True):
             want = _reference_counts(term, self.NOISE, shots, 21)
             assert CountsTable(shots, *row.tolist()) == want, term.index
@@ -453,14 +454,15 @@ class TestPasses:
         assert all(document == documents[-1] for document in documents)
 
     def test_pass_count(self, monkeypatch):
+        # a pass derives its terms' states once
         sizes = []
 
-        def spy(indices, *args):
+        def spy(seed, indices):
             sizes.append(len(indices))
-            return draw_counts(indices, *args)
+            return term_states(seed, indices)
 
-        draw_counts = montecarlo._draw_counts
-        monkeypatch.setattr(montecarlo, "_draw_counts", spy)
+        term_states = montecarlo._term_states
+        monkeypatch.setattr(montecarlo, "_term_states", spy)
         estimate_beta(6, 1, IDEAL, seed=1)
         assert sizes == [4096]
         sizes.clear()
@@ -620,39 +622,89 @@ class TestTermStates:
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_the_carrier_holds_each_written_state(self, seed, monkeypatch):
-        # each multinomial draw starts from the state numpy itself seeds the
-        # term's stream in, read back through numpy's documented getter
+        # each foreign call starts from the state numpy itself seeds the term's
+        # stream in: the four words its bitgen_t leads to, copied into a PCG64
+        # and read back through numpy's documented getter
         indices = [0, 7, 2**32, 2**70 + 9, 4**255 - 1]
         seen = []
+        reader = np.random.PCG64(0)
+        reader_words = montecarlo._state_words(reader)[2]
 
-        class Recording(np.random.Generator):
-            def multinomial(self, shots, pvals):
-                seen.append(self.bit_generator.state)
-                return super().multinomial(shots, pvals)
+        class Recording(ctypes.pythonapi._FuncPtr):
+            _flags_ = ctypes.pythonapi._FuncPtr._flags_
 
-        monkeypatch.setattr(np.random, "Generator", Recording)
-        tally = _draw_counts(np.array(indices, dtype=object), [False] * 5, _pvals(2, REF_NOISE), seed, 50)
-        assert seen == [_numpy_stream(seed, t).state for t in indices]
+            def __call__(self, *args):
+                if len(args) == 6:  # random_multinomial(bitgen, n, counts, pvals, d, binomial)
+                    record = ctypes.c_uint64.from_address(args[0]).value
+                    words = ctypes.c_uint64.from_address(record).value
+                    reader_words[:] = (ctypes.c_uint64 * 4).from_address(words)
+                    seen.append(reader.state)
+                return super().__call__(*args)
+
+        monkeypatch.setattr(ctypes.pythonapi, "_FuncPtr", Recording)
+        tally = _sampler(seed, _pvals(2, REF_NOISE), 50)(np.array(indices, dtype=object), [False] * 5)
         monkeypatch.undo()
+        assert seen == [_numpy_stream(seed, t).state for t in indices]
         want = [np.random.Generator(_numpy_stream(seed, t)).multinomial(50, _pvals(2, REF_NOISE)[0]) for t in indices]
         assert tally.tolist() == np.array(want).tolist()
 
-    def test_an_unexpected_state_layout_falls_back_to_the_setter(self, monkeypatch, capsys):
+    @staticmethod
+    def _probe_fails(monkeypatch):
         # the probe reads the four words back after numpy's own setter; here
-        # they are another generator's, as under a layout it does not know, so
-        # each term's state goes through the setter and the counts stay numpy's
+        # they are another generator's, as under a layout it does not know
         elsewhere = np.random.PCG64(99)
         state_words = montecarlo._state_words
         monkeypatch.setattr(montecarlo, "_state_words", lambda bitgen: state_words(elsewhere))
+
+    def test_an_unexpected_state_layout_falls_back_to_the_setter(self, monkeypatch, capsys):
+        # each term's state goes through the setter and the counts stay numpy's
+        self._probe_fails(monkeypatch)
         indices = [0, 7, 2**32, 2**70 + 9, 4**255 - 1]
         negative = [False, True, True, False, True]
         pvals = _pvals(2, REF_NOISE)
-        tally = _draw_counts(np.array(indices, dtype=object), negative, pvals, 6, 50)
+        tally = _sampler(6, pvals, 50)(np.array(indices, dtype=object), negative)
         monkeypatch.undo()
         want = [np.random.Generator(_numpy_stream(6, t)).multinomial(50, pvals[s]) for t, s in zip(indices, negative)]
         assert tally.tolist() == np.array(want).tolist()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "setter" in err and f"numpy {np.__version__}" in err
+
+    def test_a_missing_symbol_falls_back_to_the_setter(self, monkeypatch, capsys):
+        # a library without random_multinomial stands for a numpy that does not export it
+        assert np.random._generator.__file__ != np.random._pcg64.__file__
+        monkeypatch.setattr(np.random._generator, "__file__", np.random._pcg64.__file__)
+        indices = [0, 7, 2**32, 2**70 + 9]
+        negative = [False, True, True, False]
+        pvals = _pvals(2, REF_NOISE)
+        tally = _sampler(6, pvals, 50)(np.array(indices, dtype=object), negative)
+        monkeypatch.undo()
+        want = [np.random.Generator(_numpy_stream(6, t)).multinomial(50, pvals[s]) for t, s in zip(indices, negative)]
+        assert tally.tolist() == np.array(want).tolist()
+        err = capsys.readouterr().err
+        assert err == f"warning: random_multinomial is missing under numpy {np.__version__}; using PCG64's state setter\n"
+
+    def test_the_fallback_warns_once_a_run(self, monkeypatch, capsys):
+        # three passes of TERM_CHUNK terms choose their route once
+        self._probe_fails(monkeypatch)
+        fallback = estimate_beta(7, 1, NoiseParams(eta=1.0), 1, term_budget=3 * 4096)
+        assert capsys.readouterr().err.count("warning:") == 1
+        monkeypatch.undo()
+        assert fallback == estimate_beta(7, 1, NoiseParams(eta=1.0), 1, term_budget=3 * 4096)
+        assert capsys.readouterr().err == ""
+
+    CHUNK = np.array([0, 1, 5, 2**32, 2**63, 2**70 + 9, *range(40, 340), 4**255 - 2, 4**255 - 1], dtype=object)
+
+    @pytest.mark.parametrize("shots", [1, 2, 50, 10**8, MAX_SHOTS])
+    def test_the_c_function_and_the_setter_agree(self, shots, monkeypatch, capsys):
+        # both signs' pvals on one chunk; at one shot the C function leaves the
+        # categories after the one it fills unwritten, so the counts start at zero
+        negative = [t % 3 == 0 for t in range(len(self.CHUNK))]
+        pvals = _pvals(3, NoiseParams(epsilon=0.2, p=0.7, eta=0.5))
+        direct = _sampler(17, pvals, shots)(self.CHUNK, negative)
+        self._probe_fails(monkeypatch)
+        assert _sampler(17, pvals, shots)(self.CHUNK, negative).tolist() == direct.tolist()
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (direct.sum(axis=1) == shots).all()
 
     def test_seed_is_checked_as_numpy_checks_it(self):
         assert _joined_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
@@ -665,7 +717,41 @@ class TestTermStates:
             estimate_term(1, 0, IDEAL, 10, seed=1.5)
 
 
+def _floyd(total: int, budget: int, seed: int) -> list[int]:
+    """Floyd's sampling one bounded draw at a time: the reference for
+    ``_sample_indices``, which draws a pass's bounds in one call below 2**63."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    chosen: set[int] = set()
+    for j in range(total - budget, total):
+        t = _uniform_below(rng, j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
 class TestTermSubsampling:
+    @pytest.mark.parametrize("n", [7, 8, 12, 15, 16, 17, 20, 31, 32])
+    def test_one_call_draws_as_the_scalar_loop(self, n):
+        for seed in (0, 1, 5, 2**64 + 3):
+            for budget in (1, 64, 4096):
+                assert _sample_indices(4**n, budget, seed) == _floyd(4**n, budget, seed), (seed, budget)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_a_pass_of_bounds_at_a_time_draws_as_the_scalar_loop(self, chunk, monkeypatch):
+        monkeypatch.setattr(montecarlo, "TERM_CHUNK", chunk)
+        for total, budget in ((4**7, 1000), (2**32 + 500, 1000), (4**31, 777)):
+            assert _sample_indices(total, budget, 5) == _floyd(total, budget, 5), total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        total=st.integers(1, 2**64) | st.integers(2**32 - 300, 2**32 + 300) | st.sampled_from([2**63 - 1, 2**63]),
+        budget=st.integers(1, 600),
+        seed=st.integers(0, 2**70),
+    )
+    @example(total=2**32 + 200, budget=600, seed=5)  # bounds on both sides of 2**32
+    def test_one_call_draws_as_the_scalar_loop_at_any_total(self, total, budget, seed):
+        budget = min(budget, total)
+        assert _sample_indices(total, budget, seed) == _floyd(total, budget, seed)
+
     def test_numpy_draw_kept_below_two_to_the_63(self):
         for bound in (1, 7, 4**31, 2**63):
             rng, again = np.random.default_rng(4), np.random.default_rng(4)
@@ -697,11 +783,16 @@ class TestTermSubsampling:
         assert [estimate_term(n, t, IDEAL, 1, seed=5).sign for t in picked] == want
         negative = []
 
-        def spy(indices, chunk_negative, *args):
-            negative.extend(chunk_negative)
-            return draw_counts(indices, chunk_negative, *args)
+        def spy(*args):
+            draw = sampler(*args)
 
-        draw_counts = montecarlo._draw_counts
-        monkeypatch.setattr(montecarlo, "_draw_counts", spy)
+            def recording(indices, chunk_negative):
+                negative.extend(chunk_negative)
+                return draw(indices, chunk_negative)
+
+            return recording
+
+        sampler = montecarlo._sampler
+        monkeypatch.setattr(montecarlo, "_sampler", spy)
         estimate_beta(n, 1, IDEAL, seed=5, term_budget=40)
         assert negative == [sign < 0 for sign in want]
