@@ -148,6 +148,15 @@ def _output_row(report: BoundsReport, eta: float) -> dict[str, Any]:
     return {"n": report.n_blocks, **_bound_fields(report), "violated": report.violated(eta)}
 
 
+def _local_bound(n: int, exhaustive_cap: int) -> dict[str, Any]:
+    """The ``lhv`` document: the exhaustive scan's up to ``exhaustive_cap`` blocks, else the factored bound's."""
+    if n > exhaustive_cap:
+        return {"method": "factored", "value": factored_bound(n)}
+    lhv = brute_force_bound(n)
+    scan = {"assignments_scanned": lhv.assignments_scanned, "argmax_bitmask": lhv.argmax_mask}
+    return {"method": "brute_force", "value": lhv.max_value, **scan}
+
+
 def cmd_verify(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("verify", n, EXACT_BLOCK_CAP, f"{4**EXACT_BLOCK_CAP} terms")
@@ -159,13 +168,8 @@ def cmd_verify(args: argparse.Namespace) -> Output:
     except ValueError as exc:
         beta_qm = None
         term_failures.append(str(exc))
-    if n <= 2:
-        lhv_method = "brute_force"
-        beta_epr = brute_force_bound(n).max_value
-    else:
-        lhv_method = "factored"
-        beta_epr = factored_bound(n)
-    ok = report.passed and not term_failures and beta_qm == 4**n and beta_epr == 2**n
+    lhv = _local_bound(n, 2)
+    ok = report.passed and not term_failures and beta_qm == 4**n and lhv["value"] == 2**n
     doc = {
         "command": "verify",
         "schema_version": 1,
@@ -176,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> Output:
             "failures": failures,
         },
         "beta_qm": {"value": beta_qm, "expected": 4**n, "failures": term_failures},
-        "beta_epr": {"value": beta_epr, "expected": 2**n, "method": lhv_method},
+        "beta_epr": {"value": lhv["value"], "expected": 2**n, "method": lhv["method"]},
         "ok": ok,
     }
     return (0 if ok else 1), doc, None
@@ -186,16 +190,6 @@ def cmd_bounds(args: argparse.Namespace) -> Output:
     n = args.n
     _require_cap("bounds", n, FLOAT_BLOCK_CAP, _FLOAT_CAP_WHY)
     report = bounds_report(n, args.eps, args.p)
-    if n <= BRUTE_FORCE_BLOCK_CAP:
-        lhv = brute_force_bound(n)
-        lhv_doc: dict[str, Any] = {
-            "method": "brute_force",
-            "value": lhv.max_value,
-            "assignments_scanned": lhv.assignments_scanned,
-            "argmax_bitmask": lhv.argmax_mask,
-        }
-    else:
-        lhv_doc = {"method": "factored", "value": factored_bound(n)}
     doc = {
         "command": "bounds",
         "schema_version": 1,
@@ -203,7 +197,7 @@ def cmd_bounds(args: argparse.Namespace) -> Output:
         "eps": args.eps,
         "p": args.p,
         **_bound_fields(report),
-        "lhv": lhv_doc,
+        "lhv": _local_bound(n, BRUTE_FORCE_BLOCK_CAP),
     }
     return 0, doc, None
 

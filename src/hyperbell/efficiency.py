@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .pauli import _check_integer, _Checked
+from .pauli import _check_integer, _check_real, _Checked
 
 # largest N for which 4.0**N is a finite float (4**511 = 2**1022)
 FLOAT_BLOCK_CAP = 511
@@ -31,37 +31,26 @@ class NoViolationError(ValueError):
 
 
 class NoiseParams(_Checked, namedtuple("NoiseParams", "epsilon p eta", defaults=(0.15, 0.98, 0.33))):
-    """Noise model parameters, real numbers; defaults match the reference experimental figures."""
+    """Noise model parameters, any real numbers kept as Python floats; defaults match the reference figures."""
 
     __slots__ = ()
 
-    def _check(self) -> None:
-        for field, value in zip(self._fields, self):
-            # a real number converts to float, a string or a complex does not; a bool is refused too
-            if isinstance(value, bool) or not hasattr(type(value), "__float__"):
-                raise TypeError(f"{field} must be a real number, got {value!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+    def _check(self) -> NoiseParams:
+        # built by tuple.__new__, as the class would check the checked floats again
+        floats = _check_real("epsilon", self.epsilon), _check_real("p", self.p), _check_real("eta", self.eta, positive=True)
+        return tuple.__new__(type(self), floats)
 
 
 def noisy_bounds(n_blocks: int, eps: float, p: float) -> tuple[float, float]:
     """(beta_epr', beta_qm') for N blocks at tolerance eps and mixture weight p."""
     n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    eps, p = _check_real("eps", eps), _check_real("p", p)
     return 2.0**n_blocks + 4.0**n_blocks * eps, p * 4.0**n_blocks + (1.0 - p)
 
 
 def visibility_factor(eta: float) -> float:
     """Correlation rescaling of the singles-in-denominator estimator: eta/(2-eta)."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    eta = _check_real("eta", eta, positive=True)
     return eta / (2.0 - eta)
 
 
@@ -134,11 +123,8 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
         raise ValueError(f"n_cap must be at least 1, got {n_cap}")
     if n_cap > FLOAT_BLOCK_CAP:
         raise ValueError(f"n_cap must be at most {FLOAT_BLOCK_CAP}, got {n_cap}")
+    eta, p, eps = _check_real("eta", eta, positive=True), _check_real("p", p, positive=True), _check_real("eps", eps)
     v = visibility_factor(eta)
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
     if eps / p >= v:
         raise NoViolationError(
             f"asymptotic ratio eps/p = {eps / p:.6g} is not below the "

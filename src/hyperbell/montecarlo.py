@@ -215,9 +215,10 @@ def _sampler(seed: int, pvals: tuple, shots: int) -> Callable[[Sequence[int], Se
     ``random_multinomial`` (numpy/random/c_distributions.pxd) in ``numpy.random._generator``'s
     library, through a copy of the carrier PCG64's public bitgen_t (numpy/random/bitgen.h) and
     state record, re-pointed at the term's limbs in the word order a probe reads back after
-    numpy's ``state`` setter (the one private layout: see ``_state_words``).  Where the probe
-    reads other words or the symbol is missing, each term goes through that setter and
-    ``Generator.multinomial``: the same counts, and one stderr line.
+    numpy's ``state`` setter (the one private layout: see ``_state_words``), and at C-contiguous
+    float64 copies of the pvals rows, whatever their dtype or strides: it reads five doubles a row.
+    Where the probe reads other words or the symbol is missing, each term goes through that
+    setter and ``Generator.multinomial``: the same counts, and one stderr line.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
@@ -245,6 +246,7 @@ def _sampler(seed: int, pvals: tuple, shots: int) -> Callable[[Sequence[int], Se
         # random_binomial's cache, which it refills whenever its (n, p) change: binomial_t
         # (numpy/random/distributions.h) is 17 words, so 32 leave room
         binomial = np.zeros(32, dtype=np.uint64)
+        pvals = tuple(np.array(row, dtype=np.float64) for row in pvals)  # a new C-order buffer each
 
         def draw(indices: Sequence[int], negative: Sequence[bool]) -> np.ndarray:
             # a term's row: its 4 state words, its state record (2 words) pointing at them and

@@ -43,10 +43,26 @@ def _check_integer(field: str, value: object, lo: int | None = None, hi: int | N
     return value
 
 
+def _check_real(field: str, value: object, positive: bool = False) -> float:
+    """``value`` as a Python float, any real number included; each error names
+    ``field``.  A bool or a value with no ``__float__`` is a TypeError, and one
+    outside [0, 1], or (0, 1] where ``positive``, nan included, a ValueError."""
+    if type(value) is not float:  # an exact float, the package's own case, needs no conversion
+        if isinstance(value, bool) or not hasattr(type(value), "__float__"):
+            raise TypeError(f"{field} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int or Fraction past the floats, kept to fail the range exactly
+            pass
+    if not (0.0 < value <= 1.0 if positive else 0.0 <= value <= 1.0):
+        raise ValueError(f"{field} must be in {'(0, 1]' if positive else '[0, 1]'}, got {value}")
+    return value
+
+
 class _Checked:
     """First base of a named tuple whose ``_check`` refuses bad fields, run on
     every construction, ``_make`` and so ``_replace`` included; a record it
-    returns, rebuilt from Python ints, is kept in place of the checked one."""
+    returns, rebuilt from Python ints or floats, is kept in place of the checked one."""
 
     __slots__ = ()
 

@@ -2,11 +2,19 @@
 same way: a bool, a float, a string or None is refused with a TypeError that
 names the argument, and a numpy integer gives exactly what the Python int
 gives, exact values included, however large.
+
+So is every eps, p and eta: a bool, a string, a complex or None is refused
+with a TypeError that names the argument, nan with a ValueError, and any other
+real number (an int, a Fraction, a Decimal, a numpy float of any width) gives
+exactly what the Python float gives, a simulation and its JSON included.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +35,7 @@ from hyperbell import (
     quantum_value,
     term_at,
     verify_perfect_correlations,
+    visibility_factor,
 )
 
 EXACT = NoiseParams(eta=1.0)
@@ -73,3 +82,58 @@ def test_integer_arguments_are_checked_alike(argument, result, valid):
         with pytest.raises(TypeError, match=f"^{argument} must be an integer, got {re.escape(repr(bad))}$"):
             result(bad)
 
+
+# (function, argument, the function's result as a function of that argument,
+# a valid value exact in float16, a valid integer); each result is compared by
+# repr, which shows an int or a Fraction kept in place of a float
+REAL_ARGUMENTS = [
+    ("NoiseParams", "epsilon", lambda v: NoiseParams(epsilon=v), 0.125, 0),
+    ("NoiseParams", "p", lambda v: NoiseParams(p=v), 0.5, 1),
+    ("NoiseParams", "eta", lambda v: NoiseParams(eta=v), 0.5, 1),
+    ("noisy_bounds", "eps", lambda v: noisy_bounds(3, v, 0.9), 0.125, 1),
+    ("noisy_bounds", "p", lambda v: noisy_bounds(3, 0.1, v), 0.5, 0),
+    ("bounds_report", "eps", lambda v: bounds_report(3, v, 0.9), 0.125, 1),
+    ("bounds_report", "p", lambda v: bounds_report(3, 0.1, v), 0.5, 0),
+    ("visibility_factor", "eta", lambda v: visibility_factor(v), 0.5, 1),
+    ("min_blocks", "eta", lambda v: min_blocks(v, 0.15, 0.98), 0.5, 1),
+    ("min_blocks", "eps", lambda v: min_blocks(0.33, v, 0.98), 0.125, 0),
+    ("min_blocks", "p", lambda v: min_blocks(0.33, 0.1, v), 0.75, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argument, result, valid, whole", [pytest.param(*row[1:], id=f"{row[0]}-{row[1]}") for row in REAL_ARGUMENTS]
+)
+def test_real_arguments_are_checked_alike(argument, result, valid, whole):
+    want = repr(result(valid))
+    for kind in (Fraction, Decimal, np.float16, np.float32, np.float64):
+        assert repr(result(kind(valid))) == want, kind
+    assert repr(result(whole)) == repr(result(float(whole)))
+    for bad in (True, "0.5", 0.5j, None):
+        with pytest.raises(TypeError, match=f"^{argument} must be a real number, got {re.escape(repr(bad))}$"):
+            result(bad)
+    with pytest.raises(ValueError, match=f"^{argument} must be in .*, got nan$"):
+        result(float("nan"))
+    # past the largest float, out of range rather than an OverflowError
+    for huge in (10**400, -Fraction(10**400)):
+        with pytest.raises(ValueError, match=f"^{argument} must be in .*, got {huge}$"):
+            result(huge)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float16])
+def test_a_narrow_numpy_eta_simulates_as_its_float(kind):
+    # its pvals were once float32 rows, which the C multinomial read as doubles past their end
+    want = estimate_beta(2, 1000, NoiseParams(eta=0.5), seed=7)
+    assert estimate_beta(2, 1000, NoiseParams(eta=kind(0.5)), seed=7) == want
+
+
+@pytest.mark.parametrize("field", NoiseParams._fields)
+@pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5"), 1], ids=["Fraction", "Decimal", "int"])
+def test_the_simulate_document_is_the_floats(field, value):
+    # a Fraction once failed json.dumps, a Decimal failed the simulation, and 1 printed as 1
+    def document(v):
+        return json.dumps(estimate_beta(2, 50, NoiseParams(**{field: v}), seed=3).to_json_dict())
+
+    assert document(value) == document(float(value))
+    noise, want = NoiseParams(**{field: value}), NoiseParams(**{field: float(value)})
+    assert expected_estimate(2, noise) == expected_estimate(2, want)

@@ -58,6 +58,14 @@ class TestNoiseParams:
             NoiseParams(**{field: value})
 
     def test_any_real_number_is_accepted(self):
+        # and stored as a Python float, which every later product and json.dumps take
+        for noise in (
+            NoiseParams(epsilon=0, p=1, eta=1),
+            NoiseParams(eta=Fraction(1, 2)),
+            NoiseParams(p=np.float32(0.5)),
+            NoiseParams(epsilon=np.float64(0.25))._replace(eta=np.float16(0.5)),
+        ):
+            assert all(type(field) is float for field in noise), noise
         assert NoiseParams(epsilon=0, p=1, eta=1) == (0.0, 1.0, 1.0)
         assert NoiseParams(eta=Fraction(1, 2)).eta == 0.5
         assert NoiseParams(p=np.float32(0.5)).p == 0.5
@@ -274,7 +282,8 @@ class TestMinBlocks:
             min_blocks(eta=0.5, eps=0.1, p=0.9, n_cap=FLOAT_BLOCK_CAP + 1)
         with pytest.raises(ValueError, match="eta"):
             min_blocks(eta=0.0, eps=0.1, p=0.9)
-        with pytest.raises(ValueError, match="positive"):
+        # min_blocks divides by p; its range is the one check's (0, 1]
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 0.0$"):
             min_blocks(eta=0.5, eps=0.1, p=0.0)
         with pytest.raises(ValueError, match="eps"):
             min_blocks(eta=0.5, eps=1.2, p=0.9)

@@ -706,6 +706,22 @@ class TestTermStates:
         assert capsys.readouterr().err.count("\n") == 1
         assert (direct.sum(axis=1) == shots).all()
 
+    @pytest.mark.parametrize(
+        "layout", [lambda row: row.astype(np.float32), lambda row: np.repeat(row, 2)[::2]], ids=["float32", "strided"]
+    )
+    def test_both_routes_read_pvals_as_float64(self, layout, monkeypatch, capsys):
+        # the C function takes a row's address as five doubles: a float32 row
+        # once ran past its end, and a strided view read every other value
+        pvals = tuple(layout(row) for row in _pvals(3, NoiseParams(epsilon=0.2, p=0.7, eta=0.5)))
+        indices, negative = [0, 7, 2**32, 2**70 + 9], [False, True, True, False]
+        exact = [pvals[s].astype(np.float64) for s in negative]
+        want = [np.random.Generator(_numpy_stream(17, t)).multinomial(50, row) for t, row in zip(indices, exact)]
+        want = np.array(want).tolist()
+        assert _sampler(17, pvals, 50)(np.array(indices, dtype=object), negative).tolist() == want
+        self._probe_fails(monkeypatch)
+        assert _sampler(17, pvals, 50)(np.array(indices, dtype=object), negative).tolist() == want
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_seed_is_checked_as_numpy_checks_it(self):
         assert _joined_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
