@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .pauli import Observable, PauliOp, _check_integer
 from .state import (
+    DENSE_BLOCK_CAP,
     EXACT_BLOCK_CAP,
     DenseState,
     LetterPair,
@@ -119,9 +120,7 @@ def _join(n_blocks: int, picks: Iterable[tuple[int, int]]) -> tuple[int, int, in
 def term_at(n_blocks: int, index: int) -> BellTerm:
     """The index-th term of the lexicographic stream."""
     n_blocks = _check_integer("n_blocks", n_blocks, 1)
-    index = _check_integer("index", index)
-    if not 0 <= index < 4**n_blocks:
-        raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
+    index = _check_integer("index", index, 0, 4**n_blocks - 1)
     choices = _digits(n_blocks, index)
     x, z, e, sign = _join(n_blocks, enumerate(choices))
     # each -1 added 2 to e, so the unsigned exponent is e + sign - 1
@@ -154,7 +153,7 @@ def _menu_values(n_blocks: int, state: StabilizerState) -> list[list[int]]:
     one elimination of the 4N entries; refuses a state that is not a product
     over blocks, whose entries would not multiply."""
     half = 2 * n_blocks
-    for _, _, x, z, _ in state._rows:
+    for x, z, _ in state._pivots.values():
         support = x | z
         block = ((support & -support).bit_length() - 1) % half // 2
         if support & ~(3 << 2 * block | 3 << half + 2 * block):
@@ -229,9 +228,7 @@ def quantum_value(n_blocks: int, backend: str = "stabilizer") -> int:
     """
     if backend not in ("stabilizer", "dense"):
         raise ValueError(f"unknown backend {backend!r}")
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
-    if n_blocks > EXACT_BLOCK_CAP:
-        raise ValueError(f"exact evaluation capped at {EXACT_BLOCK_CAP} blocks, got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, EXACT_BLOCK_CAP if backend == "stabilizer" else DENSE_BLOCK_CAP)
     if backend == "stabilizer":
         return _certify(_menu_values(n_blocks, build_state(n_blocks)))
     import numpy as np

@@ -118,11 +118,7 @@ def min_blocks(eta: float, eps: float, p: float, n_cap: int = 64) -> MinBlocksRe
     which also caps ``n_cap``.  The ratio r(N) approaches eps/p from above as
     N grows, so eps/p >= eta/(2-eta) rules a crossing out for every N.
     """
-    n_cap = _check_integer("n_cap", n_cap)
-    if n_cap < 1:
-        raise ValueError(f"n_cap must be at least 1, got {n_cap}")
-    if n_cap > FLOAT_BLOCK_CAP:
-        raise ValueError(f"n_cap must be at most {FLOAT_BLOCK_CAP}, got {n_cap}")
+    n_cap = _check_integer("n_cap", n_cap, 1, FLOAT_BLOCK_CAP)
     eta, p, eps = _check_real("eta", eta, positive=True), _check_real("p", p, positive=True), _check_real("eps", eps)
     v = visibility_factor(eta)
     if eps / p >= v:

@@ -59,9 +59,7 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
     largest of ``reach[N]``, and from the top block (the mask's high bits) down
     each block takes its lowest setting from which the blocks below still reach it.
     """
-    n_blocks = _check_integer("n_blocks", n_blocks)
-    if not 1 <= n_blocks <= BRUTE_FORCE_BLOCK_CAP:
-        raise ValueError(f"exhaustive scan supports 1..{BRUTE_FORCE_BLOCK_CAP} blocks, got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, BRUTE_FORCE_BLOCK_CAP)
     table = _BLOCK_SUM_TABLE
     reach = [{1}]
     for _ in range(n_blocks):

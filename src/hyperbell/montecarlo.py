@@ -115,9 +115,7 @@ def _seed_pool(seed: int) -> tuple[np.random.SeedSequence, int]:
     constant after that pool.  numpy mixes in L = max(seed words, 4) + 1 words
     with 4L hashes in all, each multiplying the constant by _MULT_A.
     Cached per seed and type, so True or 2.0 is never taken for 1 or 2."""
-    seed = _check_integer("seed", seed)  # SeedSequence, too, takes integers only
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _check_integer("seed", seed, 0)  # SeedSequence, too, takes nonnegative integers only
     import numpy as np
 
     n_words = max((seed.bit_length() + 31) // 32, 4) + 1
@@ -209,7 +207,8 @@ def _state_words(bitgen: np.random.PCG64) -> list[np.ndarray]:
 
 def _sampler(seed: int, pvals: tuple, shots: int) -> Callable[[Sequence[int], Sequence[bool]], np.ndarray]:
     """``draw(indices, negative)``: the (terms, 5) counts of terms ``indices`` under ``seed``,
-    term t's one multinomial draw of ``shots`` from its own stream at pvals[negative[t]].
+    term t's one multinomial draw of ``shots`` (in [1, MAX_SHOTS], as the callers check)
+    from its own stream at pvals[negative[t]].
 
     The route is chosen once a run.  Each term is one foreign call to the C function
     ``random_multinomial`` (numpy/random/c_distributions.pxd) in ``numpy.random._generator``'s
@@ -220,8 +219,6 @@ def _sampler(seed: int, pvals: tuple, shots: int) -> Callable[[Sequence[int], Se
     Where the probe reads other words or the symbol is missing, each term goes through that
     setter and ``Generator.multinomial``: the same counts, and one stderr line.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be in [1, 2**63 - 1], got {shots}")
     import _ctypes
     import ctypes
     import numpy as np
@@ -310,10 +307,8 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
     n_blocks = _check_integer("n_blocks", n_blocks, 1)
-    index = _check_integer("index", index)
-    shots = _check_integer("shots", shots)
-    if not 0 <= index < 4**n_blocks:
-        raise ValueError(f"term index {index} out of range for {n_blocks} blocks")
+    index = _check_integer("index", index, 0, 4**n_blocks - 1)
+    shots = _check_integer("shots", shots, 1, MAX_SHOTS)
     sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
     tally = _sampler(seed, _pvals(n_blocks, noise), shots)([index], [sign < 0])
     (corr,), (stderr,) = _correlations([index], tally, shots)
@@ -402,10 +397,9 @@ def estimate_beta(
     each term, in index order, and the counts in exact Python ints.
     """
     n_blocks = _check_integer("n_blocks", n_blocks, 1, ESTIMATE_BLOCK_CAP)
-    shots = _check_integer("shots_per_term", shots_per_term, 1)
+    shots = _check_integer("shots_per_term", shots_per_term, 1, MAX_SHOTS)
     term_budget = _check_integer("term_budget", term_budget, 1)
-    seed = _check_integer("seed", seed)
-    _seed_pool(seed)  # refuses a negative seed before _sample_indices hands it to numpy
+    seed = _check_integer("seed", seed, 0)
     total = 4**n_blocks
     exhaustive = total <= term_budget
     m = total if exhaustive else term_budget

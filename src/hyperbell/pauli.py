@@ -54,6 +54,8 @@ def _check_real(field: str, value: object, positive: bool = False) -> float:
             value = float(value)
         except OverflowError:  # an int or Fraction past the floats, kept to fail the range exactly
             pass
+        except (TypeError, ValueError) as exc:  # a sized numpy array, Decimal("sNaN")
+            raise type(exc)(f"{field} must be a real number, got {value!r}") from None
     if not (0.0 < value <= 1.0 if positive else 0.0 <= value <= 1.0):
         raise ValueError(f"{field} must be in {'(0, 1]' if positive else '[0, 1]'}, got {value}")
     return value

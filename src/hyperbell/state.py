@@ -168,18 +168,13 @@ class StabilizerState:
             raise ValueError(contradictory if dependent[0] == 2 else "generators are dependent")
         self.generators = tuple(generators)
         self.n = n
-        pivots = {bit: row for rows in spans.values() for bit, row in rows.items()}
-        self._pivots = MappingProxyType(pivots)
-        # (xsel, zsel, x, z, e), pivots descending; xsel | zsel is the pivot
-        self._rows = tuple((bit >> n, bit & (1 << n) - 1, *pivots[bit]) for bit in sorted(pivots, reverse=True))
+        self._pivots = MappingProxyType({bit: row for rows in spans.values() for bit, row in rows.items()})
 
 
 @lru_cache(maxsize=None, typed=True)
 def build_state(n_blocks: int) -> StabilizerState:
     """Stabilizer form of the N-block state, 4 generators per block; cached per N and type (True is no 1)."""
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
-    if 4 * n_blocks > STABILIZER_QUBIT_CAP:
-        raise ValueError(f"stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {4 * n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, STABILIZER_QUBIT_CAP // 4)
     gens = [
         block_operator(sign, letters, block, n_blocks)
         for block in range(1, n_blocks + 1)
@@ -250,9 +245,7 @@ def dense_state(n_blocks: int) -> DenseState:
     1's, one of 4**N entries, each of magnitude 2**-N, with sign set by the
     parity of per-block (upper AND lower) bits.
     """
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
-    if n_blocks > DENSE_BLOCK_CAP:
-        raise ValueError(f"dense backend capped at {DENSE_BLOCK_CAP} blocks, got {n_blocks}")
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, DENSE_BLOCK_CAP)
     import numpy as np
 
     half = 2 * n_blocks
@@ -338,7 +331,7 @@ class CorrelationReport(NamedTuple):
 
 def verify_perfect_correlations(n_blocks: int) -> CorrelationReport:
     """Check all 7N certainty relations in one pass; failures are recorded, not raised."""
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, STABILIZER_QUBIT_CAP // 4)
     state = build_state(n_blocks)
     cases = list(product(range(1, n_blocks + 1), PERFECT_CORRELATIONS))
     actual = _expect_xz(state, [_block_xz(letters, block, n_blocks) for block, (_, letters) in cases])

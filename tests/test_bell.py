@@ -27,6 +27,7 @@ from hyperbell.bell import (
 )
 from hyperbell.pauli import PauliOp, _xz_exponent, commutes, pauli_mul
 from hyperbell.state import (
+    DENSE_BLOCK_CAP,
     EXACT_BLOCK_CAP,
     StabilizerState,
     block_operator,
@@ -421,9 +422,9 @@ class TestQuantumValue:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="backend"):
             quantum_value(2, backend="symbolic")
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {DENSE_BLOCK_CAP}\], got 6$"):
             quantum_value(6, backend="dense")
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {EXACT_BLOCK_CAP}\], got {EXACT_BLOCK_CAP + 1}$"):
             quantum_value(EXACT_BLOCK_CAP + 1)
 
     def test_wrong_state_is_a_hard_failure(self, monkeypatch):

@@ -257,8 +257,8 @@ class TestMinBlocks:
     @pytest.mark.parametrize(
         "n_cap, error, message",
         [
-            (0, ValueError, "n_cap must be at least 1, got 0"),
-            (-3, ValueError, "n_cap must be at least 1, got -3"),
+            (0, ValueError, "n_cap must be in [1, 511], got 0"),
+            (-3, ValueError, "n_cap must be in [1, 511], got -3"),
             (True, TypeError, "n_cap must be an integer, got True"),
             (2.0, TypeError, "n_cap must be an integer, got 2.0"),
             ("8", TypeError, "n_cap must be an integer, got '8'"),
@@ -278,7 +278,7 @@ class TestMinBlocks:
             min_blocks(0.33, 0.15, 0.98, n_cap=4)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match=r"^n_cap must be at most 511, got 512$"):
+        with pytest.raises(ValueError, match=r"^n_cap must be in \[1, 511\], got 512$"):
             min_blocks(eta=0.5, eps=0.1, p=0.9, n_cap=FLOAT_BLOCK_CAP + 1)
         with pytest.raises(ValueError, match="eta"):
             min_blocks(eta=0.0, eps=0.1, p=0.9)

@@ -218,7 +218,7 @@ class TestBounds:
 
     def test_brute_force_cap(self):
         for bad in (0, BRUTE_FORCE_BLOCK_CAP + 1):
-            with pytest.raises(ValueError, match="exhaustive scan"):
+            with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {BRUTE_FORCE_BLOCK_CAP}\], got {bad}$"):
                 brute_force_bound(bad)
 
     def test_scan_products_fit_in_int8(self):

@@ -166,7 +166,7 @@ class TestSampling:
 
     def test_term_is_named_by_block_count_and_index(self):
         for index in (-1, 16):
-            with pytest.raises(ValueError, match=f"^term index {index} out of range for 2 blocks$"):
+            with pytest.raises(ValueError, match=rf"^index must be in \[0, 15\], got {index}$"):
                 estimate_term(2, index, IDEAL, 10, seed=0)
         for n_blocks, index, shots in ((2.5, 0, 10), (2, 1.0, 10), (2, 0, 2.5)):
             with pytest.raises(TypeError):
@@ -178,10 +178,10 @@ class TestSampling:
         # numpy's multinomial takes the count as an int64
         assert MAX_SHOTS == 2**63 - 1
         assert estimate_term(1, 0, IDEAL, MAX_SHOTS, seed=0).counts.n_pp == MAX_SHOTS
-        above = rf"^shots must be in \[1, 2\*\*63 - 1\], got {2**63}$"
-        with pytest.raises(ValueError, match=above):
+        above = rf"must be in \[1, {MAX_SHOTS}\], got {2**63}$"
+        with pytest.raises(ValueError, match=f"^shots {above}"):
             estimate_term(1, 0, IDEAL, 2**63, seed=0)
-        with pytest.raises(ValueError, match=above):
+        with pytest.raises(ValueError, match=f"^shots_per_term {above}"):
             estimate_beta(1, 2**63, IDEAL, seed=0)
 
 
@@ -336,7 +336,7 @@ class TestEstimateBeta:
             with pytest.raises(ValueError, match=rf"^at most 16777216 measured terms, got {m} "):
                 estimate_beta(n, 1, IDEAL, seed=0, term_budget=budget)
         for shots in (0, -3):
-            with pytest.raises(ValueError, match=rf"^shots_per_term must be >= 1, got {shots}$"):
+            with pytest.raises(ValueError, match=rf"^shots_per_term must be in \[1, {MAX_SHOTS}\], got {shots}$"):
                 estimate_beta(1, shots, IDEAL, seed=0)
 
     def test_counts_must_be_integers(self):
@@ -724,10 +724,10 @@ class TestTermStates:
 
     def test_seed_is_checked_as_numpy_checks_it(self):
         assert _joined_states(np.int64(12345), [3]) == _numpy_states(12345, [3])
-        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             estimate_beta(1, 10, IDEAL, seed=-1)
         # the subsampled path refuses it alike, before it picks its terms
-        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             estimate_beta(3, 10, IDEAL, seed=-1, term_budget=4)
         with pytest.raises(TypeError):
             estimate_term(1, 0, IDEAL, 10, seed=1.5)

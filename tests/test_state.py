@@ -216,7 +216,7 @@ class TestGenerators:
         made = []
         monkeypatch.setattr(hyperbell.state, "block_operator", lambda *args: made.append(args))
         too_many = STABILIZER_QUBIT_CAP // 4 + 1
-        with pytest.raises(ValueError, match=f"^stabilizer backend capped at {STABILIZER_QUBIT_CAP} qubits, got {4 * too_many}$"):
+        with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {STABILIZER_QUBIT_CAP // 4}\], got {too_many}$"):
             build_state(too_many)
         assert made == []
 
@@ -371,18 +371,19 @@ class TestExpectation:
 
 class TestReducedRows:
     def test_no_row_has_a_bit_at_another_pivot(self):
+        # a pivot is one bit of the word x << n | z, set in its own row alone
         for n in range(1, EXACT_BLOCK_CAP + 1):
-            rows = build_state(n)._rows
-            assert len(rows) == 4 * n
-            for i, (xsel, zsel, *_) in enumerate(rows):
-                assert (xsel == 0) != (zsel == 0)
-                holders = [j for j, (_, _, x, z, _) in enumerate(rows) if (x & xsel) or (z & zsel)]
-                assert holders == [i]
+            pivots = build_state(n)._pivots
+            assert len(pivots) == 4 * n
+            for bit in pivots:
+                assert bit & bit - 1 == 0
+                holders = [b for b, (x, z, _) in pivots.items() if (x << 4 * n | z) & bit]
+                assert holders == [bit]
 
     def test_rows_stabilize_the_dense_state(self):
         for n in (1, 2, 3):
             stab, dense = _states(n)
-            for _, _, x, z, e in stab._rows:
+            for x, z, e in stab._pivots.values():
                 op = PauliOp(4 * n, x, z, (e - (x & z).bit_count()) % 4)
                 assert _dense_expect(dense, op) == pytest.approx(1, abs=1e-12)
 
@@ -391,7 +392,7 @@ class TestReducedRows:
         # block's four qubits, up to the largest register the backend holds
         for n in range(1, STABILIZER_QUBIT_CAP // 4 + 1):
             blocks = [3 << 2 * b | 3 << 2 * (n + b) for b in range(n)]
-            for _, _, x, z, _ in build_state(n)._rows:
+            for x, z, _ in build_state(n)._pivots.values():
                 assert sum((x | z) & ~own == 0 for own in blocks) == 1, n
 
     def test_tables_are_read_only(self):
@@ -400,21 +401,18 @@ class TestReducedRows:
         for n in range(1, EXACT_BLOCK_CAP + 1):
             menu = hyperbell.bell._signed_menu(n)
             assert menu is hyperbell.bell._signed_menu(n)
-            for table in (build_state(n)._rows, menu):
-                for row in (table, table[0]):
-                    with pytest.raises(TypeError):
-                        row[0] = row[-1]
+            pivots = build_state(n)._pivots
+            for row in (menu, menu[0], next(iter(pivots.values()))):
+                with pytest.raises(TypeError):
+                    row[0] = row[-1]
             with pytest.raises(TypeError):
                 menu[0][0][2] = 0
-            pivots = build_state(n)._pivots
             with pytest.raises(TypeError):
                 pivots[1] = (0, 0, 0)
             with pytest.raises(TypeError):
                 del pivots[1]
-            # nothing was written, and the table holds the rows by pivot
+            # nothing was written
             assert 1 not in pivots
-            rows = build_state(n)._rows
-            assert dict(pivots) == {xsel << 4 * n | zsel: (x, z, e) for xsel, zsel, x, z, e in rows}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -427,7 +425,7 @@ class TestReducedRows:
             st.one_of(st.integers(1, STABILIZER_QUBIT_CAP // 4).map(build_state), _hadamard_graph_states())
         )
         shuffled = data.draw(st.permutations(stab.generators))
-        assert StabilizerState(tuple(shuffled))._rows == stab._rows
+        assert dict(StabilizerState(tuple(shuffled))._pivots) == dict(stab._pivots)
 
     def test_verify_builds_one_state(self, capsys, monkeypatch):
         # the correlation checks and the Bell terms share the cached state
@@ -484,10 +482,9 @@ class TestDense:
             np.testing.assert_allclose(np.abs(amps[nonzero]), 2.0**-n)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="capped"):
-            dense_state(DENSE_BLOCK_CAP + 1)
-        with pytest.raises(ValueError):
-            dense_state(0)
+        for bad in (0, DENSE_BLOCK_CAP + 1):
+            with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {DENSE_BLOCK_CAP}\], got {bad}$"):
+                dense_state(bad)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
