@@ -257,8 +257,11 @@ class TestMinBlocks:
     @pytest.mark.parametrize(
         "n_cap, error, message",
         [
-            (0, ValueError, "n_cap must be in [1, 511], got 0"),
-            (-3, ValueError, "n_cap must be in [1, 511], got -3"),
+            # ids name the rule each case breaks; the message is the one range check's
+            pytest.param(0, ValueError, "n_cap must be in [1, 511], got 0", id="0-ValueError-n_cap must be at least 1, got 0"),
+            pytest.param(
+                -3, ValueError, "n_cap must be in [1, 511], got -3", id="-3-ValueError-n_cap must be at least 1, got -3"
+            ),
             (True, TypeError, "n_cap must be an integer, got True"),
             (2.0, TypeError, "n_cap must be an integer, got 2.0"),
             ("8", TypeError, "n_cap must be an integer, got '8'"),
