@@ -25,6 +25,7 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from .efficiency import FLOAT_BLOCK_CAP
 from .pauli import Observable, PauliOp, _check_integer
 from .state import (
     DENSE_BLOCK_CAP,
@@ -119,7 +120,7 @@ def _join(n_blocks: int, picks: Iterable[tuple[int, int]]) -> tuple[int, int, in
 
 def term_at(n_blocks: int, index: int) -> BellTerm:
     """The index-th term of the lexicographic stream."""
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
     index = _check_integer("index", index, 0, 4**n_blocks - 1)
     choices = _digits(n_blocks, index)
     x, z, e, sign = _join(n_blocks, enumerate(choices))

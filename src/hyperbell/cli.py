@@ -254,21 +254,15 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
         raise _usage_error(f"simulate measures up to {MEASURED_TERM_CAP} terms, got {measured} ({why})")
     noise = NoiseParams(epsilon=args.eps, p=args.p, eta=args.eta)
     seed = _default_seed() if args.seed is None else args.seed
+    head = {"schema_version": 1, "n": args.n, "shots_per_term": args.shots}
+    run = {"eta": noise.eta, "eps": noise.epsilon, "p": noise.p, "seed": seed}
     try:
         estimate = estimate_beta(args.n, args.shots, noise, seed=seed, term_budget=args.term_budget)
     except UndefinedEstimateError as exc:
-        doc = {
-            "schema_version": 1,
-            "n": args.n,
-            "shots_per_term": args.shots,
-            "eta": args.eta,
-            "eps": args.eps,
-            "p": args.p,
-            "seed": seed,
-            "error": str(exc),
-        }
-        return 1, doc, None
-    return 0, estimate.to_json_dict(), None
+        return 1, {**head, **run, "error": str(exc)}, None
+    terms = {"terms_sampled": estimate.terms_sampled, "total_terms": estimate.total_terms, "exhaustive": estimate.exhaustive}
+    result = {"beta_hat": estimate.beta_hat, "stderr": estimate.stderr, "counts_summary": estimate.counts_summary._asdict()}
+    return 0, {**head, **terms, **run, **result}, None
 
 
 def cmd_dump_terms(args: argparse.Namespace) -> Output:

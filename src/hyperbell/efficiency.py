@@ -41,6 +41,12 @@ class NoiseParams(_Checked, namedtuple("NoiseParams", "epsilon p eta", defaults=
         return tuple.__new__(type(self), floats)
 
 
+def _check_noise(noise: object) -> None:
+    """Refuse ``noise`` with a TypeError unless it is a NoiseParams, whose fields are checked floats."""
+    if not isinstance(noise, NoiseParams):
+        raise TypeError(f"noise must be a NoiseParams, got {noise!r}")
+
+
 def noisy_bounds(n_blocks: int, eps: float, p: float) -> tuple[float, float]:
     """(beta_epr', beta_qm') for N blocks at tolerance eps and mixture weight p."""
     n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
@@ -69,6 +75,7 @@ def expected_estimate(n_blocks: int, noise: NoiseParams) -> float:
     uniform subsample scaled up.
     """
     n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
+    _check_noise(noise)
     return visibility_factor(noise.eta) * (1.0 - noise.epsilon) * (4.0 * noise.p) ** n_blocks
 
 

@@ -41,10 +41,10 @@ import sys
 from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .bell import _MENU_SIGNS, _digits
-from .efficiency import NoiseParams
+from .efficiency import NoiseParams, _check_noise
 from .pauli import _check_integer, _Checked
 
 # numpy is imported inside the functions that make arrays, so importing
@@ -62,7 +62,9 @@ class CountsTable(_Checked, namedtuple("CountsTable", "n_total n_pp n_mm n_singl
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def _check(self) -> CountsTable | None:
+        if not all(type(count) is int for count in self):  # the package's own counts are Python ints
+            return self._make(_check_integer(field, count) for field, count in zip(self._fields, self))
         n_total, *parts = self
         if sum(parts) != n_total:
             raise ValueError(f"counts do not tile the runs: {sum(parts)} categorized vs {n_total} total")
@@ -306,9 +308,10 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     stream, a function of ``seed`` and ``index`` alone, so it is exactly
     this term's share of ``estimate_beta`` at the same seed and shots.
     """
-    n_blocks = _check_integer("n_blocks", n_blocks, 1)
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, ESTIMATE_BLOCK_CAP)
     index = _check_integer("index", index, 0, 4**n_blocks - 1)
     shots = _check_integer("shots", shots, 1, MAX_SHOTS)
+    _check_noise(noise)
     sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
     tally = _sampler(seed, _pvals(n_blocks, noise), shots)([index], [sign < 0])
     (corr,), (stderr,) = _correlations([index], tally, shots)
@@ -317,35 +320,14 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
 
 
 class BetaEstimate(NamedTuple):
-    """Estimated Bell-expression value with its standard error and run parameters."""
+    """What one run measured: its terms, the Bell-expression estimate and its standard error, the summed counts."""
 
-    n_blocks: int
-    shots_per_term: int
     terms_sampled: int
     total_terms: int
     exhaustive: bool
-    noise: NoiseParams
-    seed: int
     beta_hat: float
     stderr: float
     counts_summary: CountsTable
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": 1,
-            "n": self.n_blocks,
-            "shots_per_term": self.shots_per_term,
-            "terms_sampled": self.terms_sampled,
-            "total_terms": self.total_terms,
-            "exhaustive": self.exhaustive,
-            "eta": self.noise.eta,
-            "eps": self.noise.epsilon,
-            "p": self.noise.p,
-            "seed": self.seed,
-            "beta_hat": self.beta_hat,
-            "stderr": self.stderr,
-            "counts_summary": self.counts_summary._asdict(),
-        }
 
 
 def _uniform_below(rng: np.random.Generator, bound: int) -> int:
@@ -400,6 +382,7 @@ def estimate_beta(
     shots = _check_integer("shots_per_term", shots_per_term, 1, MAX_SHOTS)
     term_budget = _check_integer("term_budget", term_budget, 1)
     seed = _check_integer("seed", seed, 0)
+    _check_noise(noise)
     total = 4**n_blocks
     exhaustive = total <= term_budget
     m = total if exhaustive else term_budget
@@ -436,13 +419,9 @@ def estimate_beta(
         sample_var = float(np.var(values, ddof=1)) if m > 1 else 0.0
         variance = scale**2 * measurement_var + total**2 * (1 - m / total) * sample_var / m
     return BetaEstimate(
-        n_blocks=n_blocks,
-        shots_per_term=shots,
         terms_sampled=m,
         total_terms=total,
         exhaustive=exhaustive,
-        noise=noise,
-        seed=seed,
         beta_hat=beta_hat,
         stderr=math.sqrt(variance),
         counts_summary=counts,

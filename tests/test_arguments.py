@@ -9,12 +9,14 @@ So is every eps, p and eta: a bool, a string, a complex, None or a sized
 array is refused with a TypeError that names the argument, nan or a signaling
 NaN with a ValueError, and any other
 real number (an int, a Fraction, a Decimal, a numpy float of any width) gives
-exactly what the Python float gives, a simulation and its JSON included.
+exactly what the Python float gives, a simulation included.
+
+So is every noise argument: anything but a NoiseParams is refused with a
+TypeError that names the argument, before any work.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -40,6 +42,7 @@ from hyperbell import (
     verify_perfect_correlations,
     visibility_factor,
 )
+from hyperbell import montecarlo
 from hyperbell.efficiency import FLOAT_BLOCK_CAP
 from hyperbell.lhv import BRUTE_FORCE_BLOCK_CAP
 from hyperbell.montecarlo import ESTIMATE_BLOCK_CAP, MAX_SHOTS
@@ -55,7 +58,7 @@ EXACT = NoiseParams(eta=1.0)
 # unconverted numpy integer wraps or fails.
 ARGUMENTS = [
     ("n_terms", "n_blocks", lambda v: n_terms(v), 40, (1, None)),
-    ("term_at", "n_blocks", lambda v: term_at(v, 5), 2, (1, None)),
+    ("term_at", "n_blocks", lambda v: term_at(v, 5), 2, (1, FLOAT_BLOCK_CAP)),
     ("term_at", "index", lambda v: term_at(2, v), 5, (0, 15)),
     ("quantum_value", "n_blocks", lambda v: quantum_value(v), 9, (1, EXACT_BLOCK_CAP)),
     ("quantum_value-dense", "n_blocks", lambda v: quantum_value(v, backend="dense"), 2, (1, DENSE_BLOCK_CAP)),
@@ -68,7 +71,7 @@ ARGUMENTS = [
     ("bounds_report", "n_blocks", lambda v: bounds_report(v, 0.1, 0.9), 40, (1, FLOAT_BLOCK_CAP)),
     ("expected_estimate", "n_blocks", lambda v: expected_estimate(v, EXACT), 40, (1, FLOAT_BLOCK_CAP)),
     ("min_blocks", "n_cap", lambda v: min_blocks(0.33, 0.15, 0.98, n_cap=v), 5, (1, FLOAT_BLOCK_CAP)),
-    ("estimate_term", "n_blocks", lambda v: estimate_term(v, 5, EXACT, 30, seed=1), 2, (1, None)),
+    ("estimate_term", "n_blocks", lambda v: estimate_term(v, 5, EXACT, 30, seed=1), 2, (1, ESTIMATE_BLOCK_CAP)),
     ("estimate_term", "index", lambda v: estimate_term(2, v, EXACT, 30, seed=1), 5, (0, 15)),
     ("estimate_term", "shots", lambda v: estimate_term(2, 5, EXACT, v, seed=1), 30, (1, MAX_SHOTS)),
     ("estimate_term", "seed", lambda v: estimate_term(2, 5, EXACT, 30, seed=v), 1, (0, None)),
@@ -153,10 +156,28 @@ def test_a_narrow_numpy_eta_simulates_as_its_float(kind):
 @pytest.mark.parametrize("field", NoiseParams._fields)
 @pytest.mark.parametrize("value", [Fraction(1, 2), Decimal("0.5"), 1], ids=["Fraction", "Decimal", "int"])
 def test_the_simulate_document_is_the_floats(field, value):
-    # a Fraction once failed json.dumps, a Decimal failed the simulation, and 1 printed as 1
-    def document(v):
-        return json.dumps(estimate_beta(2, 50, NoiseParams(**{field: v}), seed=3).to_json_dict())
-
-    assert document(value) == document(float(value))
+    # a Decimal once failed the simulation; simulate's document prints the
+    # NoiseParams fields, floats by test_efficiency's test_any_real_number_is_accepted
     noise, want = NoiseParams(**{field: value}), NoiseParams(**{field: float(value)})
+    assert estimate_beta(2, 50, noise, seed=3) == estimate_beta(2, 50, want, seed=3)
     assert expected_estimate(2, noise) == expected_estimate(2, want)
+
+
+# (function, its result as a function of its noise argument)
+NOISE_ARGUMENTS = [
+    ("estimate_beta", lambda v: estimate_beta(2, 10, v, seed=1)),
+    ("estimate_beta-subsampled", lambda v: estimate_beta(40, 10, v, seed=1, term_budget=3)),
+    ("estimate_term", lambda v: estimate_term(2, 5, v, 10, seed=1)),
+    ("expected_estimate", lambda v: expected_estimate(2, v)),
+]
+
+
+@pytest.mark.parametrize("result", [pytest.param(row[1], id=row[0]) for row in NOISE_ARGUMENTS])
+def test_noise_must_be_a_noise_params(result, monkeypatch):
+    result(EXACT)
+    # refused before any work: no term is chosen or drawn
+    monkeypatch.setattr(montecarlo, "_sample_indices", None)
+    monkeypatch.setattr(montecarlo, "_sampler", None)
+    for bad in ((0.15, 0.98, 0.33), None, {"eta": 0.33}, EXACT._asdict(), 0.33):
+        with pytest.raises(TypeError, match=f"^noise must be a NoiseParams, got {re.escape(repr(bad))}$"):
+            result(bad)

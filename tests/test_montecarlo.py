@@ -16,6 +16,7 @@ from hyperbell.efficiency import NoiseParams, expected_estimate, noisy_bounds, v
 from hyperbell.montecarlo import (
     ESTIMATE_BLOCK_CAP,
     MAX_SHOTS,
+    BetaEstimate,
     CountsTable,
     UndefinedEstimateError,
     _pvals,
@@ -301,27 +302,19 @@ class TestEstimateBeta:
         assert abs(est.beta_hat - analytic) > 20 * est.stderr
 
     def test_json_dict_schema(self):
+        # the record keeps what the run measured; simulate's document, its key
+        # order included, is pinned by the simulate entries of cli_golden.json
         est = estimate_beta(1, 10, IDEAL, seed=0)
-        d = est.to_json_dict()
-        assert list(d) == [
-            "schema_version",
-            "n",
-            "shots_per_term",
+        assert BetaEstimate._fields == (
             "terms_sampled",
             "total_terms",
             "exhaustive",
-            "eta",
-            "eps",
-            "p",
-            "seed",
             "beta_hat",
             "stderr",
             "counts_summary",
-        ]
-        assert d["schema_version"] == 1
-        assert d["n"] == 1
-        assert d["exhaustive"] is True
-        assert d["counts_summary"]["n_total"] == 40
+        )
+        assert (est.terms_sampled, est.total_terms, est.exhaustive) == (4, 4, True)
+        assert est.counts_summary.n_total == 40
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_blocks"):
@@ -447,11 +440,11 @@ class TestPasses:
         ids=["n5-exhaustive", "n7-subsampled"],
     )
     def test_pass_size_cannot_change_output(self, args, kwargs, monkeypatch):
-        documents = []
+        records = []
         for size in (1, 7, 256, montecarlo.TERM_CHUNK):
             monkeypatch.setattr(montecarlo, "TERM_CHUNK", size)
-            documents.append(estimate_beta(*args, REF_NOISE, **kwargs).to_json_dict())
-        assert all(document == documents[-1] for document in documents)
+            records.append(estimate_beta(*args, REF_NOISE, **kwargs))
+        assert all(record == records[-1] for record in records)
 
     def test_pass_count(self, monkeypatch):
         # a pass derives its terms' states once
@@ -479,28 +472,15 @@ class TestGoldenStreams:
     """
 
     def test_exhaustive_json_document(self):
-        assert estimate_beta(2, 1000, REF_NOISE, seed=7).to_json_dict() == {
-            "schema_version": 1,
-            "n": 2,
-            "shots_per_term": 1000,
-            "terms_sampled": 16,
-            "total_terms": 16,
-            "exhaustive": True,
-            "eta": 0.33,
-            "eps": 0.15,
-            "p": 0.98,
-            "seed": 7,
-            "beta_hat": 2.630446242315755,
-            "stderr": 0.0708647867330989,
-            "counts_summary": {
-                "n_total": 16000,
-                "n_pp": 1063,
-                "n_mm": 718,
-                "n_single_1": 3568,
-                "n_single_2": 3517,
-                "n_00": 7134,
-            },
-        }
+        # the numbers simulate's document prints for this run
+        assert estimate_beta(2, 1000, REF_NOISE, seed=7) == BetaEstimate(
+            terms_sampled=16,
+            total_terms=16,
+            exhaustive=True,
+            beta_hat=2.630446242315755,
+            stderr=0.0708647867330989,
+            counts_summary=CountsTable(16000, 1063, 718, 3568, 3517, 7134),
+        )
 
     @pytest.mark.parametrize(
         "args, kwargs, beta_hex, stderr_hex, counts",

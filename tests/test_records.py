@@ -9,8 +9,10 @@ fields, and ``PauliOp`` keeps no tuple arithmetic.
 
 from __future__ import annotations
 
+import json
 import re
 
+import numpy as np
 import pytest
 
 from hyperbell import (
@@ -40,6 +42,8 @@ CHECKED = [
     (NoiseParams, (0.15, 0.98, 0.33), (0.15, 0.98, True), TypeError, "eta must be a real number, got True"),
     (CountsTable, (10, 3, 2, 1, 1, 3), (10, 3, 2, 1, 1, 2), ValueError, "counts do not tile the runs: 9 categorized vs 10 total"),
     (CountsTable, (1, 0, 1, 0, 0, 0), (1, -1, 1, 0, 0, 1), ValueError, "counts must be nonnegative"),
+    (CountsTable, (1, 0, 1, 0, 0, 0), (1, True, 0, 0, 0, 0), TypeError, "n_pp must be an integer, got True"),
+    (CountsTable, (1, 0, 1, 0, 0, 0), (1.5, 1.5, 0, 0, 0, 0), TypeError, "n_total must be an integer, got 1.5"),
 ]
 
 BUILDS = {
@@ -119,6 +123,14 @@ def test_a_record_is_the_tuple_of_its_fields(name):
     assert record == plain
     assert list(record._asdict()) == list(record._fields)
     assert repr(record).startswith(f"{name}({record._fields[0]}=")
+
+
+def test_numpy_counts_come_back_as_python_ints():
+    # numpy ints once stayed in place, and json.dumps refused the record's _asdict()
+    counts = CountsTable(np.int64(2), np.int64(1), 0, 0, np.int32(1), 0)
+    assert counts == (2, 1, 0, 0, 1, 0)
+    assert all(type(count) is int for count in counts)
+    assert json.dumps(counts._asdict()) == '{"n_total": 2, "n_pp": 1, "n_mm": 0, "n_single_1": 0, "n_single_2": 1, "n_00": 0}'
 
 
 def test_pauli_hash_is_its_field_tuple_hash():
