@@ -21,7 +21,6 @@ from .efficiency import (
 from .lhv import (
     LhvBoundResult,
     brute_force_bound,
-    factored_bound,
 )
 from .montecarlo import (
     BetaEstimate,

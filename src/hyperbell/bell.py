@@ -75,7 +75,10 @@ class BellTerm(NamedTuple):
                 yield Observable(letter, particle, block)
 
 
-_MENU_SIGNS = tuple(sign for sign, _ in BLOCK_TERM_MENU)
+def _minus_digits(n_blocks: int, index: int | np.ndarray) -> int | np.ndarray:
+    """Bit 2k set where block N - k picks menu choice 1 (digit 01), the one negative entry, so a term's
+    sign is -1 exactly where this has odd popcount.  Works alike on a Python int and on int64 or object arrays."""
+    return index & ~(index >> 1) & (4**n_blocks - 1) // 3
 
 
 def n_terms(n_blocks: int) -> int:

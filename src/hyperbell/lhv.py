@@ -6,10 +6,10 @@ terms multiply to -1 under any assignment, so an odd number of them is -1
 and the block sum is always +2 or -2.  The attainable maximum is therefore
 2**N, against the quantum value 4**N.
 
-The exhaustive bound covers all 2**(7N) assignments of the seven observables
-in the expression (per block: X1, Y1, x1, X2, Y2, y2, z2) without visiting
-them: an assignment's value is the product of its blocks' sums, each read
-from the 128-entry table of one block's sums.
+One certificate covers all 2**(7N) assignments of the seven observables in
+the expression (per block: X1, Y1, x1, X2, Y2, y2, z2), at every N up to
+``FLOAT_BLOCK_CAP``, without visiting them: an assignment's value is the
+product of its blocks' sums, each read from the 128-entry table of one block's sums.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from math import prod
 from typing import NamedTuple
 
 from .bell import BLOCK_TERM_MENU
+from .efficiency import FLOAT_BLOCK_CAP
 from .pauli import _check_integer
 from .state import LetterPair
-
-BRUTE_FORCE_BLOCK_CAP = 3
 
 # fixed bit order of one block's assignment mask
 BOUND_LABELS: tuple[LetterPair, ...] = (("X", 1), ("Y", 1), ("x", 1), ("X", 2), ("Y", 2), ("y", 2), ("z", 2))
@@ -59,19 +58,14 @@ def brute_force_bound(n_blocks: int) -> LhvBoundResult:
     largest of ``reach[N]``, and from the top block (the mask's high bits) down
     each block takes its lowest setting from which the blocks below still reach it.
     """
-    n_blocks = _check_integer("n_blocks", n_blocks, 1, BRUTE_FORCE_BLOCK_CAP)
+    n_blocks = _check_integer("n_blocks", n_blocks, 1, FLOAT_BLOCK_CAP)
     table = _BLOCK_SUM_TABLE
-    reach = [{1}]
+    sums, reach = set(table), [{1}]
     for _ in range(n_blocks):
-        reach.append({s * p for s in set(table) for p in reach[-1]})
+        reach.append({s * p for s in sums for p in reach[-1]})
     mask, prefix, best = 0, 1, max(reach[-1])
     for d in reversed(range(n_blocks)):
         setting = next(m for m, s in enumerate(table) if any(prefix * s * p == best for p in reach[d]))
         mask |= setting << _BITS_PER_BLOCK * d
         prefix *= table[setting]
     return LhvBoundResult(best, mask, len(table) ** n_blocks)
-
-
-def factored_bound(n_blocks: int) -> int:
-    """Deterministic maximum via the block structure: (per-block max)**N."""
-    return max(_BLOCK_SUM_TABLE) ** _check_integer("n_blocks", n_blocks, 1)

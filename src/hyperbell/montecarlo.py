@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .bell import _MENU_SIGNS, _digits
+from .bell import _minus_digits
 from .efficiency import NoiseParams, _check_noise
 from .pauli import _check_integer, _Checked
 
@@ -312,7 +312,7 @@ def estimate_term(n_blocks: int, index: int, noise: NoiseParams, shots: int, see
     index = _check_integer("index", index, 0, 4**n_blocks - 1)
     shots = _check_integer("shots", shots, 1, MAX_SHOTS)
     _check_noise(noise)
-    sign = math.prod(_MENU_SIGNS[c] for c in _digits(n_blocks, index))
+    sign = -1 if _minus_digits(n_blocks, index).bit_count() & 1 else 1
     tally = _sampler(seed, _pvals(n_blocks, noise), shots)([index], [sign < 0])
     (corr,), (stderr,) = _correlations([index], tally, shots)
     counts = CountsTable(shots, *tally[0].tolist())
@@ -399,13 +399,12 @@ def estimate_beta(
     stderrs = np.empty(m)
     tallies = [0] * 5
     draw = _sampler(seed, _pvals(n_blocks, noise), shots)
-    menu_signs = np.array(_MENU_SIGNS)
     for lo in range(0, m, TERM_CHUNK):
         chunk = np.asarray(indices[lo : lo + TERM_CHUNK], dtype=index_type)
-        signs = menu_signs[np.array(_digits(n_blocks, chunk), dtype=np.intp)].prod(axis=0)
-        tally = draw(chunk, (signs < 0).tolist())
+        negative = np.bitwise_count(_minus_digits(n_blocks, chunk)) & 1  # uint8 below N = 32: 1 - 2 * negative would wrap
+        tally = draw(chunk, negative.tolist())
         corr, stderrs[lo : lo + TERM_CHUNK] = _correlations(chunk, tally, shots)
-        values[lo : lo + TERM_CHUNK] = signs * corr
+        values[lo : lo + TERM_CHUNK] = np.where(negative, -1, 1) * corr
         tallies = [done + sum(column) for done, column in zip(tallies, tally.T.tolist())]
 
     measurement_var = float(np.cumsum(stderrs * stderrs)[-1])  # left to right: 3.12's sum() is compensated

@@ -24,7 +24,6 @@ from hyperbell.efficiency import (
 from hyperbell.lhv import (
     _BLOCK_SUM_TABLE,
     brute_force_bound,
-    factored_bound,
 )
 from hyperbell.montecarlo import estimate_beta, estimate_term
 from hyperbell.state import verify_perfect_correlations
@@ -106,7 +105,7 @@ def test_criterion_4_exponential_ratio():
     ok = True
     for n in range(1, 9):
         qm = quantum_value(n)
-        epr = factored_bound(n)
+        epr = brute_force_bound(n).max_value
         ok = ok and qm % epr == 0 and qm // epr == 2**n
     _line("exponential ratio", ok, "quantum/classical = 2^N exactly for N=1..8")
 

@@ -33,7 +33,6 @@ from hyperbell import (
     estimate_beta,
     estimate_term,
     expected_estimate,
-    factored_bound,
     min_blocks,
     n_terms,
     noisy_bounds,
@@ -44,7 +43,6 @@ from hyperbell import (
 )
 from hyperbell import montecarlo
 from hyperbell.efficiency import FLOAT_BLOCK_CAP
-from hyperbell.lhv import BRUTE_FORCE_BLOCK_CAP
 from hyperbell.montecarlo import ESTIMATE_BLOCK_CAP, MAX_SHOTS
 from hyperbell.state import DENSE_BLOCK_CAP, EXACT_BLOCK_CAP, STABILIZER_QUBIT_CAP
 
@@ -53,7 +51,7 @@ EXACT = NoiseParams(eta=1.0)
 # (function, argument, the function's result as a function of that argument,
 # a valid value, its range (lo, hi), hi None where there is no upper bound);
 # each result is compared by repr, which shows a numpy integer kept in place of
-# a Python int.  The N given n_terms, factored_bound, quantum_value,
+# a Python int.  The N given n_terms, brute_force_bound, quantum_value,
 # verify_perfect_correlations and estimate_beta are ones where arithmetic on an
 # unconverted numpy integer wraps or fails.
 ARGUMENTS = [
@@ -65,8 +63,7 @@ ARGUMENTS = [
     ("build_state", "n_blocks", lambda v: build_state(v)._pivots, 16, (1, STABILIZER_QUBIT_CAP // 4)),
     ("verify_perfect_correlations", "n_blocks", lambda v: verify_perfect_correlations(v), 9, (1, STABILIZER_QUBIT_CAP // 4)),
     ("dense_state", "n_blocks", lambda v: dense_state(v).amplitudes.tolist(), 2, (1, DENSE_BLOCK_CAP)),
-    ("brute_force_bound", "n_blocks", lambda v: brute_force_bound(v), 2, (1, BRUTE_FORCE_BLOCK_CAP)),
-    ("factored_bound", "n_blocks", lambda v: factored_bound(v), 70, (1, None)),
+    ("brute_force_bound", "n_blocks", lambda v: brute_force_bound(v), 70, (1, FLOAT_BLOCK_CAP)),
     ("noisy_bounds", "n_blocks", lambda v: noisy_bounds(v, 0.1, 0.9), 40, (1, FLOAT_BLOCK_CAP)),
     ("bounds_report", "n_blocks", lambda v: bounds_report(v, 0.1, 0.9), 40, (1, FLOAT_BLOCK_CAP)),
     ("expected_estimate", "n_blocks", lambda v: expected_estimate(v, EXACT), 40, (1, FLOAT_BLOCK_CAP)),

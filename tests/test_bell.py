@@ -18,8 +18,10 @@ from hyperbell.bell import (
     BLOCK_TERM_MENU,
     _certify,
     _dense_signed,
+    _digits,
     _join,
     _menu_values,
+    _minus_digits,
     _signed_menu,
     enumerate_terms,
     n_terms,
@@ -48,6 +50,21 @@ class TestMenu:
         # a choice's label is its letters, read off the menu entry
         assert [term_at(1, c).labels for c in range(4)] == [("XXz",), ("YYz",), ("XxYy",), ("YxXy",)]
         assert [sign for sign, _ in BLOCK_TERM_MENU] == [1, -1, 1, 1]
+
+    # every N whose indices fit in int64, the first that does not, and the
+    # sampler's cap; indices 0, all choice 1 (sign (-1)**N) and the last one
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([*range(1, 33), 40, 255]), data=st.data())
+    def test_minus_digits_give_each_term_sign(self, n, data):
+        drawn = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=12))
+        indices = [0, (4**n - 1) // 3, 4**n - 1, *drawn]
+        want = [prod(BLOCK_TERM_MENU[c][0] for c in _digits(n, i)) for i in indices]
+        assert [-1 if _minus_digits(n, i).bit_count() & 1 else 1 for i in indices] == want
+        # int64 is what the sampler passes below 4**32, object arrays above it;
+        # np.bitwise_count gives uint8 for int64, where 1 - 2 * odd would wrap
+        for dtype in [object] + [np.int64] * (n < 32):
+            odd = np.bitwise_count(_minus_digits(n, np.array(indices, dtype=dtype))) & 1
+            assert np.where(odd, -1, 1).tolist() == want
 
     def test_particle_split(self):
         split = {

@@ -224,11 +224,12 @@ def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
     assert probe(code) == []
 
 
-# the exhaustive local bound (bounds --n <= 3, verify --n <= 2) is certified
-# from the block-sum table, so it makes no array either
+# the local bound is certified from the block-sum table at every N, so it
+# makes no array either, up to the top of each range (verify --n 12, bounds --n 511)
 @pytest.mark.parametrize(
     "command",
     [
+        "verify --n 12",
         "verify --n 9",
         "verify --n 3",
         "verify --n 2",
@@ -236,6 +237,7 @@ def test_importing_the_package_leaves_dataclasses_and_source_tools_unloaded():
         "min-n --eta 0.33",
         "sweep --n-max 64",
         "eta-threshold --n 6",
+        "bounds --n 511",
         "bounds --n 6",
         "bounds --n 4",
         "bounds --n 3",

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from hyperbell import lhv
 from hyperbell.bell import BLOCK_TERM_MENU, enumerate_terms
+from hyperbell.efficiency import FLOAT_BLOCK_CAP
 from hyperbell.lhv import (
     BOUND_LABELS,
-    BRUTE_FORCE_BLOCK_CAP,
     _BLOCK_SUM_TABLE,
     LhvBoundResult,
     brute_force_bound,
-    factored_bound,
 )
+
+# the exhaustive scan's reach: 128**3 assignments, whose products of three
+# block sums fit in int8
+SCAN_BLOCK_CAP = 3
 
 
 # ═══════════════════════════════════════════════════════════════════════════
@@ -151,7 +154,7 @@ class TestBounds:
 
     def test_three_blocks_agrees_with_factored(self):
         r = brute_force_bound(3)
-        assert r.max_value == factored_bound(3) == 8
+        assert r.max_value == max(_BLOCK_SUM_TABLE) ** 3 == 8
         assert r.assignments_scanned == 1 << 21
 
     def test_argmax_attains_the_bound(self):
@@ -160,15 +163,15 @@ class TestBounds:
             assert term_sum(n, r.argmax_mask) == r.max_value
 
     def test_factored_values(self):
-        for n in (1, 2, 3, 8, 20):
-            assert factored_bound(n) == 2**n
-        with pytest.raises(ValueError):
-            factored_bound(0)
+        # the certificate at every N the analytic commands take, up to
+        # 128**511, which has 1,077 digits
+        for n in [*range(1, 17), 32, 64, 128, 255, 256, FLOAT_BLOCK_CAP]:
+            assert brute_force_bound(n) == (2**n, 0, 128**n), n
 
     def test_no_assignment_beats_the_bound(self):
         rng = np.random.default_rng(77)
         for n in (2, 3):
-            cap = factored_bound(n)
+            cap = brute_force_bound(n).max_value
             for _ in range(300):
                 assert abs(term_sum(n, int(rng.integers(0, 1 << (7 * n))))) <= cap
 
@@ -193,7 +196,7 @@ class TestBounds:
             assert r.assignments_scanned == 1 << (7 * n)
 
     def test_certificate_matches_the_scan(self):
-        for n in range(1, BRUTE_FORCE_BLOCK_CAP + 1):
+        for n in range(1, SCAN_BLOCK_CAP + 1):
             assert brute_force_bound(n) == scan_bound(n)
 
     # entries of at most 5 in size keep the scan's int8 products exact
@@ -213,21 +216,39 @@ class TestBounds:
         # walk's tie-break or a zero; random tables of small integers do
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lhv, "_BLOCK_SUM_TABLE", tuple(table))
-            for n in range(1, BRUTE_FORCE_BLOCK_CAP + 1):
+            for n in range(1, SCAN_BLOCK_CAP + 1):
                 assert brute_force_bound(n) == scan_bound(n), n
 
+    # past the scan's reach, against the largest and smallest products of d
+    # blocks: each is an extreme entry times an extreme product of d - 1
+    @settings(max_examples=40, deadline=None)
+    @given(
+        table=st.lists(st.integers(-5, 5), min_size=128, max_size=128)
+        | st.lists(st.sampled_from([-2, 0, 2]), min_size=128, max_size=128)
+        | st.lists(st.integers(-5, -1), min_size=128, max_size=128),
+        n=st.integers(SCAN_BLOCK_CAP + 1, 8),
+    )
+    @example(table=[-2] * 128, n=5)
+    @example(table=[0] * 128, n=8)
+    def test_certificate_past_the_scan_on_any_table(self, table, n):
+        hi = lo = 1
+        for _ in range(n):
+            ends = [t * e for t in (min(table), max(table)) for e in (lo, hi)]
+            hi, lo = max(ends), min(ends)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lhv, "_BLOCK_SUM_TABLE", tuple(table))
+            r = brute_force_bound(n)
+        assert (r.max_value, r.assignments_scanned) == (hi, 128**n)
+        assert 0 <= r.argmax_mask < 128**n
+        # the argmax mask attains the maximum, block by block through the table
+        assert prod(table[(r.argmax_mask >> (7 * j)) & 127] for j in range(n)) == hi
+
     def test_brute_force_cap(self):
-        for bad in (0, BRUTE_FORCE_BLOCK_CAP + 1):
-            with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, {BRUTE_FORCE_BLOCK_CAP}\], got {bad}$"):
+        for bad in (0, FLOAT_BLOCK_CAP + 1):
+            with pytest.raises(ValueError, match=rf"^n_blocks must be in \[1, 511\], got {bad}$"):
                 brute_force_bound(bad)
 
     def test_scan_products_fit_in_int8(self):
-        # the scan multiplies in int8, which wraps silently past 127: a cap
-        # raised to 7 blocks (2**7 = 128) would need a wider type
-        assert max(map(abs, _BLOCK_SUM_TABLE)) ** BRUTE_FORCE_BLOCK_CAP <= np.iinfo(np.int8).max
-
-    def test_factored_bound_takes_integer_blocks(self):
-        with pytest.raises(TypeError):
-            factored_bound(2.5)
-        with pytest.raises(ValueError, match="n_blocks must be >= 1, got 0"):
-            factored_bound(0)
+        # the scan multiplies in int8, which wraps silently past 127: a scan
+        # reaching 7 blocks (2**7 = 128) would need a wider type
+        assert max(map(abs, _BLOCK_SUM_TABLE)) ** SCAN_BLOCK_CAP <= np.iinfo(np.int8).max
